@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -176,13 +176,7 @@ def fit_tcp_correction(records: Sequence[ExecutionRecord]) -> TcpCorrection:
     )
     # Recompute through the public application path so the stored figure is
     # bitwise what a caller would measure on the training set.
-    rms = correction_rms(correction, records)
-    return TcpCorrection(
-        scales[0], scales[1], scales[2],
-        offsets[0], offsets[1], offsets[2],
-        fit_pair_count=len(records),
-        fit_rms=rms,
-    )
+    return replace(correction, fit_rms=correction_rms(correction, records))
 
 
 _CSV_HEADER = ["obs_x", "obs_y", "obs_z", "exec_x", "exec_y", "exec_z"]

@@ -217,7 +217,9 @@ def _feasible_standoffs(box: Aabb, camera: CameraModel) -> tuple[float, float]:
     if d_min > d_max:
         raise InfeasibleBoxError("box is deeper than the camera working range")
     grid = np.linspace(d_min, d_max, 1025)
-    near_face = grid - ez / 2.0
+    # Rounding can put grid[0] - ez/2 a hair below the near knot; clamp it
+    # there, as the table lookup would, without a range warning.
+    near_face = np.maximum(grid - ez / 2.0, camera.near_mm)
     fx, fy = camera.field_of_view(near_face)
     ok = (np.asarray(fx) >= ex) & (np.asarray(fy) >= ey)
     if not np.any(ok):

@@ -26,11 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import detect as detect_mod
 from . import fusion as fusion_mod
 from . import respiration as resp_mod
 from .camera import CameraModel
-from .detect import DetectParams, MarkerPose, detect_ring, track
+from .detect import MarkerPose, detect_ring, track
 from .fusion import ExecutionRecord, apply_correction, fit_tcp_correction, marker_in_base
 from .geometry import Aabb, Point3, RigidTransform, pose_error
 from .handeye import (
@@ -41,7 +40,13 @@ from .handeye import (
 )
 from .ply import write_cloud
 from .respiration import detect_breath_hold, estimate_period, extract_signal, motion_alarm
-from .scene import RingMarker, TorsoPhantom, marker_top_center_world, render_cloud
+from .scene import (
+    RingMarker,
+    TorsoPhantom,
+    marker_rim_in_view,
+    marker_top_center_world,
+    render_cloud,
+)
 
 VERSION = "0.1.0"
 
@@ -478,9 +483,11 @@ def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
     samples = []
     boards_obs = []
     center_errors = []
+    rim_in_view = []
     for i, flange in enumerate(flange_poses):
         cam_in_phantom = sc.camera_in_phantom(flange)
         cam = cam_base.with_mount_pose(cam_in_phantom)
+        rim_in_view.append(marker_rim_in_view(cam, sc.phantom, sc.marker, 0.0))
         seed = stage_seed(sc.master_seed, f"calibration:render:{i}")
         cloud = render_cloud(sc.phantom, sc.marker, cam, t=0.0, seed=seed,
                              noise_scale=sc.noise_scale)
@@ -505,7 +512,7 @@ def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
         "boards_obs": boards_obs,
         "summary": {
             "sample_count": len(samples),
-            "ring_visible_in_all_views": True,
+            "ring_visible_in_all_views": all(rim_in_view),
             "ring_center_error_median_mm": float(np.median(center_errors)),
             "ring_center_error_max_mm": float(np.max(center_errors)),
         },

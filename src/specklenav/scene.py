@@ -24,6 +24,7 @@ _OUTSIDE_PATCH = -1.0e9
 
 _BISECT_ITERS = 48
 _SUBSTEPS_PER_SEGMENT = 8
+_RIM_SAMPLES = 64
 
 
 class EmptyCloudError(RuntimeError):
@@ -201,6 +202,22 @@ def marker_top_center_world(phantom: TorsoPhantom, marker: RingMarker, t: float)
     return pose.apply(np.array([0.0, 0.0, marker.thickness_mm]))
 
 
+def marker_rim_in_view(camera: CameraModel, phantom: TorsoPhantom,
+                       marker: RingMarker, t: float) -> bool:
+    """True when the outer rim of the ring's top face lies inside the frustum.
+
+    The rim is sampled at evenly spaced angles and tested in the camera
+    frame; ``camera.mount_pose`` places the camera in the phantom frame.
+    """
+    top = marker_pose_world(phantom, marker, t).compose(
+        RigidTransform.translation(0.0, 0.0, marker.thickness_mm))
+    angle = np.linspace(0.0, 2.0 * np.pi, _RIM_SAMPLES, endpoint=False)
+    r = marker.outer_diameter_mm / 2.0
+    rim = np.column_stack([r * np.cos(angle), r * np.sin(angle), np.zeros(_RIM_SAMPLES)])
+    rim_cam = camera.mount_pose.invert().apply(top.apply(rim))
+    return bool(np.all(camera.contains(rim_cam)))
+
+
 def _ray_points_cam(camera: CameraModel, u: np.ndarray, v: np.ndarray, z) -> np.ndarray:
     """Camera-frame ray positions at depth z for normalized grid coords."""
     z = np.asarray(z, dtype=float)
@@ -209,6 +226,117 @@ def _ray_points_cam(camera: CameraModel, u: np.ndarray, v: np.ndarray, z) -> np.
     return np.stack([u * np.asarray(fx) / 2.0,
                      v * np.asarray(fy) / 2.0,
                      z_b], axis=-1)
+
+
+def _knot_points_world(camera: CameraModel, u: np.ndarray, v: np.ndarray,
+                       knot_mm: float) -> np.ndarray:
+    """Scene-frame ray positions (N, 3) at the depth of one table knot."""
+    pc = _ray_points_cam(camera, u, v, knot_mm)
+    return pc @ camera.mount_pose.rotation_matrix.T + camera.mount_pose.t
+
+
+def _height_above(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
+                  dw: np.ndarray, s) -> np.ndarray:
+    """Signed height of the segment points wa + s*dw above the breathing surface.
+
+    ``wa`` and ``dw`` are (3, N) rows of segment starts and spans in the
+    scene frame; ``s`` is the scalar or per-ray fraction along the span.
+    """
+    z = wa[2] + s * dw[2]
+    return z - (phantom.height(wa[0] + s * dw[0], wa[1] + s * dw[1]) + breath)
+
+
+def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
+                    dw: np.ndarray, za: float, zb: float) -> np.ndarray:
+    """Depth of the first phantom crossing on each segment, inf when none.
+
+    A sign change of the height above the surface is bracketed over
+    substeps, then bisected in depth.  ``wa`` and ``dw`` are (N, 3)
+    segment starts and spans; they are transposed to (3, N) so that each
+    coordinate the inner loops read is contiguous.
+    """
+    wa = np.ascontiguousarray(wa.T)
+    dw = np.ascontiguousarray(dw.T)
+    n = wa.shape[1]
+    zs = np.linspace(za, zb, _SUBSTEPS_PER_SEGMENT + 1)
+    z_prev = float(zs[0])
+    prev = _height_above(phantom, breath, wa, dw, (z_prev - za) / (zb - za))
+    lo = np.full(n, np.nan)
+    hi = np.full(n, np.nan)
+    have = np.zeros(n, dtype=bool)
+    for z_next in zs[1:]:
+        z_next = float(z_next)
+        cur = _height_above(phantom, breath, wa, dw, (z_next - za) / (zb - za))
+        # A ray exactly grazing the surface at the substep start (phi == 0)
+        # is a hit too; only skip when both ends sit on the surface.
+        crossing = (~have) & (prev >= 0) & (cur <= 0) & ((prev > 0) | (cur < 0))
+        lo[crossing] = z_prev
+        hi[crossing] = z_next
+        have |= crossing
+        prev = cur
+        z_prev = z_next
+    depth = np.full(n, np.inf)
+    if np.any(have):
+        ba = wa[:, have]
+        bd = dw[:, have]
+        blo = lo[have]
+        bhi = hi[have]
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (blo + bhi)
+            above = _height_above(phantom, breath, ba, bd, (mid - za) / (zb - za)) > 0
+            blo = np.where(above, mid, blo)
+            bhi = np.where(above, bhi, mid)
+        depth[have] = 0.5 * (blo + bhi)
+    return depth
+
+
+def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
+                camera: CameraModel, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """First-hit depth of every ray, inf for rays that leave the frustum."""
+    knots = [row.distance_mm for row in camera.fov_table]
+    hit_depth = np.full(uu.size, np.inf)
+    # Rays still in flight and their scene-frame positions at the segment start.
+    idx = np.arange(uu.size)
+    wa = _knot_points_world(camera, uu, vv, knots[0])
+
+    for za, zb in zip(knots[:-1], knots[1:]):
+        if len(idx) == 0:
+            break
+        wb = _knot_points_world(camera, uu[idx], vv[idx], zb)
+        dw = wb - wa
+        seg_hit = _surface_depths(phantom, breath, wa, dw, za, zb)
+
+        # Marker top annuli: exact segment-plane intersection per linear piece.
+        for origin, normal, r_in, r_out, top_inv in marker_planes:
+            denom = dw @ normal
+            numer = (origin - wa) @ normal
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = numer / denom
+            valid = (np.abs(denom) > 1e-15) & (s >= 0.0) & (s <= 1.0)
+            if not np.any(valid):
+                continue
+            pts = wa[valid] + s[valid, None] * dw[valid]
+            local = top_inv.apply(pts)
+            radial = np.hypot(local[:, 0], local[:, 1])
+            ring = (radial >= r_in) & (radial <= r_out)
+            depth = np.full(len(idx), np.inf)
+            depth_valid = za + s[valid] * (zb - za)
+            depth_valid[~ring] = np.inf
+            depth[valid] = depth_valid
+            seg_hit = np.minimum(seg_hit, depth)
+
+        # Occluder boxes: slab test on the world-frame segment.
+        for box in occluders:
+            ok, frac = box.segment_intersections(wa, wb)
+            depth = np.where(ok, za + frac * (zb - za), np.inf)
+            seg_hit = np.minimum(seg_hit, depth)
+
+        landed = np.isfinite(seg_hit)
+        hit_depth[idx[landed]] = seg_hit[landed]
+        flying = ~landed
+        idx = idx[flying]
+        wa = wb[flying]
+    return hit_depth
 
 
 def render_cloud(phantom: TorsoPhantom,
@@ -222,13 +350,17 @@ def render_cloud(phantom: TorsoPhantom,
     """Render one depth frame of the scene at time t.
 
     One ray is cast per sensor grid cell.  The lateral position of a
-    ray follows the interpolated field of view, so between table knots
-    each ray is a straight segment and the frustum is filled exactly.
-    The first intersection with the phantom surface, a marker top face
-    or an occluder box wins.  Hits are perturbed along the line of
-    sight with sigma_z(depth) and laterally with the lateral factor
-    times sigma_z, both scaled by ``noise_scale`` (0 disables noise),
-    then clipped back to the frustum.
+    ray follows the field of view, which the camera interpolates
+    linearly between table knots, so between two knots each ray is
+    exactly a straight segment.  The march relies on that: each ray's
+    scene-frame position is computed once per knot, and every point in
+    between is ``wa + s * (wb - wa)`` with ``s = (z - za) / (zb - za)``.
+    A non-linear interpolant would bend the rays and break this.  The
+    first intersection with the phantom surface, a marker top face or
+    an occluder box wins.  Hits are perturbed along the line of sight
+    with sigma_z(depth) and laterally with the lateral factor times
+    sigma_z, both scaled by ``noise_scale`` (0 disables noise), then
+    clipped back to the frustum.
 
     Raises EmptyCloudError when nothing survives.
     """
@@ -248,20 +380,8 @@ def render_cloud(phantom: TorsoPhantom,
     uu, vv = np.meshgrid(u, v, indexing="xy")
     uu = uu.ravel()
     vv = vv.ravel()
-    n_rays = uu.size
-
-    mount = camera.mount_pose
-    rot = mount.rotation_matrix
-
-    def world_at(depth: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        pc = _ray_points_cam(camera, uu[sel], vv[sel], depth)
-        return pc @ rot.T + mount.t
 
     breath = breathing_offset(phantom, t)
-
-    def phi(depth: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        w = world_at(depth, sel)
-        return w[:, 2] - (phantom.height(w[:, 0], w[:, 1]) + breath)
 
     # Marker top faces as (origin, normal, inner r, outer r, world pose inverse).
     marker_planes = []
@@ -272,77 +392,7 @@ def render_cloud(phantom: TorsoPhantom,
         marker_planes.append((top.t, normal, m.inner_diameter_mm / 2.0,
                               m.outer_diameter_mm / 2.0, top.invert()))
 
-    knots = np.array([row.distance_mm for row in camera.fov_table])
-    hit_depth = np.full(n_rays, np.inf)
-    done = np.zeros(n_rays, dtype=bool)
-
-    for za, zb in zip(knots[:-1], knots[1:]):
-        active = ~done
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        seg_hit = np.full(len(idx), np.inf)
-
-        # Phantom surface: bracket a sign change over substeps, then bisect.
-        zs = np.linspace(za, zb, _SUBSTEPS_PER_SEGMENT + 1)
-        z_prev = float(zs[0])
-        prev = phi(np.full(len(idx), z_prev), idx)
-        lo = np.full(len(idx), np.nan)
-        hi = np.full(len(idx), np.nan)
-        have = np.zeros(len(idx), dtype=bool)
-        for z_next in zs[1:]:
-            z_next = float(z_next)
-            cur = phi(np.full(len(idx), z_next), idx)
-            # A ray exactly grazing the surface at the substep start (phi == 0)
-            # is a hit too; only skip when both ends sit on the surface.
-            crossing = (~have) & (prev >= 0) & (cur <= 0) & ((prev > 0) | (cur < 0))
-            lo[crossing] = z_prev
-            hi[crossing] = z_next
-            have |= crossing
-            prev = cur
-            z_prev = z_next
-        if np.any(have):
-            bidx = idx[have]
-            blo = lo[have]
-            bhi = hi[have]
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (blo + bhi)
-                above = phi(mid, bidx) > 0
-                blo = np.where(above, mid, blo)
-                bhi = np.where(above, bhi, mid)
-            seg_hit[have] = 0.5 * (blo + bhi)
-
-        # Marker top annuli: exact segment-plane intersection per linear piece.
-        wa = world_at(np.full(len(idx), za), idx)
-        wb = world_at(np.full(len(idx), zb), idx)
-        for origin, normal, r_in, r_out, top_inv in marker_planes:
-            denom = (wb - wa) @ normal
-            numer = (origin - wa) @ normal
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = numer / denom
-            valid = (np.abs(denom) > 1e-15) & (s >= 0.0) & (s <= 1.0)
-            if not np.any(valid):
-                continue
-            pts = wa[valid] + s[valid, None] * (wb[valid] - wa[valid])
-            local = top_inv.apply(pts)
-            radial = np.hypot(local[:, 0], local[:, 1])
-            ring = (radial >= r_in) & (radial <= r_out)
-            depth = np.full(len(idx), np.inf)
-            depth_valid = za + s[valid] * (zb - za)
-            depth_valid[~ring] = np.inf
-            depth[valid] = depth_valid
-            seg_hit = np.minimum(seg_hit, depth)
-
-        # Occluder boxes: slab test on the world-frame segment.
-        for box in occluders:
-            ok, frac = box.segment_intersections(wa, wb)
-            depth = np.where(ok, za + frac * (zb - za), np.inf)
-            seg_hit = np.minimum(seg_hit, depth)
-
-        landed = np.isfinite(seg_hit)
-        hit_depth[idx[landed]] = seg_hit[landed]
-        done[idx[landed]] = True
-
+    hit_depth = _march_rays(phantom, breath, marker_planes, occluders, camera, uu, vv)
     hits = np.isfinite(hit_depth)
     if not np.any(hits):
         raise EmptyCloudError("no ray intersected the scene inside the frustum")

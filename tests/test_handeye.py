@@ -1,10 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from specklenav.camera import CameraModel
+from specklenav.camera import CameraModel, RangeClampWarning
 from specklenav.geometry import Aabb, RigidTransform, pose_error
 from specklenav.handeye import (
     CalibrationSample,
@@ -223,6 +224,16 @@ def test_nominal_offset_shifts_flange_poses():
         err = pose_error(flange.compose(X_TRUE), cam)
         assert err.rotation_error_deg < 1e-9
         assert err.translation_error_mm < 1e-9
+
+
+def test_plan_for_in_range_box_does_not_warn():
+    # A 12.3 mm deep box puts the shallowest standoff a rounding error below
+    # the near knot; the plan must not report that as a range clamp.
+    box = Aabb.from_center_extents((-450.0, -340.0, -68.0), (60.0, 60.0, 12.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RangeClampWarning)
+        poses = plan_poses(box, 8, 18.0)
+    assert len(poses) == 8
 
 
 def test_plan_rejects_bad_arguments():

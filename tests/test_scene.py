@@ -10,6 +10,7 @@ from specklenav.scene import (
     TorsoPhantom,
     breathing_offset,
     marker_pose_world,
+    marker_rim_in_view,
     marker_top_center_world,
     render_cloud,
 )
@@ -20,6 +21,13 @@ def down_camera(distance_mm: float, **kwargs) -> CameraModel:
     mount = RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 180.0,
                                            translation=(0.0, 0.0, distance_mm))
     return CameraModel(mount_pose=mount, **kwargs)
+
+
+def tilted_camera(distance_mm: float, tilt_deg: float, **kwargs) -> CameraModel:
+    """down_camera swung about the phantom y axis, still aimed at the origin."""
+    swing = RigidTransform.from_axis_angle((0.0, 1.0, 0.0), tilt_deg)
+    down = down_camera(distance_mm).mount_pose
+    return CameraModel(mount_pose=swing.compose(down), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +233,60 @@ def test_occluder_box_wins_the_ray_race():
     under = (np.hypot(cloud.points[:, 0], cloud.points[:, 1]) < 30.0) \
         & (np.abs(z - 400.0) < 0.5)
     assert not under.any()
+
+
+@pytest.mark.parametrize("surface", [
+    {"kind": "slope", "gx": 0.2, "gy": -0.1},
+    {"kind": "ripple", "amplitude_mm": 4.0, "wavelength_x_mm": 70.0,
+     "wavelength_y_mm": 50.0},
+    {"kind": "dome", "height_mm": 40.0, "rx_mm": 160.0, "ry_mm": 120.0},
+], ids=lambda surface: surface["kind"])
+def test_tilted_noise_free_render_lies_on_the_surface(surface):
+    # The patch is wider than the frustum, so every ray lands on the skin.
+    phantom = TorsoPhantom(surface=surface, extent=(-900.0, 900.0, -900.0, 900.0),
+                           breathing_amplitude_mm=2.5)
+    cam = tilted_camera(420.0, 20.0, resolution=(96, 72))
+    t = 0.6
+    cloud = render_cloud(phantom, None, cam, t=t, noise_scale=0.0)
+    assert len(cloud) == 96 * 72
+    pts = cam.mount_pose.apply(cloud.points)
+    skin = phantom.height(pts[:, 0], pts[:, 1]) + breathing_offset(phantom, t)
+    assert np.max(np.abs(pts[:, 2] - skin)) <= 1e-9
+
+
+def test_two_marker_top_faces_sit_proud_of_the_skin():
+    phantom = TorsoPhantom(breathing_amplitude_mm=2.0)
+    markers = [RingMarker(pose_on_surface=RigidTransform.translation(-40.0, 0.0, 0.0)),
+               RingMarker(pose_on_surface=RigidTransform.translation(35.0, 20.0, 0.0))]
+    cam = tilted_camera(400.0, 15.0, resolution=(256, 192))
+    t = 0.7
+    cloud = render_cloud(phantom, markers, cam, t=t, noise_scale=0.0)
+    pts = cam.mount_pose.apply(cloud.points)
+    lift = pts[:, 2] - breathing_offset(phantom, t)
+    proud = lift > 1e-6
+    # Every point off the skin is on a top face, thickness_mm above the skin.
+    assert np.max(np.abs(lift[~proud])) <= 1e-9
+    assert np.max(np.abs(lift[proud] - markers[0].thickness_mm)) <= 1e-9
+    owner = np.full(len(pts), -1)
+    for k, m in enumerate(markers):
+        radial = np.hypot(pts[:, 0] - m.pose_on_surface.t[0],
+                          pts[:, 1] - m.pose_on_surface.t[1])
+        on_face = ((radial >= m.inner_diameter_mm / 2.0 - 1e-6)
+                   & (radial <= m.outer_diameter_mm / 2.0 + 1e-6))
+        owner[proud & on_face] = k
+        assert np.count_nonzero(proud & on_face) >= 50
+    assert np.all(owner[proud] >= 0)
+
+
+def test_marker_rim_in_view():
+    phantom = TorsoPhantom()
+    marker = RingMarker()
+    assert marker_rim_in_view(down_camera(400.0), phantom, marker, 0.0)
+    # Shifted so the ring centre sits on the frame edge: half the rim is out.
+    half_fov = down_camera(400.0).field_of_view(398.0)[0] / 2.0
+    edge = CameraModel(mount_pose=RigidTransform.translation(half_fov, 0.0, 0.0)
+                       .compose(down_camera(400.0).mount_pose))
+    assert not marker_rim_in_view(edge, phantom, marker, 0.0)
 
 
 def test_camera_looking_away_yields_empty_cloud_error():
