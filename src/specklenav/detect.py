@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .geometry import Point3
@@ -224,6 +225,11 @@ def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
     best_count = -1
     best_mask = None
     chunk = 64
+    # One distance and one mask buffer serve every chunk.  A chunk of k
+    # hypotheses uses the first n*k entries as a C-contiguous (n, k) block,
+    # so the product below is written straight into it.
+    dist_buf = np.empty(n * chunk)
+    mask_buf = np.empty(n * chunk, dtype=bool)
     done = 0
     while done < iterations:
         m = min(chunk, iterations - done)
@@ -236,12 +242,18 @@ def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
         if not np.any(ok):
             continue
         normals = normals[ok] / norms[ok, None]
-        dists = np.abs((points @ normals.T) - np.einsum("ij,ij->i", p0[ok], normals))
-        counts = (dists <= threshold).sum(axis=0)
+        k = len(normals)
+        dists = dist_buf[:n * k].reshape(n, k)
+        within = mask_buf[:n * k].reshape(n, k)
+        np.matmul(points, normals.T, out=dists)
+        dists -= np.einsum("ij,ij->i", p0[ok], normals)
+        np.abs(dists, out=dists)
+        np.less_equal(dists, threshold, out=within)
+        counts = np.count_nonzero(within, axis=0)
         i = int(np.argmax(counts))
         if counts[i] > best_count:
             best_count = int(counts[i])
-            best_mask = dists[:, i] <= threshold
+            best_mask = within[:, i].copy()
     if best_mask is None or best_count < 3:
         raise DegenerateGeometryError("RANSAC found no plane support")
     inliers = points[best_mask]
@@ -254,26 +266,25 @@ def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
 
 
 def _cluster_indices(points: np.ndarray, link_mm: float) -> list[np.ndarray]:
-    """Single-linkage Euclidean clusters; deterministic component labels."""
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(link_mm, output_type="ndarray")
-    parent = np.arange(len(points))
+    """Single-linkage Euclidean clusters.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Clusters come in order of their smallest point index, and each lists
+    its members in ascending order.
+    """
+    # Imported here: loading csgraph adds about 4 MB of resident memory,
+    # which callers that only need MarkerPose, such as respiration, skip.
+    from scipy.sparse.csgraph import connected_components
 
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(i) for i in range(len(points))])
-    clusters = []
-    for r in np.unique(roots):
-        clusters.append(np.nonzero(roots == r)[0])
-    return clusters
+    n = len(points)
+    if n == 0:
+        return []
+    pairs = cKDTree(points).query_pairs(link_mm, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=False)
+    members = np.argsort(labels, kind="stable")
+    clusters = np.split(members, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
+    return sorted(clusters, key=lambda c: c[0])
 
 
 def detect_ring(cloud: PointCloud, params: DetectParams = DetectParams()) -> MarkerPose:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .detect import MarkerPose
 
@@ -35,14 +35,14 @@ class NoPeriodicityError(RuntimeError):
 class BreathSignal:
     """Time series of (t_s, displacement_mm), strictly increasing in time.
 
-    A single writer may append while readers take snapshots; reads copy the
-    underlying storage so a snapshot never mutates under the caller.
+    Not thread-safe: the pipeline builds and reads a signal on one thread,
+    and nothing appends to it concurrently.  Reads copy the underlying
+    storage, so a snapshot never changes under the caller.
     """
 
     def __init__(self, samples: Iterable[tuple[float, float]] = ()) -> None:
         self._times: list[float] = []
         self._values: list[float] = []
-        self._lock = threading.Lock()
         for t, d in samples:
             self.append(t, d)
 
@@ -51,26 +51,22 @@ class BreathSignal:
         displacement_mm = float(displacement_mm)
         if not (math.isfinite(t_s) and math.isfinite(displacement_mm)):
             raise ValueError("samples must be finite")
-        with self._lock:
-            if self._times and t_s <= self._times[-1]:
-                raise NonMonotoneTimeError(
-                    f"timestamp {t_s} not after {self._times[-1]}")
-            self._times.append(t_s)
-            self._values.append(displacement_mm)
+        if self._times and t_s <= self._times[-1]:
+            raise NonMonotoneTimeError(
+                f"timestamp {t_s} not after {self._times[-1]}")
+        self._times.append(t_s)
+        self._values.append(displacement_mm)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._times)
+        return len(self._times)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot of (times, displacements) as fresh arrays."""
-        with self._lock:
-            return np.array(self._times), np.array(self._values)
+        return np.array(self._times), np.array(self._values)
 
     @property
     def samples(self) -> list[tuple[float, float]]:
-        with self._lock:
-            return list(zip(self._times, self._values))
+        return list(zip(self._times, self._values))
 
 
 @dataclass(frozen=True)
@@ -185,13 +181,43 @@ def estimate_period(signal: BreathSignal) -> float:
     return (k + shift) * dt
 
 
+# detect_breath_hold and motion_alarm handle at most this many window starts,
+# and this many window samples, at a time, so their temporaries stay small
+# however long the session is.
+_BLOCK = 1 << 10
+
+
+def _index_blocks(n: int):
+    """Consecutive blocks of sample indices covering range(n)."""
+    for c in range(0, n, _BLOCK):
+        yield np.arange(c, min(c + _BLOCK, n))
+
+
+def _window_blocks(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Yield (positions, rows) with rows[k] = values[s:s + L] for s, L at positions[k].
+
+    Windows are grouped by length and handed out in bounded blocks.  Each
+    row is a contiguous copy, so a reduction along axis 1 sums in the same
+    order as the same reduction over the 1-D slice.
+    """
+    for length in np.unique(lengths):
+        positions = np.nonzero(lengths == length)[0]
+        view = sliding_window_view(values, int(length))
+        step = max(1, _BLOCK // max(int(length), 1))
+        for b in range(0, len(positions), step):
+            block = positions[b:b + step]
+            yield block, view[starts[block]]
+
+
 def detect_breath_hold(signal: BreathSignal, amplitude_tol_mm: float,
                        min_duration_s: float) -> list[GateInterval]:
     """Maximal intervals where every sliding window of the signal is flat.
 
-    A window spans min_duration_s; it is flat when no sample strays more
+    The window starting at sample i ends at the first sample j with
+    t[j] - t[i] >= min_duration_s; windows that would run past the last
+    sample are not formed.  A window is flat when no sample strays more
     than amplitude_tol_mm from the window mean.  Overlapping flat windows
-    merge into one gate.
+    merge into one gate, whose level is the mean over the merged span.
     """
     if amplitude_tol_mm <= 0.0:
         raise ValueError("amplitude_tol_mm must be positive")
@@ -200,28 +226,40 @@ def detect_breath_hold(signal: BreathSignal, amplitude_tol_mm: float,
     times, values = signal.arrays()
     n = len(times)
 
-    flat_spans: list[tuple[float, float]] = []
-    j = 0
-    for i in range(n):
-        if j < i:
-            j = i
-        while j < n and times[j] - times[i] < min_duration_s:
-            j += 1
-        if j >= n:
-            break
-        window = values[i:j + 1]
-        if np.max(np.abs(window - window.mean())) <= amplitude_tol_mm:
-            flat_spans.append((float(times[i]), float(times[j])))
+    firsts = [np.zeros(0, dtype=np.intp)]
+    lasts = [np.zeros(0, dtype=np.intp)]
+    for first in _index_blocks(n):
+        t0 = times[first]
+        # searchsorted compares against t[i] + d, which rounds differently
+        # from t[j] - t[i]; step each end until it meets the window rule.
+        last = np.searchsorted(times, t0 + min_duration_s)
+        while True:
+            back = (last - 1 > first) & (times[last - 1] - t0 >= min_duration_s)
+            ahead = (last < n) & (times[np.minimum(last, n - 1)] - t0 < min_duration_s)
+            if not (back.any() or ahead.any()):
+                break
+            last += ahead.astype(int) - back.astype(int)
+        formed = last < n
+        first = first[formed]
+        last = last[formed]
+        flat = np.zeros(len(first), dtype=bool)
+        for block, rows in _window_blocks(values, first, last - first + 1):
+            spread = np.max(np.abs(rows - rows.mean(axis=1, keepdims=True)), axis=1)
+            flat[block] = spread <= amplitude_tol_mm
+        firsts.append(first[flat])
+        lasts.append(last[flat])
+    first = np.concatenate(firsts)
+    last = np.concatenate(lasts)
 
-    gates: list[GateInterval] = []
-    for start, end in flat_spans:
-        if gates and start <= gates[-1].end_s:
-            start = gates[-1].start_s
-            end = max(end, gates[-1].end_s)
-            gates.pop()
-        sel = (times >= start) & (times <= end)
-        gates.append(GateInterval(start, end, float(values[sel].mean())))
-    return gates
+    # A flat window joins the current gate when it starts at or before the
+    # gate's end; window ends never decrease, so the gate ends where its
+    # last window does.
+    opens = np.ones(len(first), dtype=bool)
+    opens[1:] = first[1:] > last[:-1]
+    closes = np.ones(len(first), dtype=bool)
+    closes[:-1] = opens[1:]
+    return [GateInterval(float(times[i]), float(times[j]), float(values[i:j + 1].mean()))
+            for i, j in zip(first[opens], last[closes])]
 
 
 def motion_alarm(signal: BreathSignal, threshold_mm: float,
@@ -229,28 +267,31 @@ def motion_alarm(signal: BreathSignal, threshold_mm: float,
     """Flag sudden departures from the recent baseline.
 
     The baseline at each sample is the median displacement over the
-    preceding baseline_window_s.  An alarm fires on the first sample whose
+    preceding baseline_window_s (the sample's own value when no earlier
+    sample falls in the window).  An alarm fires on the first sample whose
     deviation from baseline exceeds the threshold, then stays quiet until
     the signal comes back within the threshold.
     """
     if threshold_mm <= 0.0:
         raise ValueError("threshold_mm must be positive")
+    if baseline_window_s <= 0.0:
+        raise ValueError("baseline_window_s must be positive")
     times, values = signal.arrays()
-    events: list[AlarmEvent] = []
-    armed = True
-    lo = 0
-    for i in range(len(times)):
-        while times[lo] < times[i] - baseline_window_s:
-            lo += 1
-        prior = values[lo:i]
-        baseline = float(np.median(prior)) if len(prior) else float(values[i])
-        deviation = abs(float(values[i]) - baseline)
-        if armed and deviation > threshold_mm:
-            events.append(AlarmEvent(float(times[i]), float(values[i])))
-            armed = False
-        elif not armed and deviation <= threshold_mm:
-            armed = True
-    return events
+    exceed = np.zeros(len(times), dtype=bool)
+    for i in _index_blocks(len(times)):
+        # The window of sample i is values[lo:i], lo the first sample with
+        # t[lo] >= t[i] - baseline_window_s.
+        lo = np.searchsorted(times, times[i] - baseline_window_s)
+        baseline = values[i]
+        for block, rows in _window_blocks(values, lo, i - lo):
+            if rows.shape[1]:
+                baseline[block] = np.median(rows, axis=1)
+        exceed[i] = np.abs(values[i] - baseline) > threshold_mm
+    # Sample 0 is armed; every later sample is armed exactly when the one
+    # before it was within the threshold.
+    fires = exceed.copy()
+    fires[1:] &= ~exceed[:-1]
+    return [AlarmEvent(float(times[i]), float(values[i])) for i in np.nonzero(fires)[0]]
 
 
 def write_signal_csv(path, signal: BreathSignal) -> None:

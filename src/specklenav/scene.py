@@ -25,6 +25,8 @@ _OUTSIDE_PATCH = -1.0e9
 _BISECT_ITERS = 48
 _SUBSTEPS_PER_SEGMENT = 8
 _RIM_SAMPLES = 64
+# Padding of the culling boxes; covers the rounding of wa + s * dw.
+_BOX_PAD_MM = 1e-6
 
 
 class EmptyCloudError(RuntimeError):
@@ -54,6 +56,23 @@ def _surface_function(surface) -> Callable[[np.ndarray, np.ndarray], np.ndarray]
     raise ValueError(f"unknown surface kind {kind!r}")
 
 
+def _height_bound(surface, extent) -> float:
+    """Upper bound of the base surface height over the patch, inf when unknown."""
+    if callable(surface):
+        return math.inf
+    kind = surface.get("kind", "flat")
+    if kind == "slope":
+        gx = float(surface.get("gx", 0.0))
+        gy = float(surface.get("gy", 0.0))
+        xmin, xmax, ymin, ymax = extent
+        return max(gx * x + gy * y for x in (xmin, xmax) for y in (ymin, ymax))
+    if kind == "ripple":
+        return abs(float(surface["amplitude_mm"]))
+    if kind == "dome":
+        return max(float(surface["height_mm"]), 0.0)
+    return 0.0
+
+
 @dataclass(frozen=True)
 class TorsoPhantom:
     """Breathing height-field phantom over a rectangular patch.
@@ -80,6 +99,7 @@ class TorsoPhantom:
             raise ValueError("breathing period must be positive")
         # Resolve the descriptor once so rendering does not re-parse it.
         object.__setattr__(self, "_height_fn", _surface_function(self.surface))
+        object.__setattr__(self, "_height_bound", _height_bound(self.surface, self.extent))
 
     def height(self, x, y) -> np.ndarray:
         """Base surface height (mm) at patch coordinates, patch-clipped."""
@@ -231,19 +251,55 @@ def _ray_points_cam(camera: CameraModel, u: np.ndarray, v: np.ndarray, z) -> np.
 def _knot_points_world(camera: CameraModel, u: np.ndarray, v: np.ndarray,
                        knot_mm: float) -> np.ndarray:
     """Scene-frame ray positions (N, 3) at the depth of one table knot."""
-    pc = _ray_points_cam(camera, u, v, knot_mm)
+    fx, fy = camera.field_of_view(knot_mm)
+    pc = np.stack([u * fx / 2.0, v * fy / 2.0, np.full(u.shape, float(knot_mm))], axis=-1)
     return pc @ camera.mount_pose.rotation_matrix.T + camera.mount_pose.t
 
 
+def _box_bounds(box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Padded scene-frame bounding box (lo, hi) of an occluder box."""
+    half = np.abs(box.pose.rotation_matrix) @ box.half_extents + _BOX_PAD_MM
+    return box.pose.t - half, box.pose.t + half
+
+
+def _meets_box(seg_lo: np.ndarray, seg_hi: np.ndarray, box_lo: np.ndarray,
+               box_hi: np.ndarray) -> np.ndarray:
+    """Rows whose segment bounding box [seg_lo, seg_hi] (N, 3) meets [box_lo, box_hi]."""
+    meets = np.ones(len(seg_lo), dtype=bool)
+    for k in range(3):
+        meets &= seg_lo[:, k] <= box_hi[k]
+        meets &= seg_hi[:, k] >= box_lo[k]
+    return meets
+
+
 def _height_above(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
-                  dw: np.ndarray, s) -> np.ndarray:
+                  dw: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """Signed height of the segment points wa + s*dw above the breathing surface.
 
     ``wa`` and ``dw`` are (3, N) rows of segment starts and spans in the
     scene frame; ``s`` is the scalar or per-ray fraction along the span.
+    The points are built in the (3, N) scratch ``out``; its last row is
+    returned.
     """
-    z = wa[2] + s * dw[2]
-    return z - (phantom.height(wa[0] + s * dw[0], wa[1] + s * dw[1]) + breath)
+    np.multiply(s, dw, out=out)
+    out += wa
+    np.subtract(out[2], phantom.height(out[0], out[1]) + breath, out=out[2])
+    return out[2]
+
+
+def _bisect_update(blo: np.ndarray, bhi: np.ndarray, mid: np.ndarray,
+                   above: np.ndarray) -> None:
+    """blo = where(above, mid, blo) and bhi = where(above, bhi, mid), in place.
+
+    The bits are copied through an all-ones or all-zeros integer mask.  The
+    mask of a bisection step is random, and a branching select such as
+    ``np.copyto(..., where=)`` is several times slower on it.
+    """
+    take = -above.view(np.int8).astype(np.int64)
+    m = mid.view(np.int64)
+    for dst, sel in ((blo, take), (bhi, ~take)):
+        d = dst.view(np.int64)
+        d ^= (d ^ m) & sel
 
 
 def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
@@ -253,20 +309,26 @@ def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
     A sign change of the height above the surface is bracketed over
     substeps, then bisected in depth.  ``wa`` and ``dw`` are (N, 3)
     segment starts and spans; they are transposed to (3, N) so that each
-    coordinate the inner loops read is contiguous.
+    coordinate the inner loops read is contiguous.  The loops work in
+    preallocated buffers; each step computes the same values, in the same
+    order, as the plain expressions in the comments.
     """
     wa = np.ascontiguousarray(wa.T)
     dw = np.ascontiguousarray(dw.T)
     n = wa.shape[1]
+    span = zb - za
     zs = np.linspace(za, zb, _SUBSTEPS_PER_SEGMENT + 1)
     z_prev = float(zs[0])
-    prev = _height_above(phantom, breath, wa, dw, (z_prev - za) / (zb - za))
+    work = np.empty((3, n))
+    spare = np.empty((3, n))
+    prev = _height_above(phantom, breath, wa, dw, (z_prev - za) / span, work)
     lo = np.full(n, np.nan)
     hi = np.full(n, np.nan)
     have = np.zeros(n, dtype=bool)
     for z_next in zs[1:]:
         z_next = float(z_next)
-        cur = _height_above(phantom, breath, wa, dw, (z_next - za) / (zb - za))
+        work, spare = spare, work
+        cur = _height_above(phantom, breath, wa, dw, (z_next - za) / span, work)
         # A ray exactly grazing the surface at the substep start (phi == 0)
         # is a hit too; only skip when both ends sit on the surface.
         crossing = (~have) & (prev >= 0) & (cur <= 0) & ((prev > 0) | (cur < 0))
@@ -281,49 +343,91 @@ def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
         bd = dw[:, have]
         blo = lo[have]
         bhi = hi[have]
+        mid = np.empty_like(blo)
+        s = np.empty_like(blo)
+        above = np.empty(len(blo), dtype=bool)
+        work = work[:, :len(blo)]
         for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (blo + bhi)
-            above = _height_above(phantom, breath, ba, bd, (mid - za) / (zb - za)) > 0
-            blo = np.where(above, mid, blo)
-            bhi = np.where(above, bhi, mid)
+            np.add(blo, bhi, out=mid)
+            mid *= 0.5                                   # mid = 0.5 * (blo + bhi)
+            np.subtract(mid, za, out=s)
+            s /= span                                    # s = (mid - za) / (zb - za)
+            np.greater(_height_above(phantom, breath, ba, bd, s, work), 0, out=above)
+            _bisect_update(blo, bhi, mid, above)
         depth[have] = 0.5 * (blo + bhi)
     return depth
 
 
 def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
                 camera: CameraModel, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
-    """First-hit depth of every ray, inf for rays that leave the frustum."""
-    knots = [row.distance_mm for row in camera.fov_table]
-    hit_depth = np.full(uu.size, np.inf)
-    # Rays still in flight and their scene-frame positions at the segment start.
-    idx = np.arange(uu.size)
-    wa = _knot_points_world(camera, uu, vv, knots[0])
+    """First-hit depth of every ray, inf for rays that leave the frustum.
 
-    for za, zb in zip(knots[:-1], knots[1:]):
+    Work is culled with padded axis-aligned boxes; see ``render_cloud``.
+    """
+    knots = [row.distance_mm for row in camera.fov_table]
+    xmin, xmax, ymin, ymax = phantom.extent
+    skin_lo = np.array([xmin, ymin, -np.inf]) - _BOX_PAD_MM
+    skin_hi = np.array([xmax, ymax, phantom._height_bound + breath]) + _BOX_PAD_MM
+    targets = [(skin_lo, skin_hi)] + [(lo, hi) for *_, lo, hi in marker_planes] \
+        + [_box_bounds(box) for box in occluders]
+
+    # Ray positions are affine in (u, v) at a knot and in depth between knots,
+    # so the four corner rays bound every ray of a segment.  A segment whose
+    # bound meets no target is skipped without placing any ray.
+    cu = np.array([uu.min(), uu.max(), uu.min(), uu.max()])
+    cv = np.array([vv.min(), vv.min(), vv.max(), vv.max()])
+    corners = np.stack([_knot_points_world(camera, cu, cv, z) for z in knots])
+    slab_lo = np.minimum(corners[:-1], corners[1:]).min(axis=1)[:, None]
+    slab_hi = np.maximum(corners[:-1], corners[1:]).max(axis=1)[:, None]
+    t_lo = np.array([lo for lo, _ in targets])
+    t_hi = np.array([hi for _, hi in targets])
+    live = np.all((slab_lo <= t_hi) & (slab_hi >= t_lo), axis=2).any(axis=1)
+
+    hit_depth = np.full(uu.size, np.inf)
+    # Rays still in flight; wa holds their scene-frame positions at the start
+    # of the segment, carried over from the previous segment when it ran.
+    idx = np.arange(uu.size)
+    for k in np.nonzero(live)[0]:
         if len(idx) == 0:
             break
+        za, zb = knots[k], knots[k + 1]
+        if k == 0 or not live[k - 1]:
+            wa = _knot_points_world(camera, uu[idx], vv[idx], za)
         wb = _knot_points_world(camera, uu[idx], vv[idx], zb)
         dw = wb - wa
-        seg_hit = _surface_depths(phantom, breath, wa, dw, za, zb)
+        seg_lo = np.minimum(wa, wb)
+        seg_hi = np.maximum(wa, wb)
+
+        near = _meets_box(seg_lo, seg_hi, skin_lo, skin_hi)
+        if near.all():
+            seg_hit = _surface_depths(phantom, breath, wa, dw, za, zb)
+        else:
+            seg_hit = np.full(len(idx), np.inf)
+            if near.any():
+                seg_hit[near] = _surface_depths(phantom, breath, wa[near], dw[near], za, zb)
 
         # Marker top annuli: exact segment-plane intersection per linear piece.
-        for origin, normal, r_in, r_out, top_inv in marker_planes:
-            denom = dw @ normal
-            numer = (origin - wa) @ normal
+        for origin, normal, r_in, r_out, top_inv, box_lo, box_hi in marker_planes:
+            rows = np.nonzero(_meets_box(seg_lo, seg_hi, box_lo, box_hi))[0]
+            if len(rows) == 0:
+                continue
+            a = wa[rows]
+            d = dw[rows]
+            denom = d @ normal
+            numer = (origin - a) @ normal
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = numer / denom
             valid = (np.abs(denom) > 1e-15) & (s >= 0.0) & (s <= 1.0)
             if not np.any(valid):
                 continue
-            pts = wa[valid] + s[valid, None] * dw[valid]
+            pts = a[valid] + s[valid, None] * d[valid]
             local = top_inv.apply(pts)
             radial = np.hypot(local[:, 0], local[:, 1])
             ring = (radial >= r_in) & (radial <= r_out)
-            depth = np.full(len(idx), np.inf)
-            depth_valid = za + s[valid] * (zb - za)
-            depth_valid[~ring] = np.inf
-            depth[valid] = depth_valid
-            seg_hit = np.minimum(seg_hit, depth)
+            depth = za + s[valid] * (zb - za)
+            depth[~ring] = np.inf
+            rows = rows[valid]
+            seg_hit[rows] = np.minimum(seg_hit[rows], depth)
 
         # Occluder boxes: slab test on the world-frame segment.
         for box in occluders:
@@ -332,10 +436,12 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
             seg_hit = np.minimum(seg_hit, depth)
 
         landed = np.isfinite(seg_hit)
-        hit_depth[idx[landed]] = seg_hit[landed]
-        flying = ~landed
-        idx = idx[flying]
-        wa = wb[flying]
+        if landed.any():
+            hit_depth[idx[landed]] = seg_hit[landed]
+            flying = ~landed
+            idx = idx[flying]
+            wb = wb[flying]
+        wa = wb
     return hit_depth
 
 
@@ -357,10 +463,26 @@ def render_cloud(phantom: TorsoPhantom,
     between is ``wa + s * (wb - wa)`` with ``s = (z - za) / (zb - za)``.
     A non-linear interpolant would bend the rays and break this.  The
     first intersection with the phantom surface, a marker top face or
-    an occluder box wins.  Hits are perturbed along the line of sight
-    with sigma_z(depth) and laterally with the lateral factor times
-    sigma_z, both scaled by ``noise_scale`` (0 disables noise), then
-    clipped back to the frustum.
+    an occluder box wins.
+
+    Empty space is skipped, and the skip is exact: no output bit depends
+    on it.  Every test is elementwise per ray, so running it on fewer rays
+    changes no ray's result; a segment is skipped only where it cannot hit.
+    A whole segment between two knots is skipped, without placing any ray,
+    when the box of its four corner rays meets no target box: the phantom
+    box (the patch extent in x and y, up to the surface's height bound
+    plus the breathing offset in z), a marker's top-face box or an
+    occluder's box.  Within a segment, the surface scan runs only on rays
+    whose segment box meets the phantom box, and a marker's plane test
+    only on rays whose box meets that marker's box.  All boxes are padded
+    by 1e-6 mm, which covers the rounding of ``wa + s * dw``.  Off the
+    patch the height is far below any ray, and above the bound no ray can
+    cross the surface.  A callable surface has no height bound, so only
+    the patch outline culls its segments.
+
+    Hits are perturbed along the line of sight with sigma_z(depth) and
+    laterally with the lateral factor times sigma_z, both scaled by
+    ``noise_scale`` (0 disables noise), then clipped back to the frustum.
 
     Raises EmptyCloudError when nothing survives.
     """
@@ -389,8 +511,11 @@ def render_cloud(phantom: TorsoPhantom,
         pose = marker_pose_world(phantom, m, t)
         top = pose.compose(RigidTransform.translation(0.0, 0.0, m.thickness_mm))
         normal = top.rotation_matrix[:, 2]
-        marker_planes.append((top.t, normal, m.inner_diameter_mm / 2.0,
-                              m.outer_diameter_mm / 2.0, top.invert()))
+        r_out = m.outer_diameter_mm / 2.0
+        # Bounding box of the top-face disc: r * sqrt(1 - n_k^2) along axis k.
+        half = r_out * np.sqrt(np.clip(1.0 - normal ** 2, 0.0, None)) + _BOX_PAD_MM
+        marker_planes.append((top.t, normal, m.inner_diameter_mm / 2.0, r_out,
+                              top.invert(), top.t - half, top.t + half))
 
     hit_depth = _march_rays(phantom, breath, marker_planes, occluders, camera, uu, vv)
     hits = np.isfinite(hit_depth)

@@ -9,6 +9,9 @@ from specklenav.detect import (
     MarkerPose,
     NoMarkerFoundError,
     TooFewPointsError,
+    _cluster_indices,
+    _orient_toward_origin,
+    _ransac_plane,
     detect_ring,
     fit_circle_3d,
     track,
@@ -186,3 +189,84 @@ def test_marker_pose_json_schema():
     doc = pose.to_json_dict()
     assert set(doc) == {"center", "normal", "radius_mm", "rms_mm", "inliers", "t"}
     assert len(doc["center"]) == 3 and len(doc["normal"]) == 3
+
+
+def test_clusters_come_in_order_of_smallest_index():
+    # Members interleave across clusters, and 7 joins cluster 0 only through 4.
+    x = np.array([0.0, 10.0, 20.0, 11.0, 1.0, 30.0, 21.0, 2.0, 12.0])
+    points = np.column_stack([x, np.zeros_like(x), np.full_like(x, 400.0)])
+    clusters = _cluster_indices(points, 1.5)
+    assert [c.tolist() for c in clusters] == [[0, 4, 7], [1, 3, 8], [2, 6], [5]]
+
+
+def test_clusters_partition_the_points_in_order():
+    rng = np.random.default_rng(3)
+    points = rng.random((800, 3)) * [60.0, 60.0, 4.0]
+    clusters = _cluster_indices(points, 2.5)
+    firsts = [int(c[0]) for c in clusters]
+    assert firsts == sorted(firsts)
+    assert all(np.all(np.diff(c) > 0) for c in clusters)
+    assert np.array_equal(np.sort(np.concatenate(clusters)), np.arange(len(points)))
+    # Single linkage: any two points within the link share a cluster.
+    label = np.empty(len(points), dtype=int)
+    for k, c in enumerate(clusters):
+        label[c] = k
+    a, b = np.nonzero(np.linalg.norm(points[:, None] - points[None], axis=2) <= 2.5)
+    assert np.all(label[a] == label[b])
+    assert 1 < len(clusters) < len(points)
+
+
+def reference_ransac_plane(points, threshold, iterations, seed):
+    """Reference: the scoring loop before it moved into preallocated buffers."""
+    n = len(points)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    best_count, best_mask, done = -1, None, 0
+    while done < iterations:
+        m = min(64, iterations - done)
+        done += m
+        tri = rng.integers(0, n, size=(m, 3))
+        p0 = points[tri[:, 0]]
+        normals = np.cross(points[tri[:, 1]] - p0, points[tri[:, 2]] - p0)
+        norms = np.linalg.norm(normals, axis=1)
+        ok = norms > 1e-12
+        if not np.any(ok):
+            continue
+        normals = normals[ok] / norms[ok, None]
+        dists = np.abs((points @ normals.T) - np.einsum("ij,ij->i", p0[ok], normals))
+        counts = (dists <= threshold).sum(axis=0)
+        i = int(np.argmax(counts))
+        if counts[i] > best_count:
+            best_count = int(counts[i])
+            best_mask = dists[:, i] <= threshold
+    inliers = points[best_mask]
+    centroid = inliers.mean(axis=0)
+    _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
+    normal = _orient_toward_origin(vt[2], centroid)
+    return centroid, normal, np.abs((points - centroid) @ normal) <= threshold
+
+
+@pytest.mark.parametrize("case", ["cloud", "tied_planes", "collinear_draws"])
+def test_ransac_plane_matches_the_reference_scoring(case):
+    if case == "cloud":
+        points = scene_cloud(5, resolution=(96, 72)).points
+        iterations = 300
+    elif case == "tied_planes":
+        # Two equal planes: many hypotheses tie, so the first maximum decides.
+        # A few points sit exactly one threshold above each plane.
+        g = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+        points = np.concatenate([np.column_stack([g, np.full(len(g), 400.0)]),
+                                 np.column_stack([g, np.full(len(g), 460.0)]),
+                                 [[2.5, 3.5, 401.0], [7.5, 1.5, 401.0],
+                                  [2.5, 3.5, 461.0], [7.5, 1.5, 461.0]]])
+        iterations = 200
+    else:
+        # Mostly collinear points: many draws are rejected, chunks shrink.
+        x = np.linspace(-50.0, 50.0, 60)
+        points = np.concatenate([np.column_stack([x, 0.0 * x, 400.0 + 0.0 * x]),
+                                 [[0.0, 5.0, 400.0], [3.0, -4.0, 400.0], [9.0, 2.0, 400.0]]])
+        iterations = 130
+    for seed in (0, 11, 12):
+        want = reference_ransac_plane(points, 1.0, iterations, seed)
+        got = _ransac_plane(points, 1.0, iterations, seed)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -212,3 +212,118 @@ def test_signal_csv_rejects_foreign_header(tmp_path):
     path.write_text("time,disp\n0,0\n")
     with pytest.raises(ValueError, match="header"):
         read_signal_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# vectorized analysis against the per-sample loops it replaced
+
+
+def loop_breath_hold(signal, amplitude_tol_mm, min_duration_s):
+    """Reference: the original per-sample loop of detect_breath_hold."""
+    times, values = signal.arrays()
+    n = len(times)
+    flat_spans = []
+    j = 0
+    for i in range(n):
+        if j < i:
+            j = i
+        while j < n and times[j] - times[i] < min_duration_s:
+            j += 1
+        if j >= n:
+            break
+        window = values[i:j + 1]
+        if np.max(np.abs(window - window.mean())) <= amplitude_tol_mm:
+            flat_spans.append((float(times[i]), float(times[j])))
+    gates = []
+    for start, end in flat_spans:
+        if gates and start <= gates[-1].end_s:
+            start = gates[-1].start_s
+            end = max(end, gates[-1].end_s)
+            gates.pop()
+        sel = (times >= start) & (times <= end)
+        gates.append(GateInterval(start, end, float(values[sel].mean())))
+    return gates
+
+
+def loop_motion_alarm(signal, threshold_mm, baseline_window_s=2.0):
+    """Reference: the original per-sample loop of motion_alarm."""
+    times, values = signal.arrays()
+    events = []
+    armed = True
+    lo = 0
+    for i in range(len(times)):
+        while times[lo] < times[i] - baseline_window_s:
+            lo += 1
+        prior = values[lo:i]
+        baseline = float(np.median(prior)) if len(prior) else float(values[i])
+        deviation = abs(float(values[i]) - baseline)
+        if armed and deviation > threshold_mm:
+            events.append(AlarmEvent(float(times[i]), float(values[i])))
+            armed = False
+        elif not armed and deviation <= threshold_mm:
+            armed = True
+    return events
+
+
+def jittered_signal(seed: int, n: int = 1500) -> BreathSignal:
+    """Non-uniformly sampled breathing with holds, steps and jolts."""
+    rng = np.random.default_rng(seed)
+    tt = 3.0 + np.cumsum(rng.uniform(0.01, 0.25, size=n))
+    dd = 2.0 * np.sin(2.0 * np.pi * tt / rng.uniform(3.0, 5.0))
+    for start in rng.uniform(tt[0], tt[-1], size=4):
+        hold = (tt >= start) & (tt < start + rng.uniform(2.0, 8.0))
+        dd[hold] = rng.uniform(-1.0, 3.0) + rng.normal(0.0, 0.05, size=hold.sum())
+    for start in rng.uniform(tt[0], tt[-1], size=3):
+        dd[(tt >= start) & (tt < start + 0.5)] += rng.uniform(5.0, 12.0)
+    return BreathSignal(zip(tt, dd + rng.normal(0.0, 0.03, size=n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_breath_hold_matches_the_loop_on_jittered_signals(seed):
+    signal = jittered_signal(seed)
+    for tol, duration in ((0.5, 2.5), (0.2, 1.0), (1.5, 4.0), (0.3, 0.05)):
+        assert detect_breath_hold(signal, tol, duration) \
+            == loop_breath_hold(signal, tol, duration)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_motion_alarm_matches_the_loop_on_jittered_signals(seed):
+    signal = jittered_signal(seed)
+    for threshold, window in ((4.0, 2.0), (1.0, 0.7), (6.0, 5.0), (2.5, 0.05)):
+        got = motion_alarm(signal, threshold, baseline_window_s=window)
+        assert got == loop_motion_alarm(signal, threshold, window)
+
+
+@pytest.mark.parametrize("step", [0.1, 0.25, 1.0 / 30.0, 0.07])
+def test_window_bounds_match_the_loop_on_exact_durations(step):
+    # Durations that are whole multiples of the step put window ends exactly
+    # on min_duration_s, or one rounding error either side of it.
+    tt = 1000.0 + step * np.arange(400)
+    dd = np.where((tt > 1005.0) & (tt < 1015.0), 1.0, np.cos(tt))
+    signal = BreathSignal(zip(tt, dd))
+    for k in (3, 10, 21):
+        duration = k * step
+        assert detect_breath_hold(signal, 0.6, duration) \
+            == loop_breath_hold(signal, 0.6, duration)
+        assert motion_alarm(signal, 0.9, duration) == loop_motion_alarm(signal, 0.9, duration)
+
+
+def test_alarm_on_the_first_sample_with_a_baseline_and_rearming():
+    # Sample 0 is its own baseline and never alarms; sample 1 is armed from
+    # the start, and every return inside the threshold re-arms.
+    tt = np.arange(0.0, 6.0, 0.25)
+    dd = np.zeros_like(tt)
+    dd[1] = 9.0
+    dd[8:10] = 9.0
+    dd[16] = -9.0
+    signal = BreathSignal(zip(tt, dd))
+    events = motion_alarm(signal, threshold_mm=2.0, baseline_window_s=1.0)
+    assert events == loop_motion_alarm(signal, 2.0, 1.0)
+    assert [e.t_s for e in events] == [0.25, 2.0, 4.0]
+
+
+def test_alarm_rejects_non_positive_baseline_window():
+    signal = BreathSignal((0.1 * i, float(i % 3)) for i in range(20))
+    for window in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="baseline_window_s"):
+            motion_alarm(signal, threshold_mm=1.0, baseline_window_s=window)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from specklenav.camera import CameraModel
-from specklenav.geometry import Box, RigidTransform
+from specklenav.geometry import Box, RigidTransform, random_transform
 from specklenav.scene import (
     EmptyCloudError,
     PointCloud,
     RingMarker,
     TorsoPhantom,
+    _box_bounds,
     breathing_offset,
     marker_pose_world,
     marker_rim_in_view,
@@ -311,3 +312,121 @@ def test_point_cloud_validation_and_immutability():
     assert len(cloud) == 4
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# empty-space skipping
+
+
+SKIP_SURFACES = {
+    "slope": ({"kind": "slope", "gx": 0.2, "gy": -0.1},
+              lambda x, y: 0.2 * x + -0.1 * y),
+    "ripple": ({"kind": "ripple", "amplitude_mm": 4.0, "wavelength_x_mm": 70.0,
+                "wavelength_y_mm": 50.0},
+               lambda x, y: 4.0 * np.cos(2 * np.pi * x / 70.0) * np.cos(2 * np.pi * y / 50.0)),
+    "dome": ({"kind": "dome", "height_mm": 40.0, "rx_mm": 160.0, "ry_mm": 120.0},
+             lambda x, y: 40.0 * np.clip(1.0 - (x / 160.0) ** 2 - (y / 120.0) ** 2, 0.0, None)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SKIP_SURFACES))
+def test_rays_off_a_narrow_patch_find_no_skin(kind):
+    # The frustum is wider than the patch: rays past its edge must miss.
+    # (A ray can still meet the patch's side wall, so points need not lie on
+    # the skin.)
+    extent = (-90.0, 70.0, -50.0, 60.0)
+    phantom = TorsoPhantom(surface=SKIP_SURFACES[kind][0], extent=extent,
+                           breathing_amplitude_mm=2.5)
+    cam = tilted_camera(420.0, 20.0, resolution=(96, 72))
+    cloud = render_cloud(phantom, None, cam, t=0.6, noise_scale=0.0)
+    pts = cam.mount_pose.apply(cloud.points)
+    assert 0 < len(cloud) < 96 * 72 // 2
+    assert np.all((pts[:, 0] >= extent[0] - 1e-9) & (pts[:, 0] <= extent[1] + 1e-9))
+    assert np.all((pts[:, 1] >= extent[2] - 1e-9) & (pts[:, 1] <= extent[3] + 1e-9))
+
+
+def test_every_ray_over_a_narrow_patch_lands():
+    # Straight down on a flat patch narrower than the frustum: a ray hits
+    # exactly when its point at the 400 mm knot lies over the patch.
+    extent = (-83.3, 61.7, -47.1, 52.9)
+    cam = down_camera(400.0, resolution=(96, 72))
+    cloud = render_cloud(TorsoPhantom(extent=extent), None, cam, noise_scale=0.0)
+    fx, fy = cam.field_of_view(400.0)
+    u = -1.0 + (2.0 * np.arange(96) + 1.0) / 96
+    v = -1.0 + (2.0 * np.arange(72) + 1.0) / 72
+    x = u * fx / 2.0
+    y = -v * fy / 2.0  # the down camera is turned about x
+    over_x = np.count_nonzero((x >= extent[0]) & (x <= extent[1]))
+    over_y = np.count_nonzero((y >= extent[2]) & (y <= extent[3]))
+    assert len(cloud) == over_x * over_y
+
+
+def test_occluder_at_the_frustum_edge_is_hit():
+    # Only the outermost rays of the 260-380 mm segment reach this box, and
+    # no skin lies in that segment, so the segment must not be skipped.
+    cam = down_camera(400.0, resolution=(96, 72))
+    post = Box(pose=RigidTransform.translation(125.0, 0.0, 100.0),
+               half_extents=(5.0, 10.0, 5.0))
+    cloud = render_cloud(TorsoPhantom(), None, cam, noise_scale=0.0, occluders=(post,))
+    on_top = cloud.points[np.abs(cloud.points[:, 2] - 295.0) < 1e-6]
+    assert len(on_top) >= 2
+    assert np.all(on_top[:, 0] >= 120.0 - 1e-6)
+
+
+def test_occluder_bounds_contain_the_box():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        box = Box(pose=random_transform(rng, max_translation_mm=100.0),
+                  half_extents=rng.uniform(1.0, 30.0, size=3))
+        lo, hi = _box_bounds(box)
+        signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+        corners = box.pose.apply(signs * box.half_extents)
+        assert np.all(corners >= lo) and np.all(corners <= hi)
+        assert np.allclose(corners.min(axis=0), lo, atol=1e-5)
+        assert np.allclose(corners.max(axis=0), hi, atol=1e-5)
+
+
+@pytest.mark.parametrize("kind", sorted(SKIP_SURFACES))
+def test_callable_surface_renders_the_same_cloud_as_its_descriptor(kind):
+    # A callable has no height bound, so only the patch outline culls its
+    # segments; the descriptor also skips segments above its bound.  Both
+    # must give the same bits.
+    descriptor, fn = SKIP_SURFACES[kind]
+    cam = tilted_camera(420.0, 20.0, resolution=(96, 72))
+    lid = Box(pose=RigidTransform.from_axis_angle((0.0, 0.0, 1.0), 30.0,
+                                                  translation=(60.0, -20.0, 60.0)),
+              half_extents=(25.0, 15.0, 5.0))
+    marker = RingMarker(pose_on_surface=RigidTransform.translation(-20.0, 10.0, 0.0))
+    clouds = [render_cloud(TorsoPhantom(surface=surface, breathing_amplitude_mm=2.5),
+                           marker, cam, t=0.6, seed=4, occluders=(lid,))
+              for surface in (descriptor, fn)]
+    assert len(clouds[0]) > 1000
+    assert np.array_equal(clouds[0].points, clouds[1].points)
+
+
+@pytest.mark.parametrize("surface, extent", [
+    ({"kind": "flat"}, (-150.0, 150.0, -100.0, 100.0)),
+    ({"kind": "slope", "gx": 0.2, "gy": -0.1}, (-150.0, 150.0, -100.0, 100.0)),
+    ({"kind": "slope", "gx": -0.3, "gy": -0.25}, (40.0, 150.0, 10.0, 100.0)),
+    ({"kind": "slope", "gx": -0.1, "gy": 0.4}, (-150.0, -20.0, -100.0, -30.0)),
+    ({"kind": "ripple", "amplitude_mm": 3.0, "wavelength_x_mm": 80.0,
+      "wavelength_y_mm": 60.0}, (-150.0, 150.0, -100.0, 100.0)),
+    ({"kind": "ripple", "amplitude_mm": -2.0, "wavelength_x_mm": 45.0,
+      "wavelength_y_mm": 70.0}, (-150.0, 150.0, -100.0, 100.0)),
+    ({"kind": "dome", "height_mm": 40.0, "rx_mm": 160.0, "ry_mm": 120.0},
+     (-150.0, 150.0, -100.0, 100.0)),
+    # The patch cuts the dome away from its apex.
+    ({"kind": "dome", "height_mm": 40.0, "rx_mm": 160.0, "ry_mm": 120.0},
+     (60.0, 150.0, 30.0, 100.0)),
+    ({"kind": "dome", "height_mm": -25.0, "rx_mm": 100.0, "ry_mm": 90.0},
+     (-150.0, 150.0, -100.0, 100.0)),
+], ids=lambda v: v.get("kind") if isinstance(v, dict) else None)
+def test_height_bound_covers_the_surface(surface, extent):
+    phantom = TorsoPhantom(surface=surface, extent=extent)
+    x, y = np.meshgrid(np.linspace(extent[0], extent[1], 601),
+                       np.linspace(extent[2], extent[3], 401))
+    assert phantom._height_bound >= float(np.max(phantom.height(x, y)))
+
+
+def test_callable_surface_has_no_height_bound():
+    assert TorsoPhantom(surface=lambda x, y: np.zeros_like(x))._height_bound == np.inf
