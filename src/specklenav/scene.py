@@ -33,44 +33,36 @@ class EmptyCloudError(RuntimeError):
     """No ray produced a point: scene missed the frustum entirely."""
 
 
-def _surface_function(surface) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _surface_function(surface, extent) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+                                                float]:
+    """Height function of a surface and an upper bound of it over the patch.
+
+    The bound is inf for a callable surface, whose maximum is unknown.
+    """
     if callable(surface):
-        return surface
+        return surface, math.inf
     kind = surface.get("kind", "flat")
     if kind == "flat":
-        return lambda x, y: np.zeros_like(x)
-    if kind == "slope":
-        gx = float(surface.get("gx", 0.0))
-        gy = float(surface.get("gy", 0.0))
-        return lambda x, y: gx * x + gy * y
-    if kind == "ripple":
-        amp = float(surface["amplitude_mm"])
-        wx = float(surface["wavelength_x_mm"])
-        wy = float(surface["wavelength_y_mm"])
-        return lambda x, y: amp * np.cos(2 * np.pi * x / wx) * np.cos(2 * np.pi * y / wy)
-    if kind == "dome":
-        h = float(surface["height_mm"])
-        rx = float(surface["rx_mm"])
-        ry = float(surface["ry_mm"])
-        return lambda x, y: h * np.clip(1.0 - (x / rx) ** 2 - (y / ry) ** 2, 0.0, None)
-    raise ValueError(f"unknown surface kind {kind!r}")
-
-
-def _height_bound(surface, extent) -> float:
-    """Upper bound of the base surface height over the patch, inf when unknown."""
-    if callable(surface):
-        return math.inf
-    kind = surface.get("kind", "flat")
+        return (lambda x, y: np.zeros_like(x)), 0.0
     if kind == "slope":
         gx = float(surface.get("gx", 0.0))
         gy = float(surface.get("gy", 0.0))
         xmin, xmax, ymin, ymax = extent
-        return max(gx * x + gy * y for x in (xmin, xmax) for y in (ymin, ymax))
+        bound = max(gx * x + gy * y for x in (xmin, xmax) for y in (ymin, ymax))
+        return (lambda x, y: gx * x + gy * y), bound
     if kind == "ripple":
-        return abs(float(surface["amplitude_mm"]))
+        amp = float(surface["amplitude_mm"])
+        wx = float(surface["wavelength_x_mm"])
+        wy = float(surface["wavelength_y_mm"])
+        return (lambda x, y: amp * np.cos(2 * np.pi * x / wx) * np.cos(2 * np.pi * y / wy),
+                abs(amp))
     if kind == "dome":
-        return max(float(surface["height_mm"]), 0.0)
-    return 0.0
+        h = float(surface["height_mm"])
+        rx = float(surface["rx_mm"])
+        ry = float(surface["ry_mm"])
+        return (lambda x, y: h * np.clip(1.0 - (x / rx) ** 2 - (y / ry) ** 2, 0.0, None),
+                max(h, 0.0))
+    raise ValueError(f"unknown surface kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,9 @@ class TorsoPhantom:
         if self.breathing_period_s <= 0:
             raise ValueError("breathing period must be positive")
         # Resolve the descriptor once so rendering does not re-parse it.
-        object.__setattr__(self, "_height_fn", _surface_function(self.surface))
-        object.__setattr__(self, "_height_bound", _height_bound(self.surface, self.extent))
+        fn, bound = _surface_function(self.surface, self.extent)
+        object.__setattr__(self, "_height_fn", fn)
+        object.__setattr__(self, "_height_bound", bound)
 
     def height(self, x, y) -> np.ndarray:
         """Base surface height (mm) at patch coordinates, patch-clipped."""
@@ -240,19 +233,15 @@ def marker_rim_in_view(camera: CameraModel, phantom: TorsoPhantom,
 
 def _ray_points_cam(camera: CameraModel, u: np.ndarray, v: np.ndarray, z) -> np.ndarray:
     """Camera-frame ray positions at depth z for normalized grid coords."""
-    z = np.asarray(z, dtype=float)
-    z_b = np.broadcast_to(z, u.shape) if z.ndim == 0 else z
-    fx, fy = camera.field_of_view(z_b)
-    return np.stack([u * np.asarray(fx) / 2.0,
-                     v * np.asarray(fy) / 2.0,
-                     z_b], axis=-1)
+    fx, fy = camera.field_of_view(z)
+    return np.stack([u * fx / 2.0, v * fy / 2.0,
+                     np.broadcast_to(np.asarray(z, dtype=float), u.shape)], axis=-1)
 
 
 def _knot_points_world(camera: CameraModel, u: np.ndarray, v: np.ndarray,
                        knot_mm: float) -> np.ndarray:
     """Scene-frame ray positions (N, 3) at the depth of one table knot."""
-    fx, fy = camera.field_of_view(knot_mm)
-    pc = np.stack([u * fx / 2.0, v * fy / 2.0, np.full(u.shape, float(knot_mm))], axis=-1)
+    pc = _ray_points_cam(camera, u, v, float(knot_mm))
     return pc @ camera.mount_pose.rotation_matrix.T + camera.mount_pose.t
 
 
@@ -399,12 +388,9 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
         seg_hi = np.maximum(wa, wb)
 
         near = _meets_box(seg_lo, seg_hi, skin_lo, skin_hi)
-        if near.all():
-            seg_hit = _surface_depths(phantom, breath, wa, dw, za, zb)
-        else:
-            seg_hit = np.full(len(idx), np.inf)
-            if near.any():
-                seg_hit[near] = _surface_depths(phantom, breath, wa[near], dw[near], za, zb)
+        seg_hit = np.full(len(idx), np.inf)
+        if near.any():
+            seg_hit[near] = _surface_depths(phantom, breath, wa[near], dw[near], za, zb)
 
         # Marker top annuli: exact segment-plane intersection per linear piece.
         for origin, normal, r_in, r_out, top_inv, box_lo, box_hi in marker_planes:
@@ -436,12 +422,10 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
             seg_hit = np.minimum(seg_hit, depth)
 
         landed = np.isfinite(seg_hit)
-        if landed.any():
-            hit_depth[idx[landed]] = seg_hit[landed]
-            flying = ~landed
-            idx = idx[flying]
-            wb = wb[flying]
-        wa = wb
+        hit_depth[idx[landed]] = seg_hit[landed]
+        flying = ~landed
+        idx = idx[flying]
+        wa = wb[flying]
     return hit_depth
 
 
