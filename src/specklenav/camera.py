@@ -88,6 +88,11 @@ class CameraModel:
         if self.optical_blur_px is not None and len(self.optical_blur_px) != len(table):
             raise ValueError("optical_blur_px length must match fov_table")
         object.__setattr__(self, "fov_table", table)
+        # Table arrays for np.interp, built once; not dataclass fields.
+        object.__setattr__(self, "_knots_mm", np.array(d))
+        object.__setattr__(self, "_columns", {
+            name: np.array([getattr(row, name) for row in table])
+            for name in ("fov_x_mm", "fov_y_mm", "sigma_z_mm", "pixel_size_mm")})
 
     @property
     def near_mm(self) -> float:
@@ -96,12 +101,6 @@ class CameraModel:
     @property
     def far_mm(self) -> float:
         return self.fov_table[-1].distance_mm
-
-    def _knots(self) -> np.ndarray:
-        return np.array([row.distance_mm for row in self.fov_table])
-
-    def _column(self, name: str) -> np.ndarray:
-        return np.array([getattr(row, name) for row in self.fov_table])
 
     def _interp(self, distance_mm, name: str):
         d = np.asarray(distance_mm, dtype=float)
@@ -115,7 +114,7 @@ class CameraModel:
                 stacklevel=3,
             )
         d = np.clip(d, self.near_mm, self.far_mm)
-        out = np.interp(d, self._knots(), self._column(name))
+        out = np.interp(d, self._knots_mm, self._columns[name])
         return float(out) if out.ndim == 0 else out
 
     def sigma_z(self, distance_mm):
@@ -146,11 +145,27 @@ class CameraModel:
         z = p[:, 2]
         ok = (z >= near) & (z <= far)
         zc = np.clip(z, self.near_mm, self.far_mm)
-        fx = np.interp(zc, self._knots(), self._column("fov_x_mm"))
-        fy = np.interp(zc, self._knots(), self._column("fov_y_mm"))
+        fx = np.interp(zc, self._knots_mm, self._columns["fov_x_mm"])
+        fy = np.interp(zc, self._knots_mm, self._columns["fov_y_mm"])
         ok &= np.abs(p[:, 0]) <= fx / 2.0
         ok &= np.abs(p[:, 1]) <= fy / 2.0
         return ok
+
+    def frustum_margin(self, points_cam: np.ndarray) -> np.ndarray:
+        """Signed slack (mm) of camera-frame points (..., 3) in the frustum.
+
+        The smallest of z - near, far - z, fov_x/2 - |x| and fov_y/2 - |y|
+        at the clamped depth, one value per point.  For finite points it
+        is >= 0 exactly where ``contains`` (default planes) is True.
+        """
+        p = np.asarray(points_cam, dtype=float)
+        z = p[..., 2]
+        zc = np.clip(z, self.near_mm, self.far_mm)
+        fx = np.interp(zc, self._knots_mm, self._columns["fov_x_mm"])
+        fy = np.interp(zc, self._knots_mm, self._columns["fov_y_mm"])
+        return np.minimum(np.minimum(z - self.near_mm, self.far_mm - z),
+                          np.minimum(fx / 2.0 - np.abs(p[..., 0]),
+                                     fy / 2.0 - np.abs(p[..., 1])))
 
     def with_mount_pose(self, pose: RigidTransform) -> "CameraModel":
         return replace(self, mount_pose=pose)

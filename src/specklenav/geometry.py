@@ -251,6 +251,14 @@ class RigidTransform:
         return err.rotation_error_deg <= math.degrees(tol) and err.translation_error_mm <= tol
 
 
+def line_angle_deg(u: np.ndarray, w: np.ndarray) -> float:
+    """Angle in degrees between the lines along unit vectors u and w, in [0, 90].
+
+    Rotation axes act as lines: a rotation about -u mirrors one about u.
+    """
+    return math.degrees(math.acos(min(abs(float(u @ w)), 1.0)))
+
+
 @dataclass(frozen=True)
 class PoseError:
     """Scalar distance between two poses: rotation in degrees, translation in mm.

@@ -31,7 +31,7 @@ from . import respiration as resp_mod
 from .camera import CameraModel
 from .detect import MarkerPose, detect_ring, track
 from .fusion import ExecutionRecord, apply_correction, fit_tcp_correction, marker_in_base
-from .geometry import Aabb, Point3, RigidTransform, pose_error
+from .geometry import Aabb, Point3, RigidTransform, line_angle_deg, pose_error
 from .handeye import (
     plan_poses,
     reprojection_error,
@@ -442,10 +442,6 @@ def _project_px(camera: CameraModel, points_cam: np.ndarray) -> np.ndarray:
     return np.column_stack([u, v])
 
 
-def _line_angle_deg(u: np.ndarray, w: np.ndarray) -> float:
-    return math.degrees(math.acos(min(abs(float(u @ w)), 1.0)))
-
-
 def _stage_plan(sc: Scenario) -> dict:
     poses = plan_poses(sc.observation_box, sc.calibration.count,
                        sc.calibration.tilt_range_deg, camera=sc.camera,
@@ -460,7 +456,7 @@ def _stage_plan(sc: Scenario) -> dict:
         motion = a.invert().compose(b)
         axes.append(motion.rotation_axis())
     min_sep = min(
-        (_line_angle_deg(axes[i], axes[j])
+        (line_angle_deg(axes[i], axes[j])
          for i in range(len(axes)) for j in range(i + 1, len(axes))),
         default=90.0)
     return {
@@ -606,7 +602,7 @@ def _stage_scene(sc: Scenario, out: Path) -> dict:
         # as lines because the fitted normal is oriented toward the camera.
         up_cam = sc.camera_in_phantom(flange).invert().rotate(
             np.array([0.0, 0.0, 1.0]))
-        normal_errors.append(_line_angle_deg(pose.normal, up_cam))
+        normal_errors.append(line_angle_deg(pose.normal, up_cam))
         previous = pose
     return {
         "poses": poses,

@@ -15,6 +15,9 @@ import numpy as np
 from .scene import PointCloud
 
 
+_ROWS_PER_WRITE = 4096
+
+
 def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
@@ -22,7 +25,7 @@ def sidecar_path(path) -> Path:
 def write_cloud(path, cloud: PointCloud) -> Path:
     """Write an ASCII PLY file plus its JSON sidecar. Returns the PLY path."""
     path = Path(path)
-    lines = [
+    header = [
         "ply",
         "format ascii 1.0",
         "comment specklenav point cloud (mm, camera frame)",
@@ -32,9 +35,13 @@ def write_cloud(path, cloud: PointCloud) -> Path:
         "property double z",
         "end_header",
     ]
-    for x, y, z in cloud.points:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write("\n".join(header) + "\n")
+        # Blocks of rows keep the formatted text small; tolist() yields
+        # Python floats, whose repr is the shortest round trip.
+        for start in range(0, len(cloud), _ROWS_PER_WRITE):
+            rows = cloud.points[start:start + _ROWS_PER_WRITE].tolist()
+            f.write("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in rows))
     sidecar_path(path).write_text(json.dumps({
         "timestamp_s": cloud.timestamp_s,
         "seed": cloud.seed,

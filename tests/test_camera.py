@@ -113,6 +113,40 @@ def test_json_roundtrip_is_exact(camera):
     assert np.array_equal(back.mount_pose.t, camera.mount_pose.t)
 
 
+def test_copies_answer_queries_like_the_original(camera):
+    # Copies rebuild the table arrays in __post_init__; they must agree.
+    depths = np.linspace(250.0, 700.0, 37)
+    rng = np.random.default_rng(3)
+    points = np.column_stack([rng.uniform(-400, 400, 500), rng.uniform(-260, 260, 500),
+                              rng.uniform(240.0, 710.0, 500)])
+    moved = camera.with_mount_pose(RigidTransform.translation(1.0, 2.0, 3.0))
+    back = CameraModel.from_json_dict(moved.to_json_dict())
+    for other in (moved, back):
+        for a, b in zip(other.field_of_view(depths), camera.field_of_view(depths)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(other.sigma_z(depths), camera.sigma_z(depths))
+        assert np.array_equal(other.pixel_size(depths), camera.pixel_size(depths))
+        assert np.array_equal(other.contains(points), camera.contains(points))
+
+
+def test_frustum_margin_sign_matches_contains(camera):
+    rng = np.random.default_rng(4)
+    z = np.concatenate([rng.uniform(240.0, 710.0, 400), [250.0, 700.0, 400.0, 400.0]])
+    fx, fy = camera.field_of_view(np.clip(z, 250.0, 700.0))
+    x = rng.uniform(-0.6, 0.6, len(z)) * fx
+    y = rng.uniform(-0.6, 0.6, len(z)) * fy
+    # Points exactly on the near and far planes and on the lateral edges.
+    x[-4:], y[-4:] = 0.0, 0.0
+    x[-2], y[-1] = fx[-2] / 2.0, -fy[-1] / 2.0
+    points = np.column_stack([x, y, z])
+    margin = camera.frustum_margin(points)
+    assert margin.shape == (len(z),)
+    assert np.array_equal(margin >= 0.0, camera.contains(points))
+    assert np.array_equal(margin[-4:], np.zeros(4))
+    grid = camera.frustum_margin(points.reshape(2, -1, 3))
+    assert np.array_equal(grid.ravel(), margin)
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         CameraModel(fov_table=(FovRow(250.0, 198.44, 129.2, 0.033, 0.106),))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specklenav.camera import CameraModel, RangeClampWarning
+from specklenav import handeye
 from specklenav.geometry import Aabb, RigidTransform, pose_error
 from specklenav.handeye import (
     CalibrationSample,
@@ -150,6 +151,42 @@ def test_reprojection_length_mismatch():
         reprojection_error([], [])
 
 
+def _reference_axis_spread(a_motions, min_separation_deg):
+    """The full pairwise scan the early-exit check replaced."""
+    axes = [m.rotation_axis() for m in a_motions if m.rotation_angle_deg() > 0.1]
+    if len(axes) < 2:
+        raise InsufficientMotionError("need at least two rotating relative motions")
+    best = 0.0
+    for u, w in itertools.combinations(axes, 2):
+        best = max(best, math.degrees(math.acos(min(abs(float(u @ w)), 1.0))))
+    if best < min_separation_deg:
+        raise InsufficientMotionError(
+            f"rotation axes span only {best:.2f} deg, "
+            f"need {min_separation_deg} deg for a stable solution")
+
+
+def test_axis_spread_check_matches_the_full_scan():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for trial in range(60):
+        spread = (0.5, 3.0, 20.0)[trial % 3]
+        base = rng.normal(size=3)
+        motions = [RigidTransform.from_axis_angle(
+            base + rng.normal(0.0, math.radians(spread), 3) * np.linalg.norm(base),
+            rng.uniform(0.05, 30.0)) for _ in range(int(rng.integers(2, 14)))]
+        for min_sep in (1.0, 5.0, 10.0):
+            results = []
+            for check in (handeye._check_axis_spread, _reference_axis_spread):
+                try:
+                    check(motions, min_sep)
+                    results.append(None)
+                except InsufficientMotionError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            outcomes.add(results[0] is None)
+    assert outcomes == {True, False}
+
+
 def test_result_validation():
     with pytest.raises(ValueError):
         HandEyeResult(camera_in_flange=RigidTransform.identity(),
@@ -258,3 +295,214 @@ def test_reprojection_stats_json():
     doc = ReprojectionStats(mean_px=0.1, std_px=0.05, max_px=0.2,
                             per_corner_px=(0.1, 0.2)).to_json_dict()
     assert doc == {"mean_px": 0.1, "std_px": 0.05, "max_px": 0.2, "corner_count": 2}
+
+
+# ---------------------------------------------------------------------------
+# The batched planner against the per-candidate loop it replaced.
+
+
+def _oracle_look_pose(target, distance, tilt_rad, azimuth_rad, roll_rad):
+    view = np.array([math.sin(tilt_rad) * math.cos(azimuth_rad),
+                     math.sin(tilt_rad) * math.sin(azimuth_rad),
+                     -math.cos(tilt_rad)])
+    position = target - distance * view
+    z_axis = view
+    up = np.array([0.0, 1.0, 0.0]) if abs(z_axis[1]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    x_axis = np.cross(up, z_axis)
+    x_axis /= np.linalg.norm(x_axis)
+    y_axis = np.cross(z_axis, x_axis)
+    x_roll = math.cos(roll_rad) * x_axis + math.sin(roll_rad) * y_axis
+    y_roll = np.cross(z_axis, x_roll)
+    rot = np.column_stack([x_roll, y_roll, z_axis])
+    return RigidTransform.from_matrix(rot, position)
+
+
+def oracle_plan_poses(observation_box, count, tilt_range_deg, camera=None,
+                      nominal_camera_in_flange=None, shrinks=None):
+    """The scalar planner, one RigidTransform per candidate.
+
+    ``shrinks``, when given, collects every shrink index the search
+    reaches; it is the only addition to the original loop.
+    """
+    if count < 3:
+        raise TooFewSamplesError(f"pose plan needs count >= 3, got {count}")
+    if not (0.0 < tilt_range_deg <= 60.0):
+        raise ValueError("tilt_range_deg must lie in (0, 60]")
+    camera = camera if camera is not None else CameraModel()
+    x_nom = (nominal_camera_in_flange if nominal_camera_in_flange is not None
+             else RigidTransform.identity())
+
+    d_lo, d_hi = handeye._feasible_standoffs(observation_box, camera)
+    center = observation_box.center
+    corners = observation_box.corners()
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+
+    candidates = []
+    for i_t in range(1, 5):
+        tilt = math.radians(tilt_range_deg) * i_t / 4.0
+        for i_a in range(10):
+            azimuth = (i_a * golden) % (2.0 * math.pi)
+            for roll_deg in (-25.0, -10.0, 0.0, 10.0, 25.0):
+                candidates.append((tilt, azimuth, math.radians(roll_deg)))
+
+    def line_angle_deg(u, w):
+        return math.degrees(math.acos(min(abs(float(u @ w)), 1.0)))
+
+    cam_poses = []
+    used_axes = []
+    for k in range(count):
+        distance = d_lo + (d_hi - d_lo) * (k + 0.5) / count
+        best_pose = None
+        best_axis = None
+        for shrink in range(12):
+            if shrinks is not None:
+                shrinks.append(shrink)
+            scale = 0.7 ** shrink
+            best_score = -1.0
+            for tilt, azimuth, roll in candidates:
+                pose = _oracle_look_pose(center, distance, tilt * scale,
+                                         azimuth, roll * scale)
+                if not bool(np.all(camera.contains(pose.invert().apply(corners)))):
+                    continue
+                if not cam_poses:
+                    best_pose = pose
+                    break
+                motion = cam_poses[-1].invert().compose(pose)
+                if motion.rotation_angle_deg() < 2.0 * scale:
+                    continue
+                axis = motion.rotation_axis()
+                score = min((line_angle_deg(axis, a) for a in used_axes),
+                            default=90.0)
+                if score > best_score:
+                    best_score = score
+                    best_pose = pose
+                    best_axis = axis
+            if best_pose is not None:
+                break
+        if best_pose is None:
+            raise InfeasibleBoxError(
+                "no candidate orientation keeps the box inside the frustum")
+        cam_poses.append(best_pose)
+        if best_axis is not None:
+            used_axes.append(best_axis)
+    return [p.compose(x_nom.invert()) for p in cam_poses]
+
+
+# (box extents mm, pose count, tilt range deg) of the calib_solve benchmark.
+CALIB_SHAPES = (((90.0, 90.0, 24.0), 10, 22.0), ((60.0, 60.0, 20.0), 8, 18.0),
+                ((120.0, 80.0, 30.0), 12, 25.0), ((80.0, 100.0, 16.0), 8, 20.0))
+
+
+def _random_nominal(rng):
+    return RigidTransform.from_axis_angle(
+        rng.normal(size=3), rng.uniform(4.0, 12.0),
+        translation=(rng.uniform(30, 50), rng.uniform(-30, -10), rng.uniform(80, 110)))
+
+
+def _oracle_problems():
+    """(id, box, count, tilt, nominal camera-in-flange or None)."""
+    problems = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for j, (extents, count, tilt) in enumerate(CALIB_SHAPES):
+            center = np.array([-450.0, -340.0, -68.0]) + rng.uniform(-30.0, 30.0, 3)
+            problems.append((f"calib{seed}-{j}", Aabb.from_center_extents(center, extents),
+                             count, tilt, _random_nominal(rng)))
+    rng = np.random.default_rng(1234)
+    for j in range(40):
+        extents = (rng.uniform(10, 260), rng.uniform(10, 200), rng.uniform(2, 80))
+        center = rng.uniform(-600.0, 600.0, 3)
+        count = int(rng.integers(3, 13))
+        tilt = float(rng.uniform(5.0, 60.0))
+        if j % 4 == 0:
+            # A 2 deg tilt step puts motion angles exactly on the
+            # 2 * scale threshold.
+            tilt = 8.0
+        nominal = _random_nominal(rng) if j % 2 else None
+        problems.append((f"random{j}", Aabb.from_center_extents(center, extents),
+                         count, tilt, nominal))
+    # Boxes near the width of the far field of view need gentler tilts
+    # (shrink > 0); at 732 mm no candidate fits at all.
+    for width in (700.0, 730.0, 732.0):
+        problems.append((f"wide{width:.0f}",
+                         Aabb.from_center_extents((0.0, 0.0, 0.0), (width, 300.0, 20.0)),
+                         4, 20.0, None))
+    # Only three candidates fit one pose, all turning about a used axis:
+    # the best score is 0 deg, where acos rounding is at its worst.
+    problems.append(("zero-score", Aabb.from_center_extents(
+        (0.0, 0.0, 0.0), (693.43, 145.79, 26.47)), 8, 25.35, None))
+    problems.append(("beyond-fov", Aabb.from_center_extents(
+        (0.0, 0.0, 0.0), (1000.0, 1000.0, 24.0)), 5, 22.0, None))
+    problems.append(("beyond-depth", Aabb.from_center_extents(
+        (0.0, 0.0, 0.0), (10.0, 10.0, 500.0)), 5, 22.0, None))
+    return problems
+
+
+ORACLE_PROBLEMS = _oracle_problems()
+
+
+def _plan_or_error(planner, box, count, tilt, nominal):
+    try:
+        with warnings.catch_warnings():
+            # Also catches a RuntimeWarning from an identity motion.
+            warnings.simplefilter("error")
+            return planner(box, count, tilt, nominal_camera_in_flange=nominal)
+    except InfeasibleBoxError as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_same_plan(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.q, w.q)
+        assert np.array_equal(g.t, w.t)
+
+
+@pytest.fixture(scope="module")
+def oracle_plans():
+    return {pid: _plan_or_error(oracle_plan_poses, box, count, tilt, nominal)
+            for pid, box, count, tilt, nominal in ORACLE_PROBLEMS}
+
+
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=[p[0] for p in ORACLE_PROBLEMS])
+def test_plan_matches_the_scalar_oracle(problem, oracle_plans):
+    pid, box, count, tilt, nominal = problem
+    _assert_same_plan(_plan_or_error(plan_poses, box, count, tilt, nominal),
+                      oracle_plans[pid])
+
+
+def test_oracle_set_covers_every_planner_path(oracle_plans):
+    infeasible = [pid for pid, plan in oracle_plans.items() if isinstance(plan, tuple)]
+    assert sorted(infeasible) == ["beyond-depth", "beyond-fov", "wide732"]
+    messages = {oracle_plans[pid][1] for pid in infeasible}
+    assert len(messages) == 3   # both standoff checks and the empty search
+    shrinks = []
+    box, count, tilt = next(p[1:4] for p in ORACLE_PROBLEMS if p[0] == "wide700")
+    oracle_plan_poses(box, count, tilt, shrinks=shrinks)
+    assert max(shrinks) > 0
+    assert any(p[4] is None for p in ORACLE_PROBLEMS)
+    assert any(p[4] is not None for p in ORACLE_PROBLEMS)
+
+
+def test_plan_does_not_follow_rounding_of_the_batch_screen(monkeypatch, oracle_plans):
+    """A batch motion off by 1e-12 (far above float rounding, far below
+    the re-check windows) must not change a single decision.
+
+    The 8 deg problems have motion angles on the threshold, and the first
+    motion about the optical axis leaves later candidates tied on score.
+    """
+    exact = handeye._quat_multiply
+    skew = np.array([0.3, -0.5, 0.7, 0.4]) * 1e-12
+
+    def skewed(a, b):
+        return exact(a, b) + skew.reshape((4,) + (1,) * (np.ndim(b) - 1))
+
+    monkeypatch.setattr(handeye, "_quat_multiply", skewed)
+    for pid, box, count, tilt, nominal in ORACLE_PROBLEMS:
+        if pid.startswith("calib") or tilt == 8.0:
+            _assert_same_plan(_plan_or_error(plan_poses, box, count, tilt, nominal),
+                              oracle_plans[pid])

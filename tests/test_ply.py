@@ -46,6 +46,37 @@ def test_written_floats_are_plain_ascii(tmp_path):
             float(p)
 
 
+def _reference_ply_text(cloud: PointCloud) -> str:
+    """The per-element formatter the writer used before ``tolist``."""
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        "comment specklenav point cloud (mm, camera frame)",
+        f"element vertex {len(cloud)}",
+        "property double x",
+        "property double y",
+        "property double z",
+        "end_header",
+    ]
+    for x, y, z in cloud.points:
+        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_file_bytes_match_the_reference_formatter(tmp_path):
+    rng = np.random.default_rng(9)
+    special = [[1e-7, -0.0, 0.0], [-1e-7, 5e-324, -2.5e-310], [1e16, -1e22, 123456789.125],
+               [0.1, 1.0 / 3.0, -700.0], [np.nextafter(250.0, 0.0), 250.0, 1e-300]]
+    # More rows than one write block, so block edges are crossed.
+    points = np.vstack([special, rng.normal(0.0, 300.0, (9000, 3)),
+                        rng.uniform(-1.0, 1.0, (100, 3)) * 10.0 ** rng.integers(-12, 12, (100, 3))])
+    for n in (len(points), 1, 0):
+        cloud = PointCloud(points=points[:n], timestamp_s=1.5, seed=4)
+        path = write_cloud(tmp_path / "c.ply", cloud)
+        assert path.read_bytes() == _reference_ply_text(cloud).encode()
+    assert "1e-07 -0.0 0.0" in _reference_ply_text(PointCloud(points[:1], 0.0, 0))
+
+
 def test_read_rejects_non_ply(tmp_path):
     bad = tmp_path / "x.ply"
     bad.write_text("hello\n")
