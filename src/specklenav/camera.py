@@ -49,11 +49,6 @@ DEFAULT_FOV_TABLE: tuple[FovRow, ...] = (
     FovRow(700.0, 751.32, 498.63, 0.359, 0.410),
 )
 
-# Measured optical blur per knot (pixels).  Kept with the model for report
-# completeness; no current consumer, blur is not simulated.
-DEFAULT_OPTICAL_BLUR_PX: tuple[float, ...] = (1.610, 2.378, 2.377, 1.937, 0.262, 1.304, 2.051)
-
-
 @dataclass(frozen=True)
 class CameraModel:
     """Depth camera: working-range table, mount pose and noise behaviour.
@@ -69,7 +64,6 @@ class CameraModel:
     lateral_sigma_factor: float = 1.8
     frame_rate: float = 10.0
     resolution: tuple[int, int] = (256, 192)
-    optical_blur_px: tuple[float, ...] | None = DEFAULT_OPTICAL_BLUR_PX
 
     def __post_init__(self):
         table = tuple(self.fov_table)
@@ -85,8 +79,6 @@ class CameraModel:
         nx, ny = self.resolution
         if nx < 2 or ny < 2:
             raise ValueError("resolution must be at least 2x2")
-        if self.optical_blur_px is not None and len(self.optical_blur_px) != len(table):
-            raise ValueError("optical_blur_px length must match fov_table")
         object.__setattr__(self, "fov_table", table)
         # Table arrays for np.interp, built once; not dataclass fields.
         object.__setattr__(self, "_knots_mm", np.array(d))
@@ -179,19 +171,17 @@ class CameraModel:
             "lateral_sigma_factor": self.lateral_sigma_factor,
             "frame_rate": self.frame_rate,
             "resolution": list(self.resolution),
-            "optical_blur_px": (None if self.optical_blur_px is None
-                                else list(self.optical_blur_px)),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CameraModel":
+        """Inverse of ``to_json_dict``.  Unknown keys are ignored, such as
+        the ``optical_blur_px`` that older scenario and report files carry."""
         rows = tuple(FovRow(*row) for row in d["fov_table"])
-        blur = d.get("optical_blur_px")
         return cls(
             fov_table=rows,
             mount_pose=RigidTransform.from_json_dict(d["mount_pose"]),
             lateral_sigma_factor=float(d["lateral_sigma_factor"]),
             frame_rate=float(d["frame_rate"]),
             resolution=tuple(int(v) for v in d["resolution"]),
-            optical_blur_px=None if blur is None else tuple(float(v) for v in blur),
         )

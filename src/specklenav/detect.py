@@ -3,7 +3,10 @@
 The marker is a hollow ring standing a couple of millimetres proud of
 the skin.  Detection proceeds in four steps:
 
-1. a seeded RANSAC plane over the whole cloud finds the skin,
+1. a seeded preemptive RANSAC finds the skin plane: every hypothesis
+   is counted on an evenly strided subset of at most 2048 points, the
+   8 best are counted again on the whole cloud, and the winner's
+   inliers get a PCA refit,
 2. a band-pass on plane residuals keeps points riding above it,
 3. surviving points are clustered by Euclidean linkage,
 4. each cluster gets a 3D circle fit and the ring diameter gate picks
@@ -28,6 +31,12 @@ from .geometry import Point3
 from .scene import PointCloud
 
 _GN_ITERS = 60
+# Preemptive RANSAC (Nister 2005): hypotheses are drawn in chunks of
+# _CHUNK, each is counted on a strided subset of at most _SUBSET_POINTS
+# points, and the _VERIFY_TOP best are counted on the whole cloud.
+_CHUNK = 64
+_SUBSET_POINTS = 2048
+_VERIFY_TOP = 8
 
 
 class TooFewPointsError(ValueError):
@@ -211,52 +220,73 @@ def fit_circle_3d(points) -> CircleFit:
     return CircleFit(center=center3, normal=normal, radius_mm=float(r), rms_mm=rms)
 
 
+def _plane_support(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+                   threshold: float) -> np.ndarray:
+    """(n, k) inlier mask of k planes ``normal . x = offset``.
+
+    Subset scoring and full verification both use this ``(n, 3) @ (3, k)``
+    product.  With OpenBLAS each entry then has the same bits for any
+    k >= 2, which keeps a cloud that is its own subset on the reference's
+    bits; k = 1 takes a matrix-vector path that can differ in the last bit.
+    """
+    dists = points @ normals.T
+    dists -= offsets
+    np.abs(dists, out=dists)
+    return dists <= threshold
+
+
 def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
                   seed: int):
-    """Best consensus plane via seeded RANSAC, then a PCA refit on inliers.
+    """Best consensus plane via preemptive RANSAC, then a PCA refit on inliers.
 
-    Uses the counter-based Philox generator so runs are reproducible on
-    any platform for a given seed.
+    Hypotheses come from the counter-based Philox generator in chunks of
+    64, so runs are reproducible on any platform for a given seed.  Each
+    is counted on an evenly strided subset of ``_SUBSET_POINTS`` points
+    that depends on the cloud size alone and draws nothing from the
+    generator.  The ``_VERIFY_TOP`` best by subset support (ties in
+    hypothesis order) are counted again on the whole cloud; the highest
+    full support wins, the earliest hypothesis on a tie.  A cloud of at
+    most ``_SUBSET_POINTS`` points is its own subset, so the winner is
+    the first maximum over every hypothesis.
     """
     n = len(points)
     if n < 3:
         raise TooFewPointsError("plane fit needs at least 3 points")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    best_count = -1
-    best_mask = None
-    chunk = 64
-    # One distance and one mask buffer serve every chunk.  A chunk of k
-    # hypotheses uses the first n*k entries as a C-contiguous (n, k) block,
-    # so the product below is written straight into it.
-    dist_buf = np.empty(n * chunk)
-    mask_buf = np.empty(n * chunk, dtype=bool)
+    subset = points
+    if n > _SUBSET_POINTS:
+        subset = points[(np.arange(_SUBSET_POINTS) * n) // _SUBSET_POINTS]
+    normals, offsets, support = [], [], []
     done = 0
     while done < iterations:
-        m = min(chunk, iterations - done)
+        m = min(_CHUNK, iterations - done)
         done += m
         tri = rng.integers(0, n, size=(m, 3))
         p0 = points[tri[:, 0]]
-        normals = np.cross(points[tri[:, 1]] - p0, points[tri[:, 2]] - p0)
-        norms = np.linalg.norm(normals, axis=1)
+        cross = np.cross(points[tri[:, 1]] - p0, points[tri[:, 2]] - p0)
+        norms = np.linalg.norm(cross, axis=1)
         ok = norms > 1e-12
         if not np.any(ok):
             continue
-        normals = normals[ok] / norms[ok, None]
-        k = len(normals)
-        dists = dist_buf[:n * k].reshape(n, k)
-        within = mask_buf[:n * k].reshape(n, k)
-        np.matmul(points, normals.T, out=dists)
-        dists -= np.einsum("ij,ij->i", p0[ok], normals)
-        np.abs(dists, out=dists)
-        np.less_equal(dists, threshold, out=within)
-        counts = np.count_nonzero(within, axis=0)
-        i = int(np.argmax(counts))
-        if counts[i] > best_count:
-            best_count = int(counts[i])
-            best_mask = within[:, i].copy()
-    if best_mask is None or best_count < 3:
+        unit = cross[ok] / norms[ok, None]
+        offset = np.einsum("ij,ij->i", p0[ok], unit)
+        support.append(np.count_nonzero(
+            _plane_support(subset, unit, offset, threshold), axis=0))
+        normals.append(unit)
+        offsets.append(offset)
+    if not normals:
         raise DegenerateGeometryError("RANSAC found no plane support")
-    inliers = points[best_mask]
+    # The stable sort keeps tied hypotheses in draw order; sorting the
+    # picks back into draw order makes argmax return the earliest of the
+    # hypotheses that tie on the full cloud.
+    top = np.sort(np.argsort(-np.concatenate(support), kind="stable")[:_VERIFY_TOP])
+    within = _plane_support(points, np.concatenate(normals)[top],
+                            np.concatenate(offsets)[top], threshold)
+    counts = np.count_nonzero(within, axis=0)
+    best = int(np.argmax(counts))
+    if counts[best] < 3:
+        raise DegenerateGeometryError("RANSAC found no plane support")
+    inliers = points[within[:, best]]
     centroid = inliers.mean(axis=0)
     _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
     normal = _orient_toward_origin(vt[2], centroid)

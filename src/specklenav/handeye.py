@@ -16,6 +16,7 @@ The translation follows from the stacked linear system
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -272,7 +273,8 @@ _SCORE_FLOOR_DEG = 1e-2
 
 @dataclass(frozen=True)
 class _CandidateGrid:
-    """The candidate rotations at one shrink scale, shared by every pose index.
+    """The candidate rotations at one shrink scale, shared by every pose index
+    and, through the cache of ``_candidate_grid``, by every call.
 
     Each row comes from the scalar code: ``q`` is the pose quaternion,
     ``view`` its viewing direction, ``rot_t`` the matrix ``invert`` uses
@@ -284,16 +286,35 @@ class _CandidateGrid:
     rot_t: np.ndarray
     rot_apply: np.ndarray
 
-    @classmethod
-    def build(cls, candidates, scale: float) -> "_CandidateGrid":
-        rows = []
-        conjugate = np.array([1.0, -1.0, -1.0, -1.0])
-        for tilt, azimuth, roll in candidates:
-            pose = _look_pose(np.zeros(3), 0.0, tilt * scale, azimuth, roll * scale)
-            rows.append((pose.q, _view_vector(tilt * scale, azimuth),
-                         _quat_to_matrix(pose.q * conjugate),
-                         pose.invert().rotation_matrix))
-        return cls(*(np.array(column) for column in zip(*rows)))
+
+def _candidate_orientations(tilt_range_deg: float) -> tuple[tuple[float, float, float], ...]:
+    """Fixed grid of (tilt, azimuth, roll) viewing orientations, in radians."""
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    candidates = []
+    for i_t in range(1, 5):
+        tilt = math.radians(tilt_range_deg) * i_t / 4.0
+        for i_a in range(10):
+            azimuth = (i_a * golden) % (2.0 * math.pi)
+            for roll_deg in (-25.0, -10.0, 0.0, 10.0, 25.0):
+                candidates.append((tilt, azimuth, math.radians(roll_deg)))
+    return tuple(candidates)
+
+
+@functools.lru_cache(maxsize=64)
+def _candidate_grid(tilt_range_deg: float, shrink: int) -> _CandidateGrid:
+    """The grid at scale 0.7**shrink, built once per key; arrays are read-only."""
+    scale = 0.7 ** shrink
+    rows = []
+    conjugate = np.array([1.0, -1.0, -1.0, -1.0])
+    for tilt, azimuth, roll in _candidate_orientations(tilt_range_deg):
+        pose = _look_pose(np.zeros(3), 0.0, tilt * scale, azimuth, roll * scale)
+        rows.append((pose.q, _view_vector(tilt * scale, azimuth),
+                     _quat_to_matrix(pose.q * conjugate),
+                     pose.invert().rotation_matrix))
+    columns = [np.array(column) for column in zip(*rows)]
+    for column in columns:
+        column.flags.writeable = False
+    return _CandidateGrid(*columns)
 
 
 def plan_poses(observation_box: Aabb, count: int, tilt_range_deg: float,
@@ -315,6 +336,8 @@ def plan_poses(observation_box: Aabb, count: int, tilt_range_deg: float,
     threshold, and the scores near the best, are taken again with the
     per-candidate scalar code, and the chosen pose is built by it, so
     the plan is the same to the bit as a candidate-by-candidate loop.
+    The grid at each scale depends only on ``tilt_range_deg``, so it is
+    built once and cached across calls.
 
     Raises TooFewSamplesError for count < 3, ValueError for a tilt
     range outside (0, 60] and InfeasibleBoxError when no standoff fits.
@@ -330,22 +353,14 @@ def plan_poses(observation_box: Aabb, count: int, tilt_range_deg: float,
     d_lo, d_hi = _feasible_standoffs(observation_box, camera)
     center = observation_box.center
     corners = observation_box.corners()
-    golden = math.pi * (3.0 - math.sqrt(5.0))
     margin_eps = _MARGIN_EPS_MM * max(
         1.0, (float(np.abs(corners).max()) + camera.far_mm) / 1000.0)
 
-    # Fixed candidate grid of viewing orientations.  Poses are chosen
-    # greedily so that each consecutive relative rotation introduces an
-    # axis far from every axis already used; ties resolve by grid order,
-    # which keeps the plan fully deterministic.
-    candidates = []
-    for i_t in range(1, 5):
-        tilt = math.radians(tilt_range_deg) * i_t / 4.0
-        for i_a in range(10):
-            azimuth = (i_a * golden) % (2.0 * math.pi)
-            for roll_deg in (-25.0, -10.0, 0.0, 10.0, 25.0):
-                candidates.append((tilt, azimuth, math.radians(roll_deg)))
-    grids: dict[int, _CandidateGrid] = {}
+    # Poses are chosen greedily from a fixed candidate grid so that each
+    # consecutive relative rotation introduces an axis far from every axis
+    # already used; ties resolve by grid order, which keeps the plan fully
+    # deterministic.
+    candidates = _candidate_orientations(tilt_range_deg)
 
     def scalar_pose(i: int, distance: float, scale: float) -> RigidTransform:
         tilt, azimuth, roll = candidates[i]
@@ -362,9 +377,7 @@ def plan_poses(observation_box: Aabb, count: int, tilt_range_deg: float,
         # box corner out of view; retry the whole grid at gentler angles.
         for shrink in range(12):
             scale = 0.7 ** shrink
-            if shrink not in grids:
-                grids[shrink] = _CandidateGrid.build(candidates, scale)
-            grid = grids[shrink]
+            grid = _candidate_grid(tilt_range_deg, shrink)
 
             # Frustum margin of every candidate: positions as _look_pose
             # forms them, box corners moved into each camera frame.

@@ -9,7 +9,9 @@ of the same config.
 
 Seeding rule: each stage (and each randomized item within a stage) hashes
 ``"{master_seed}:{label}"`` with SHA-256 and uses the first eight bytes as
-its own RNG seed, so any stage can be reproduced in isolation.
+its own RNG seed, so any stage can be reproduced in isolation.  When a
+frame's render or detection fails, the report's error names that frame's
+label and seed, so the one frame can be rendered and detected again alone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import io
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -74,6 +77,17 @@ def stage_seed(master_seed: int, label: str) -> int:
     """Deterministic per-stage seed: first 8 bytes of SHA-256 of 'master:label'."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@contextmanager
+def _replayable(label: str, seed: int):
+    """Tag an exception from one frame's render or detection with the frame's
+    seed label and seed; ``run_scenario`` copies both into the error dict."""
+    try:
+        yield
+    except Exception as exc:
+        exc.replay_frame = (label, seed)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +498,14 @@ def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
         cam_in_phantom = sc.camera_in_phantom(flange)
         cam = cam_base.with_mount_pose(cam_in_phantom)
         rim_in_view.append(marker_rim_in_view(cam, sc.phantom, sc.marker, 0.0))
-        seed = stage_seed(sc.master_seed, f"calibration:render:{i}")
-        cloud = render_cloud(sc.phantom, sc.marker, cam, t=0.0, seed=seed,
-                             noise_scale=sc.noise_scale)
-        if i == 0:
-            write_cloud(out / "cloud_calib_0000.ply", cloud)
-        found = detect_ring(cloud)
+        label = f"calibration:render:{i}"
+        seed = stage_seed(sc.master_seed, label)
+        with _replayable(label, seed):
+            cloud = render_cloud(sc.phantom, sc.marker, cam, t=0.0, seed=seed,
+                                 noise_scale=sc.noise_scale)
+            if i == 0:
+                write_cloud(out / "cloud_calib_0000.ply", cloud)
+            found = detect_ring(cloud)
         truth_cam = cam_in_phantom.invert().apply(
             marker_top_center_world(sc.phantom, sc.marker, 0.0))
         center_errors.append(float(np.linalg.norm(
@@ -565,14 +581,12 @@ def _detect_scene_frame(sc: Scenario, flange: RigidTransform, label: str,
     cam = sc.camera.with_mount_pose(cam_in_phantom)
     seed = stage_seed(sc.master_seed, label)
     marker = sc.marker if sc.include_marker else None
-    cloud = render_cloud(sc.phantom, marker, cam, t=t, seed=seed,
-                         noise_scale=sc.noise_scale)
-    if out is not None and cloud_name is not None:
-        write_cloud(out / cloud_name, cloud)
-    if previous is None:
-        pose = detect_ring(cloud)
-    else:
-        pose = track(previous, cloud)
+    with _replayable(label, seed):
+        cloud = render_cloud(sc.phantom, marker, cam, t=t, seed=seed,
+                             noise_scale=sc.noise_scale)
+        if out is not None and cloud_name is not None:
+            write_cloud(out / cloud_name, cloud)
+        pose = detect_ring(cloud) if previous is None else track(previous, cloud)
     truth_cam = cam_in_phantom.invert().apply(
         marker_top_center_world(sc.phantom, sc.marker, t))
     return pose, cloud, truth_cam
@@ -691,11 +705,13 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
     previous = None
     for j in range(frame_count):
         t = j / cfg.frame_rate_hz
-        seed = stage_seed(sc.master_seed, f"breathing:frame:{j}")
+        label = f"breathing:frame:{j}"
+        seed = stage_seed(sc.master_seed, label)
         marker = sc.marker if sc.include_marker else None
-        cloud = render_cloud(phantom, marker, cam, t=t, seed=seed,
-                             noise_scale=sc.noise_scale)
-        pose = detect_ring(cloud) if previous is None else track(previous, cloud)
+        with _replayable(label, seed):
+            cloud = render_cloud(phantom, marker, cam, t=t, seed=seed,
+                                 noise_scale=sc.noise_scale)
+            pose = detect_ring(cloud) if previous is None else track(previous, cloud)
         poses.append(pose)
         previous = pose
 
@@ -733,9 +749,11 @@ def _stage_sweep(sc: Scenario) -> dict:
         mount = RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 180.0,
                                                translation=(0.0, 0.0, d_meas))
         cam = replace(sc.camera, resolution=cfg.resolution, mount_pose=mount)
-        seed = stage_seed(sc.master_seed, f"sweep:{d}")
-        cloud = render_cloud(patch, None, cam, seed=seed,
-                             noise_scale=sc.noise_scale)
+        label = f"sweep:{d}"
+        seed = stage_seed(sc.master_seed, label)
+        with _replayable(label, seed):
+            cloud = render_cloud(patch, None, cam, seed=seed,
+                                 noise_scale=sc.noise_scale)
         z = cloud.points[:, 2]
         rows.append({
             "distance_mm": d,
@@ -761,8 +779,10 @@ def run_scenario(scenario: Scenario, *,
                  last_stage: str | None = None) -> RunReport:
     """Execute the stages in order and assemble the report.
 
-    Stage exceptions are captured (verdict FAILED-STAGE:<name>); a failed
-    reprojection gate stops the pipeline with verdict FAILED-GATE.  The
+    Stage exceptions are captured (verdict FAILED-STAGE:<name>); when a
+    frame's render or detection raised, the error also names the frame's
+    seed label and seed.  A failed reprojection gate stops the pipeline
+    with verdict FAILED-GATE.  The
     report is always written under the scenario's out_dir.  ``last_stage``
     truncates the pipeline after the named stage (e.g. "gate" runs just
     the calibration half).
@@ -825,6 +845,9 @@ def run_scenario(scenario: Scenario, *,
             "type": type(exc.cause).__name__,
             "message": str(exc.cause),
         }
+        replay = getattr(exc.cause, "replay_frame", None)
+        if replay is not None:
+            error["frame"], error["seed"] = replay
 
     report = RunReport(
         version=VERSION,

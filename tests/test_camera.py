@@ -172,7 +172,11 @@ def test_frame_rate_and_resolution_bounds():
         CameraModel(resolution=(1, 192))
 
 
-def test_optical_blur_length_must_match_table():
-    with pytest.raises(ValueError):
-        CameraModel(optical_blur_px=(1.0, 2.0))
-    CameraModel(optical_blur_px=None)
+def test_camera_dict_with_the_dropped_blur_key_still_loads(camera):
+    # Scenario and report files written before optical_blur_px was removed
+    # carry the key; loading ignores it.
+    doc = camera.to_json_dict()
+    assert "optical_blur_px" not in doc
+    for blur in ([1.610, 2.378, 2.377, 1.937, 0.262, 1.304, 2.051], [1.0, 2.0], None):
+        back = CameraModel.from_json_dict({**doc, "optical_blur_px": blur})
+        assert back.to_json_dict() == doc

@@ -9,6 +9,7 @@ from specklenav.detect import (
     MarkerPose,
     NoMarkerFoundError,
     TooFewPointsError,
+    _SUBSET_POINTS,
     _cluster_indices,
     _orient_toward_origin,
     _ransac_plane,
@@ -26,12 +27,16 @@ _DEFAULT_MARKER = RingMarker()
 
 
 def scene_cloud(seed: int, distance: float = 400.0, resolution=(256, 192),
-                marker=_DEFAULT_MARKER, noise_scale: float = 1.0) -> PointCloud:
+                marker=_DEFAULT_MARKER, noise_scale: float = 1.0,
+                surface=None, tilt_deg: float = 0.0) -> PointCloud:
+    """Cloud of the default phantom, seen from above or swung about y."""
     mount = RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 180.0,
                                            translation=(0.0, 0.0, distance))
+    if tilt_deg:
+        mount = RigidTransform.from_axis_angle((0.0, 1.0, 0.0), tilt_deg).compose(mount)
     cam = CameraModel(mount_pose=mount, resolution=resolution)
-    return render_cloud(TorsoPhantom(), marker, cam, seed=seed,
-                        noise_scale=noise_scale)
+    phantom = TorsoPhantom() if surface is None else TorsoPhantom(surface=surface)
+    return render_cloud(phantom, marker, cam, seed=seed, noise_scale=noise_scale)
 
 
 def normal_angle_deg(n: np.ndarray, ref: np.ndarray) -> float:
@@ -98,6 +103,7 @@ def test_wrong_expected_diameter_finds_nothing():
 def test_rigid_invariance_of_detection():
     """Moving the whole cloud moves the detection with it, to rounding."""
     cloud = scene_cloud(4)
+    assert len(cloud) > _SUBSET_POINTS  # the preemptive subset is in play
     base = detect_ring(cloud)
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -217,7 +223,7 @@ def test_clusters_partition_the_points_in_order():
 
 
 def reference_ransac_plane(points, threshold, iterations, seed):
-    """Reference: the scoring loop before it moved into preallocated buffers."""
+    """Reference: every hypothesis counted on every point, first maximum wins."""
     n = len(points)
     rng = np.random.Generator(np.random.Philox(key=seed))
     best_count, best_mask, done = -1, None, 0
@@ -245,17 +251,28 @@ def reference_ransac_plane(points, threshold, iterations, seed):
     return centroid, normal, np.abs((points - centroid) @ normal) <= threshold
 
 
-@pytest.mark.parametrize("case", ["cloud", "tied_planes", "collinear_draws"])
+def two_planes(rows: int) -> np.ndarray:
+    """Square grids of rows x rows points at z = 400 and then z = 460."""
+    g = np.stack(np.meshgrid(np.arange(float(rows)), np.arange(float(rows))),
+                 -1).reshape(-1, 2)
+    return np.concatenate([np.column_stack([g, np.full(len(g), 400.0)]),
+                           np.column_stack([g, np.full(len(g), 460.0)])])
+
+
+@pytest.mark.parametrize("case", ["cloud", "subset_size", "tied_planes",
+                                  "collinear_draws"])
 def test_ransac_plane_matches_the_reference_scoring(case):
+    """A cloud no larger than the subset is its own subset: same bits."""
     if case == "cloud":
-        points = scene_cloud(5, resolution=(96, 72)).points
+        points = scene_cloud(5, resolution=(72, 54)).points
+        iterations = 300
+    elif case == "subset_size":
+        points = scene_cloud(5, resolution=(96, 72)).points[:_SUBSET_POINTS]
         iterations = 300
     elif case == "tied_planes":
         # Two equal planes: many hypotheses tie, so the first maximum decides.
         # A few points sit exactly one threshold above each plane.
-        g = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
-        points = np.concatenate([np.column_stack([g, np.full(len(g), 400.0)]),
-                                 np.column_stack([g, np.full(len(g), 460.0)]),
+        points = np.concatenate([two_planes(12),
                                  [[2.5, 3.5, 401.0], [7.5, 1.5, 401.0],
                                   [2.5, 3.5, 461.0], [7.5, 1.5, 461.0]]])
         iterations = 200
@@ -265,8 +282,61 @@ def test_ransac_plane_matches_the_reference_scoring(case):
         points = np.concatenate([np.column_stack([x, 0.0 * x, 400.0 + 0.0 * x]),
                                  [[0.0, 5.0, 400.0], [3.0, -4.0, 400.0], [9.0, 2.0, 400.0]]])
         iterations = 130
+    assert len(points) <= _SUBSET_POINTS
     for seed in (0, 11, 12):
         want = reference_ransac_plane(points, 1.0, iterations, seed)
         got = _ransac_plane(points, 1.0, iterations, seed)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def line_gap_deg(a: np.ndarray, b: np.ndarray) -> float:
+    """Angle between two lines, accurate near zero."""
+    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(a, b)), abs(a @ b))))
+
+
+@pytest.mark.parametrize("tilt_deg", [0.0, 20.0])
+@pytest.mark.parametrize("surface", [
+    {"kind": "flat"},
+    {"kind": "slope", "gx": 0.2, "gy": -0.1},
+    {"kind": "ripple", "amplitude_mm": 4.0, "wavelength_x_mm": 70.0,
+     "wavelength_y_mm": 50.0},
+], ids=lambda surface: surface["kind"])
+def test_ransac_plane_stays_close_to_the_reference_on_large_clouds(surface, tilt_deg):
+    """Past the subset size another near-best hypothesis may win."""
+    for seed in (0, 1, 2):
+        points = scene_cloud(seed, surface=surface, tilt_deg=tilt_deg).points
+        assert len(points) > _SUBSET_POINTS
+        for rng_seed in (0, 11):
+            c_ref, n_ref, m_ref = reference_ransac_plane(points, 1.0, 300, rng_seed)
+            c, n, m = _ransac_plane(points, 1.0, 300, rng_seed)
+            assert line_gap_deg(n, n_ref) <= 1e-3
+            assert abs(float(c @ n) - float(c_ref @ n_ref)) <= 1e-2
+            assert abs(int(m.sum()) - int(m_ref.sum())) <= 1e-3 * m_ref.sum()
+
+
+def test_ransac_plane_verifies_on_the_full_cloud():
+    """The strided subset favours one plane, the whole cloud the other."""
+    n = 3 * _SUBSET_POINTS  # the subset is every third point
+    points = np.random.default_rng(5).uniform([-500.0, -500.0, 0.0],
+                                              [500.0, 500.0, 1000.0], size=(n, 3))
+    planes = two_planes(40)
+    in_subset = np.flatnonzero(np.arange(n) % 3 == 0)
+    off_subset = np.flatnonzero(np.arange(n) % 3 != 0)
+    # Plane z = 400: 900 points, all in the subset.  Plane z = 460: 1200
+    # points, 300 of them in the subset.
+    low = in_subset[:900]
+    high = np.concatenate([in_subset[900:1200], off_subset[:900]])
+    points[low] = planes[:900]
+    points[high] = planes[1600:2800]
+    for seed in (1, 2, 4):
+        # Each seed draws at least one triple from each plane.
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        tri = np.concatenate([rng.integers(0, n, size=(64, 3)) for _ in range(5)])[:300]
+        for members in (low, high):
+            assert np.isin(tri, members).all(axis=1).any()
+        want = reference_ransac_plane(points, 1.0, 300, seed)
+        got = _ransac_plane(points, 1.0, 300, seed)
+        assert abs(got[0][2] - 460.0) < 0.1
         for a, b in zip(got, want):
             assert np.array_equal(a, b)

@@ -216,6 +216,21 @@ def test_plan_is_deterministic():
         assert np.array_equal(pa.t, pb.t)
 
 
+def test_candidate_grid_is_cached_and_read_only():
+    handeye._candidate_grid.cache_clear()
+    cold = plan_poses(BOX, 10, 22.0)
+    grid = handeye._candidate_grid(22.0, 0)
+    assert handeye._candidate_grid(22.0, 0) is grid
+    for column in (grid.q, grid.view, grid.rot_t, grid.rot_apply):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    warm = plan_poses(BOX, 10, 22.0)
+    for pa, pb in zip(cold, warm):
+        assert np.array_equal(pa.q, pb.q)
+        assert np.array_equal(pa.t, pb.t)
+
+
 def test_planned_poses_keep_the_box_in_view():
     camera = CameraModel()
     corners = BOX.corners()

@@ -2,9 +2,11 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specklenav import cli
+from specklenav.detect import detect_ring
 from specklenav.harness import (
     ConfigError,
     MissingSectionError,
@@ -20,6 +22,8 @@ from specklenav.harness import (
     simulate_clouds,
     stage_seed,
 )
+from specklenav.ply import read_cloud
+from specklenav.scene import render_cloud
 
 from conftest import reduced_scenario
 
@@ -156,11 +160,34 @@ def test_missing_marker_fails_the_scene_stage(no_marker_run):
         "stage": "scene",
         "type": "NoMarkerFoundError",
         "message": report.error["message"],
+        "frame": "scene:frame:0",
+        "seed": stage_seed(sc.master_seed, "scene:frame:0"),
     }
     assert "gate" in report.stages
     assert "fusion" not in report.stages
     loaded = load_report(Path(sc.out_dir) / "report.json")
     assert loaded.verdict == report.verdict
+    assert loaded.error == report.error
+
+
+def test_failed_frame_replays_from_its_label_and_seed(no_marker_run):
+    """The frame label and seed in the error rebuild the failing frame alone."""
+    sc, report = no_marker_run
+    label, seed = report.error["frame"], report.error["seed"]
+    stage, kind, j = label.split(":")
+    assert (stage, kind) == ("scene", "frame")
+    j = int(j)
+    flange = sc.robot_script[min(j, len(sc.robot_script) - 1)]
+    cam = sc.camera.with_mount_pose(sc.camera_in_phantom(flange))
+    cloud = render_cloud(sc.phantom, None, cam, t=j / sc.camera.frame_rate,
+                         seed=seed, noise_scale=sc.noise_scale)
+    # The run wrote this frame's cloud before its detection failed.
+    written = read_cloud(Path(sc.out_dir) / "cloud_scene_0000.ply")
+    assert np.array_equal(cloud.points, written.points)
+    with pytest.raises(Exception) as raised:
+        detect_ring(cloud)
+    assert type(raised.value).__name__ == report.error["type"]
+    assert str(raised.value) == report.error["message"]
 
 
 def test_last_stage_truncates_the_pipeline(tmp_path):
