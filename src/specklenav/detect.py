@@ -227,8 +227,12 @@ def _plane_support(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     Subset scoring and full verification both use this ``(n, 3) @ (3, k)``
     product.  With OpenBLAS each entry then has the same bits for any
     k >= 2, which keeps a cloud that is its own subset on the reference's
-    bits; k = 1 takes a matrix-vector path that can differ in the last bit.
+    bits.  k = 1 would take a matrix-vector path that can differ in the
+    last bit, so a single plane is scored as two copies of itself.
     """
+    if len(normals) == 1:
+        return _plane_support(points, np.repeat(normals, 2, axis=0),
+                              np.repeat(offsets, 2), threshold)[:, :1]
     dists = points @ normals.T
     dists -= offsets
     np.abs(dists, out=dists)

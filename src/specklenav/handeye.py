@@ -111,10 +111,12 @@ class ReprojectionStats:
 
 
 def _relative_motions(samples: Sequence[CalibrationSample]):
+    # Each sample is inverted once, not once per pair it starts.
+    flange_inv = [s.flange_in_base.invert() for s in samples]
+    target_inv = [s.target_in_camera.invert() for s in samples]
     for i, j in itertools.combinations(range(len(samples)), 2):
-        a = samples[i].flange_in_base.invert().compose(samples[j].flange_in_base)
-        b = samples[i].target_in_camera.invert().compose(samples[j].target_in_camera)
-        yield a, b
+        yield (flange_inv[i].compose(samples[j].flange_in_base),
+               target_inv[i].compose(samples[j].target_in_camera))
 
 
 def _log_vector(transform: RigidTransform) -> np.ndarray:

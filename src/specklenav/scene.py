@@ -18,8 +18,9 @@ import numpy as np
 from .camera import CameraModel
 from .geometry import Box, RigidTransform
 
-# Height reported outside the phantom patch: far below anything a ray
-# can reach, so no surface crossing is ever bracketed there.
+# Height that ``TorsoPhantom.height`` reports outside the phantom patch; it
+# marks a marker anchor off the patch.  The renderer does not read it: it
+# evaluates the unclipped height and keeps only crossings inside the patch.
 _OUTSIDE_PATCH = -1.0e9
 
 _BISECT_ITERS = 48
@@ -34,34 +35,36 @@ class EmptyCloudError(RuntimeError):
 
 
 def _surface_function(surface, extent) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
-                                                float]:
-    """Height function of a surface and an upper bound of it over the patch.
+                                                float, tuple[float, float] | None]:
+    """Height function of a surface, an upper bound of it over the patch and
+    the plane gradient (gx, gy) of a planar kind.
 
-    The bound is inf for a callable surface, whose maximum is unknown.
+    The bound is inf for a callable surface, whose maximum is unknown.  The
+    gradient is None for the curved kinds and for callables.
     """
     if callable(surface):
-        return surface, math.inf
+        return surface, math.inf, None
     kind = surface.get("kind", "flat")
     if kind == "flat":
-        return (lambda x, y: np.zeros_like(x)), 0.0
+        return (lambda x, y: np.zeros_like(x)), 0.0, (0.0, 0.0)
     if kind == "slope":
         gx = float(surface.get("gx", 0.0))
         gy = float(surface.get("gy", 0.0))
         xmin, xmax, ymin, ymax = extent
         bound = max(gx * x + gy * y for x in (xmin, xmax) for y in (ymin, ymax))
-        return (lambda x, y: gx * x + gy * y), bound
+        return (lambda x, y: gx * x + gy * y), bound, (gx, gy)
     if kind == "ripple":
         amp = float(surface["amplitude_mm"])
         wx = float(surface["wavelength_x_mm"])
         wy = float(surface["wavelength_y_mm"])
         return (lambda x, y: amp * np.cos(2 * np.pi * x / wx) * np.cos(2 * np.pi * y / wy),
-                abs(amp))
+                abs(amp), None)
     if kind == "dome":
         h = float(surface["height_mm"])
         rx = float(surface["rx_mm"])
         ry = float(surface["ry_mm"])
         return (lambda x, y: h * np.clip(1.0 - (x / rx) ** 2 - (y / ry) ** 2, 0.0, None),
-                max(h, 0.0))
+                max(h, 0.0), None)
     raise ValueError(f"unknown surface kind {kind!r}")
 
 
@@ -90,18 +93,21 @@ class TorsoPhantom:
         if self.breathing_period_s <= 0:
             raise ValueError("breathing period must be positive")
         # Resolve the descriptor once so rendering does not re-parse it.
-        fn, bound = _surface_function(self.surface, self.extent)
+        fn, bound, plane = _surface_function(self.surface, self.extent)
         object.__setattr__(self, "_height_fn", fn)
         object.__setattr__(self, "_height_bound", bound)
+        object.__setattr__(self, "_plane", plane)
 
     def height(self, x, y) -> np.ndarray:
         """Base surface height (mm) at patch coordinates, patch-clipped."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        return np.where(self._on_patch(x, y), self._height_fn(x, y), _OUTSIDE_PATCH)
+
+    def _on_patch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Points whose (x, y) lies on the closed patch rectangle."""
         xmin, xmax, ymin, ymax = self.extent
-        h = self._height_fn(x, y)
-        inside = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
-        return np.where(inside, h, _OUTSIDE_PATCH)
+        return (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
 
     def to_json_dict(self) -> dict:
         if callable(self.surface):
@@ -265,15 +271,24 @@ def _height_above(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
                   dw: np.ndarray, s, out: np.ndarray) -> np.ndarray:
     """Signed height of the segment points wa + s*dw above the breathing surface.
 
-    ``wa`` and ``dw`` are (3, N) rows of segment starts and spans in the
-    scene frame; ``s`` is the scalar or per-ray fraction along the span.
-    The points are built in the (3, N) scratch ``out``; its last row is
-    returned.
+    The height is the unclipped ``_height_fn``, also off the patch.  ``wa``
+    and ``dw`` are (3, N) rows of segment starts and spans in the scene
+    frame; ``s`` is the scalar or per-ray fraction along the span.  The
+    points are built in the (3, N) scratch ``out``; its last row is returned.
     """
     np.multiply(s, dw, out=out)
     out += wa
-    np.subtract(out[2], phantom.height(out[0], out[1]) + breath, out=out[2])
+    np.subtract(out[2], phantom._height_fn(out[0], out[1]) + breath, out=out[2])
     return out[2]
+
+
+def _crossing(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """Rows whose height goes from above the surface (f0) to on or below it (f1).
+
+    A ray exactly grazing the surface at the start (f0 == 0) is a hit too;
+    only rows with both ends on the surface are skipped.
+    """
+    return (f0 >= 0) & (f1 <= 0) & ((f0 > 0) | (f1 < 0))
 
 
 def _bisect_update(blo: np.ndarray, bhi: np.ndarray, mid: np.ndarray,
@@ -291,15 +306,42 @@ def _bisect_update(blo: np.ndarray, bhi: np.ndarray, mid: np.ndarray,
         d ^= (d ^ m) & sel
 
 
+def _plane_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
+                  wb: np.ndarray, za: float, zb: float) -> np.ndarray:
+    """Depth of the skin hit on each segment of a planar surface, inf when none.
+
+    The height above the plane z = gx*x + gy*y + breath is linear along a
+    segment: f0 at ``wa`` and f1 at ``wb`` ((N, 3) segment ends).  A
+    crossing by the rule of ``_crossing`` lies at s = f0 / (f0 - f1), and it
+    is a hit only when that point is on the patch.  A segment's f1 has the
+    same bits as the next segment's f0, so a ray whose skin lies exactly on
+    a knot is hit in one of the two.
+    """
+    gx, gy = phantom._plane
+    f0, f1 = (w[:, 2] - (gx * w[:, 0] + gy * w[:, 1] + breath) for w in (wa, wb))
+    rows = np.nonzero(_crossing(f0, f1))[0]
+    s = f0[rows] / (f0[rows] - f1[rows])
+    x = wa[rows, 0] + s * (wb[rows, 0] - wa[rows, 0])
+    y = wa[rows, 1] + s * (wb[rows, 1] - wa[rows, 1])
+    inside = phantom._on_patch(x, y)
+    depth = np.full(len(wa), np.inf)
+    depth[rows[inside]] = za + s[inside] * (zb - za)
+    return depth
+
+
 def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
                     dw: np.ndarray, za: float, zb: float) -> np.ndarray:
-    """Depth of the first phantom crossing on each segment, inf when none.
+    """Depth of the first skin hit on each segment of a curved surface, inf
+    when none.
 
-    A sign change of the height above the surface is bracketed over
-    substeps, then bisected in depth.  ``wa`` and ``dw`` are (N, 3)
-    segment starts and spans; they are transposed to (3, N) so that each
-    coordinate the inner loops read is contiguous.  The loops work in
-    preallocated buffers; each step computes the same values, in the same
+    The height above the unclipped surface is sampled at the ends of
+    ``_SUBSTEPS_PER_SEGMENT`` substeps, and each substep whose ends cross by
+    the rule of ``_crossing`` brackets a crossing.  A ray's first bracket is
+    bisected in depth; a crossing that lands off the patch is dropped and
+    the ray's next bracket, if any, is bisected instead.  ``wa`` and ``dw``
+    are (N, 3) segment starts and spans; they are transposed to (3, N) so
+    that each coordinate the inner loops read is contiguous.  The loops work
+    in preallocated buffers; each step computes the same values, in the same
     order, as the plain expressions in the comments.
     """
     wa = np.ascontiguousarray(wa.T)
@@ -307,43 +349,42 @@ def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
     n = wa.shape[1]
     span = zb - za
     zs = np.linspace(za, zb, _SUBSTEPS_PER_SEGMENT + 1)
-    z_prev = float(zs[0])
     work = np.empty((3, n))
     spare = np.empty((3, n))
-    prev = _height_above(phantom, breath, wa, dw, (z_prev - za) / span, work)
-    lo = np.full(n, np.nan)
-    hi = np.full(n, np.nan)
-    have = np.zeros(n, dtype=bool)
-    for z_next in zs[1:]:
-        z_next = float(z_next)
+    prev = _height_above(phantom, breath, wa, dw, (float(zs[0]) - za) / span, work)
+    brackets = np.empty((_SUBSTEPS_PER_SEGMENT, n), dtype=bool)
+    for j, z_next in enumerate(zs[1:]):
         work, spare = spare, work
-        cur = _height_above(phantom, breath, wa, dw, (z_next - za) / span, work)
-        # A ray exactly grazing the surface at the substep start (phi == 0)
-        # is a hit too; only skip when both ends sit on the surface.
-        crossing = (~have) & (prev >= 0) & (cur <= 0) & ((prev > 0) | (cur < 0))
-        lo[crossing] = z_prev
-        hi[crossing] = z_next
-        have |= crossing
+        cur = _height_above(phantom, breath, wa, dw, (float(z_next) - za) / span, work)
+        brackets[j] = _crossing(prev, cur)
         prev = cur
-        z_prev = z_next
     depth = np.full(n, np.inf)
-    if np.any(have):
-        ba = wa[:, have]
-        bd = dw[:, have]
-        blo = lo[have]
-        bhi = hi[have]
+    rays = np.nonzero(brackets.any(axis=0))[0]
+    while len(rays):
+        first = np.argmax(brackets[:, rays], axis=0)
+        ba = wa[:, rays]
+        bd = dw[:, rays]
+        blo = zs[first]
+        bhi = zs[first + 1]
         mid = np.empty_like(blo)
         s = np.empty_like(blo)
         above = np.empty(len(blo), dtype=bool)
-        work = work[:, :len(blo)]
+        out = work[:, :len(blo)]
         for _ in range(_BISECT_ITERS):
             np.add(blo, bhi, out=mid)
             mid *= 0.5                                   # mid = 0.5 * (blo + bhi)
             np.subtract(mid, za, out=s)
             s /= span                                    # s = (mid - za) / (zb - za)
-            np.greater(_height_above(phantom, breath, ba, bd, s, work), 0, out=above)
+            np.greater(_height_above(phantom, breath, ba, bd, s, out), 0, out=above)
             _bisect_update(blo, bhi, mid, above)
-        depth[have] = 0.5 * (blo + bhi)
+        hit = 0.5 * (blo + bhi)
+        np.multiply((hit - za) / span, bd, out=out)
+        out += ba
+        inside = phantom._on_patch(out[0], out[1])
+        depth[rays[inside]] = hit[inside]
+        rays = rays[~inside]
+        brackets[first[~inside], rays] = False
+        rays = rays[brackets[:, rays].any(axis=0)]
     return depth
 
 
@@ -390,7 +431,10 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
         near = _meets_box(seg_lo, seg_hi, skin_lo, skin_hi)
         seg_hit = np.full(len(idx), np.inf)
         if near.any():
-            seg_hit[near] = _surface_depths(phantom, breath, wa[near], dw[near], za, zb)
+            if phantom._plane is None:
+                seg_hit[near] = _surface_depths(phantom, breath, wa[near], dw[near], za, zb)
+            else:
+                seg_hit[near] = _plane_depths(phantom, breath, wa[near], wb[near], za, zb)
 
         # Marker top annuli: exact segment-plane intersection per linear piece.
         for origin, normal, r_in, r_out, top_inv, box_lo, box_hi in marker_planes:
@@ -446,8 +490,20 @@ def render_cloud(phantom: TorsoPhantom,
     scene-frame position is computed once per knot, and every point in
     between is ``wa + s * (wb - wa)`` with ``s = (z - za) / (zb - za)``.
     A non-linear interpolant would bend the rays and break this.  The
-    first intersection with the phantom surface, a marker top face or
+    first intersection with the phantom skin, a marker top face or
     an occluder box wins.
+
+    The rim rule: a skin hit is a point where the ray passes from above
+    the breathing surface to on or below it, and it counts only where that
+    crossing lies on the patch rectangle (edges included).  The patch has
+    no side walls, so a ray that passes under the rim below the surface,
+    or crosses the surface's continuation off the patch, finds no skin
+    there.  Flat and slope surfaces are planes, hit in closed form: the
+    height above the plane is linear along a segment, so the crossing sits
+    at ``s = f0 / (f0 - f1)`` from the heights at its two ends.  Ripple,
+    dome and callable surfaces are scanned over substeps on the unclipped
+    height function and the bracketed crossing is bisected; a crossing that
+    lands off the patch is dropped and the ray's next one is tried.
 
     Empty space is skipped, and the skip is exact: no output bit depends
     on it.  Every test is elementwise per ray, so running it on fewer rays
@@ -459,14 +515,17 @@ def render_cloud(phantom: TorsoPhantom,
     occluder's box.  Within a segment, the surface scan runs only on rays
     whose segment box meets the phantom box, and a marker's plane test
     only on rays whose box meets that marker's box.  All boxes are padded
-    by 1e-6 mm, which covers the rounding of ``wa + s * dw``.  Off the
-    patch the height is far below any ray, and above the bound no ray can
-    cross the surface.  A callable surface has no height bound, so only
-    the patch outline culls its segments.
+    by 1e-6 mm, which covers the rounding of ``wa + s * dw``.  A skin hit
+    lies on the patch and at most at the bound, so it lies in the phantom
+    box.  A callable surface has no height bound, so only the patch
+    outline culls its segments.
 
     Hits are perturbed along the line of sight with sigma_z(depth) and
     laterally with the lateral factor times sigma_z, both scaled by
     ``noise_scale`` (0 disables noise), then clipped back to the frustum.
+    The standard normal draws are taken for every sensor pixel and indexed
+    by pixel, so a point's noise depends only on its pixel and ``seed``:
+    a ray that gains or loses a hit moves no other point.
 
     Raises EmptyCloudError when nothing survives.
     """
@@ -509,8 +568,8 @@ def render_cloud(phantom: TorsoPhantom,
     sel = np.nonzero(hits)[0]
     points_cam = _ray_points_cam(camera, uu[sel], vv[sel], hit_depth[sel])
 
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((len(sel), 3))
+    # One draw per sensor pixel, so a point's noise depends on its pixel alone.
+    draws = np.random.default_rng(seed).standard_normal((nx * ny, 3))[sel]
     if noise_scale > 0.0:
         sigma_axial = np.asarray(camera.sigma_z(points_cam[:, 2])) * noise_scale
         sigma_lateral = sigma_axial * camera.lateral_sigma_factor

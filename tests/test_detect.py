@@ -12,6 +12,7 @@ from specklenav.detect import (
     _SUBSET_POINTS,
     _cluster_indices,
     _orient_toward_origin,
+    _plane_support,
     _ransac_plane,
     detect_ring,
     fit_circle_3d,
@@ -340,3 +341,22 @@ def test_ransac_plane_verifies_on_the_full_cloud():
         assert abs(got[0][2] - 460.0) < 0.1
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def test_single_plane_support_matches_a_column_of_a_wider_product():
+    # A chunk with a single non-degenerate draw scores one plane.  Its mask
+    # must be the same column that a product over more planes gives, even
+    # for a point whose distance is exactly the threshold.
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        points = rng.uniform(-200.0, 200.0, size=(300, 3)) + [0.0, 0.0, 400.0]
+        normals = rng.standard_normal((8, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        offsets = np.einsum("ij,ij->i", normals, points[rng.integers(0, 300, size=8)])
+        k = int(rng.integers(2, 9))
+        dists = np.abs(points @ normals[:k].T - offsets[:k])
+        for threshold in dists[::10, 0]:
+            wide = _plane_support(points, normals[:k], offsets[:k], threshold)
+            single = _plane_support(points, normals[:1], offsets[:1], threshold)
+            assert single.shape == (300, 1)
+            assert np.array_equal(single[:, 0], wide[:, 0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from specklenav.camera import CameraModel
 from specklenav.geometry import Box, RigidTransform, random_transform
@@ -331,18 +332,160 @@ SKIP_SURFACES = {
 
 @pytest.mark.parametrize("kind", sorted(SKIP_SURFACES))
 def test_rays_off_a_narrow_patch_find_no_skin(kind):
-    # The frustum is wider than the patch: rays past its edge must miss.
-    # (A ray can still meet the patch's side wall, so points need not lie on
-    # the skin.)
+    # The frustum is wider than the patch: rays past its edge must miss, and
+    # the patch has no side walls, so every point lies on the skin.
     extent = (-90.0, 70.0, -50.0, 60.0)
     phantom = TorsoPhantom(surface=SKIP_SURFACES[kind][0], extent=extent,
                            breathing_amplitude_mm=2.5)
     cam = tilted_camera(420.0, 20.0, resolution=(96, 72))
-    cloud = render_cloud(phantom, None, cam, t=0.6, noise_scale=0.0)
+    t = 0.6
+    cloud = render_cloud(phantom, None, cam, t=t, noise_scale=0.0)
     pts = cam.mount_pose.apply(cloud.points)
     assert 0 < len(cloud) < 96 * 72 // 2
     assert np.all((pts[:, 0] >= extent[0] - 1e-9) & (pts[:, 0] <= extent[1] + 1e-9))
     assert np.all((pts[:, 1] >= extent[2] - 1e-9) & (pts[:, 1] <= extent[3] + 1e-9))
+    skin = SKIP_SURFACES[kind][1](pts[:, 0], pts[:, 1]) + breathing_offset(phantom, t)
+    assert np.max(np.abs(pts[:, 2] - skin)) <= 1e-9
+
+
+@pytest.mark.parametrize("distance", [251.0, 300.0, 400.0, 500.0, 698.0])
+def test_straight_down_render_covers_every_patch_pixel(distance):
+    # The sweep's patch: a quarter of the field of view at the render depth,
+    # seen straight down by 240 x 180 rays.  Its x edges lie half a pixel
+    # from the nearest ray: 60 columns.  Each y edge passes through a row of
+    # ray centres; the camera's half turn (sin(pi) is 1.2e-16, not 0) moves
+    # both rows by 3e-14 to 9e-14 mm, one just onto the patch and one just
+    # off it: 45 rows.
+    cam = down_camera(distance, resolution=(240, 180))
+    fx, fy = cam.field_of_view(distance)
+    patch = TorsoPhantom(extent=(-fx / 8.0, fx / 8.0, -fy / 8.0, fy / 8.0))
+    cloud = render_cloud(patch, None, cam, noise_scale=0.0)
+    assert len(cloud) == 60 * 45
+    assert np.max(np.abs(cloud.points[:, 2] - distance)) < 1e-9
+
+
+def test_noise_is_keyed_by_pixel():
+    # An occluder hides some pixels; every other pixel keeps its noisy point.
+    # The lid straddles the patch edge, so it also gains rays that miss the
+    # patch, and the number of hits before a pixel changes.
+    cam = down_camera(400.0, resolution=(96, 72))
+    phantom = TorsoPhantom(extent=(-60.0, 60.0, -40.0, 40.0))
+    lid = Box(pose=RigidTransform.translation(-60.0, 0.0, 100.0),
+              half_extents=(30.0, 20.0, 5.0))
+    open_cloud = render_cloud(phantom, RingMarker(), cam, seed=9)
+    covered = render_cloud(phantom, RingMarker(), cam, seed=9, occluders=(lid,))
+    on_lid = covered.points[:, 2] < 350.0
+    assert np.count_nonzero(on_lid) > 50
+    # Points come out in pixel order, so the skin and ring points of the
+    # covered render are the open render with the hidden pixels taken out.
+    row_of = {p.tobytes(): i for i, p in enumerate(open_cloud.points)}
+    rows = np.array([row_of.get(p.tobytes(), -1) for p in covered.points[~on_lid]])
+    assert np.all(rows >= 0)
+    assert np.all(np.diff(rows) > 0)
+    # The lid hides some skin pixels and holds more rays than it hides.
+    assert 0 < len(open_cloud) - len(rows) < np.count_nonzero(on_lid)
+
+
+def side_camera(x_mm: float, z_mm: float, **kwargs) -> CameraModel:
+    """Camera at (x_mm, 0, z_mm) looking along -x, level with the patch."""
+    mount = RigidTransform.from_axis_angle((0.0, 1.0, 0.0), -90.0,
+                                           translation=(x_mm, 0.0, z_mm))
+    return CameraModel(mount_pose=mount, **kwargs)
+
+
+@pytest.mark.parametrize("surface", [
+    # A ripple crest and a dome flank stand at the rim x = 60.
+    {"kind": "ripple", "amplitude_mm": 4.0, "wavelength_x_mm": 60.0,
+     "wavelength_y_mm": 1.0e6},
+    {"kind": "dome", "height_mm": 40.0, "rx_mm": 100.0, "ry_mm": 100.0},
+], ids=lambda surface: surface["kind"])
+def test_rays_entering_under_the_rim_find_no_skin(surface):
+    extent = (-60.0, 60.0, -60.0, 60.0)
+    phantom = TorsoPhantom(surface=surface, extent=extent)
+    cam = side_camera(460.0, 1.0, resolution=(64, 48))
+    fn = phantom._height_fn
+    fx, fy = cam.field_of_view(400.0)
+    # Rays that pass the rim plane x = 60 below the skin there enter the
+    # patch from the side.
+    u = -1.0 + (2.0 * np.arange(64) + 1.0) / 64
+    v = -1.0 + (2.0 * np.arange(48) + 1.0) / 48
+    uu, vv = np.meshgrid(u, v)
+    rim = cam.mount_pose.apply(np.column_stack([uu.ravel() * fx / 2.0,
+                                                vv.ravel() * fy / 2.0,
+                                                np.full(uu.size, 400.0)]))
+    over = np.abs(rim[:, 1]) <= 60.0
+    assert np.count_nonzero(over & (rim[:, 2] < fn(rim[:, 0], rim[:, 1]))) > 20
+    cloud = render_cloud(phantom, None, cam, noise_scale=0.0)
+    pts = cam.mount_pose.apply(cloud.points)
+    assert np.all((pts[:, 0] >= extent[0] - 1e-9) & (pts[:, 0] <= extent[1] + 1e-9))
+    assert np.max(np.abs(pts[:, 2] - fn(pts[:, 0], pts[:, 1]))) <= 1e-9
+
+
+def oracle_skin_points(phantom, camera, t, step_mm=0.25):
+    """Per-ray reference of the rim rule, in the camera frame, in pixel order.
+
+    Each ray is sampled every ``step_mm`` of depth; the crossings of the
+    unclipped surface are refined with brentq, and the first one on the
+    patch is the hit.
+    """
+    fn = phantom._height_fn
+    breath = breathing_offset(phantom, t)
+    xmin, xmax, ymin, ymax = phantom.extent
+    nx, ny = camera.resolution
+    u = -1.0 + (2.0 * np.arange(nx) + 1.0) / nx
+    v = -1.0 + (2.0 * np.arange(ny) + 1.0) / ny
+    uu, vv = (a.ravel() for a in np.meshgrid(u, v))
+    z = np.arange(camera.near_mm, camera.far_mm + step_mm / 2, step_mm)
+    fx, fy = camera.field_of_view(z)
+
+    def cam_point(k, depth):
+        fxd, fyd = camera.field_of_view(depth)
+        return np.array([uu[k] * fxd / 2.0, vv[k] * fyd / 2.0, depth])
+
+    def above(k, depth):
+        x, y, h = camera.mount_pose.apply(cam_point(k, depth))
+        return h - (float(fn(x, y)) + breath)
+
+    hits = []
+    for k in range(uu.size):
+        pc = np.column_stack([uu[k] * fx / 2.0, vv[k] * fy / 2.0, z])
+        pw = camera.mount_pose.apply(pc)
+        f = pw[:, 2] - (fn(pw[:, 0], pw[:, 1]) + breath)
+        for j in np.nonzero((f[:-1] >= 0) & (f[1:] <= 0) & ((f[:-1] > 0) | (f[1:] < 0)))[0]:
+            depth = z[j] if f[j] == 0 else brentq(lambda d: above(k, d), z[j], z[j + 1],
+                                                   xtol=1e-13)
+            x, y, _ = camera.mount_pose.apply(cam_point(k, depth))
+            if xmin <= x <= xmax and ymin <= y <= ymax:
+                hits.append(cam_point(k, depth))
+                break
+    return np.array(hits)
+
+
+ORACLE_CASES = {
+    "ripple": (SKIP_SURFACES["ripple"][0], (-90.0, 70.0, -50.0, 60.0),
+               tilted_camera(420.0, 20.0, resolution=(48, 36)), 2.5),
+    "dome": (SKIP_SURFACES["dome"][0], (-90.0, 70.0, -50.0, 60.0),
+             tilted_camera(420.0, 20.0, resolution=(48, 36)), 2.5),
+    # Near-level rays cross the ripple's continuation off the patch, just
+    # past the rim at x = 40, then cross the skin on the patch within the
+    # same segment.
+    "ripple_off_rim": ({"kind": "ripple", "amplitude_mm": 4.0, "wavelength_x_mm": 40.0,
+                        "wavelength_y_mm": 1.0e6}, (-60.0, 40.0, -60.0, 60.0),
+                       side_camera(460.0, 1.0, resolution=(480, 4)), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_curved_patch_matches_a_dense_per_ray_oracle(case):
+    # No rim row may go missing: every ray whose first on-patch crossing the
+    # oracle finds is hit at the same point, and no other ray is.
+    surface, extent, cam, amplitude = ORACLE_CASES[case]
+    phantom = TorsoPhantom(surface=surface, extent=extent,
+                           breathing_amplitude_mm=amplitude)
+    cloud = render_cloud(phantom, None, cam, t=0.6, noise_scale=0.0)
+    want = oracle_skin_points(phantom, cam, 0.6)
+    assert len(cloud) == len(want)
+    assert np.max(np.abs(cloud.points - want)) <= 1e-6
 
 
 def test_every_ray_over_a_narrow_patch_lands():
@@ -389,8 +532,10 @@ def test_occluder_bounds_contain_the_box():
 @pytest.mark.parametrize("kind", sorted(SKIP_SURFACES))
 def test_callable_surface_renders_the_same_cloud_as_its_descriptor(kind):
     # A callable has no height bound, so only the patch outline culls its
-    # segments; the descriptor also skips segments above its bound.  Both
-    # must give the same bits.
+    # segments; the descriptor also skips segments above its bound.  A curved
+    # descriptor runs the same root finder as its callable and must give the
+    # same bits.  A slope descriptor is hit in closed form while its callable
+    # is bisected, so the two agree to the bisection's precision.
     descriptor, fn = SKIP_SURFACES[kind]
     cam = tilted_camera(420.0, 20.0, resolution=(96, 72))
     lid = Box(pose=RigidTransform.from_axis_angle((0.0, 0.0, 1.0), 30.0,
@@ -401,7 +546,11 @@ def test_callable_surface_renders_the_same_cloud_as_its_descriptor(kind):
                            marker, cam, t=0.6, seed=4, occluders=(lid,))
               for surface in (descriptor, fn)]
     assert len(clouds[0]) > 1000
-    assert np.array_equal(clouds[0].points, clouds[1].points)
+    if kind == "slope":
+        assert len(clouds[0]) == len(clouds[1])
+        assert np.max(np.abs(clouds[0].points - clouds[1].points)) <= 1e-9
+    else:
+        assert np.array_equal(clouds[0].points, clouds[1].points)
 
 
 @pytest.mark.parametrize("surface, extent", [
