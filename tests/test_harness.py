@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from specklenav import cli
+from specklenav.camera import CameraModel
 from specklenav.detect import detect_ring
+from specklenav.geometry import Aabb, RigidTransform
 from specklenav.harness import (
+    BreathingConfig,
+    CalibrationConfig,
     ConfigError,
+    ExecutionConfig,
     MissingSectionError,
     RunReport,
     Scenario,
     StageError,
+    SweepConfig,
     breathing_summary,
     default_scenario,
     emit_table,
@@ -23,7 +29,7 @@ from specklenav.harness import (
     stage_seed,
 )
 from specklenav.ply import read_cloud
-from specklenav.scene import render_cloud
+from specklenav.scene import RingMarker, TorsoPhantom, render_cloud
 
 from conftest import reduced_scenario
 
@@ -60,11 +66,80 @@ def test_stage_seed_is_deterministic_and_label_sensitive():
     assert all(0 <= stage_seed(20260817, label) < 2 ** 64 for label in labels)
 
 
+def non_default_scenario() -> Scenario:
+    """Every field of the four harness sections, and the camera, phantom,
+    marker, script and observation box, away from its default."""
+    return Scenario(
+        master_seed=99,
+        out_dir="runs/elsewhere",
+        noise_scale=0.5,
+        include_marker=False,
+        scene_frames=3,
+        camera=CameraModel(lateral_sigma_factor=1.5, frame_rate=15.0,
+                           resolution=(128, 96),
+                           mount_pose=RigidTransform.translation(1.0, 2.0, 3.0)),
+        phantom=TorsoPhantom(surface={"kind": "slope", "gx": 0.05, "gy": -0.02},
+                             extent=(-120.0, 110.0, -90.0, 80.0),
+                             breathing_amplitude_mm=1.5, breathing_period_s=3.5,
+                             breathing_phase_rad=0.25),
+        marker=RingMarker(outer_diameter_mm=30.0, inner_diameter_mm=20.0,
+                          thickness_mm=2.5,
+                          pose_on_surface=RigidTransform.translation(5.0, -4.0, 0.0)),
+        phantom_in_base=RigidTransform.translation(-400.0, -300.0, -60.0),
+        hand_eye_true=RigidTransform.from_axis_angle(
+            (0.0, 0.0, 1.0), 5.0, translation=(40.0, -20.0, 90.0)),
+        robot_script=(RigidTransform.translation(10.0, 0.0, 500.0),
+                      RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 170.0,
+                                                     translation=(0.0, 5.0, 480.0))),
+        observation_box=Aabb.from_center_extents((-440.0, -330.0, -50.0),
+                                                 (80.0, 70.0, 20.0)),
+        calibration=CalibrationConfig(count=7, tilt_range_deg=18.0,
+                                      board_noise_rot_deg=0.02, board_noise_mm=0.05,
+                                      board_half_extents_mm=(35.0, 25.0),
+                                      resolution=(200, 150)),
+        execution=ExecutionConfig(probe_count=10, fit_count=6,
+                                  lateral_span_mm=50.0, lift_span_mm=20.0),
+        breathing=BreathingConfig(duration_s=12.0, frame_rate_hz=6.0,
+                                  amplitude_mm=2.5, period_s=3.0,
+                                  resolution=(120, 90), amplitude_tol_mm=0.6,
+                                  min_hold_s=1.5, alarm_threshold_mm=1.8),
+        sweep=SweepConfig(enabled=False, resolution=(200, 150), patch_fraction=0.3),
+    )
+
+
+SECTION_DEFAULTS = {"calibration": CalibrationConfig(), "execution": ExecutionConfig(),
+                    "breathing": BreathingConfig(), "sweep": SweepConfig()}
+
+
 def test_scenario_json_round_trip(tmp_path):
-    sc = reduced_scenario(str(tmp_path))
-    doc = sc.to_json_dict()
-    back = Scenario.from_json_dict(json.loads(json.dumps(doc)))
-    assert back.to_json_dict() == doc
+    varied = non_default_scenario()
+    for name, default in SECTION_DEFAULTS.items():
+        for f in dataclasses.fields(default):
+            assert getattr(getattr(varied, name), f.name) != getattr(default, f.name)
+    for sc in (reduced_scenario(str(tmp_path)), varied):
+        doc = sc.to_json_dict()
+        back = Scenario.from_json_dict(json.loads(json.dumps(doc)))
+        assert back.to_json_dict() == doc
+        for name in SECTION_DEFAULTS:
+            assert getattr(back, name) == getattr(sc, name)
+
+
+def test_partial_sections_take_the_defaults():
+    back = Scenario.from_json_dict({
+        "master_seed": 5,
+        "calibration": {"count": 8, "resolution": [200, 150]},
+        "execution": {"fit_count": 7},
+        "breathing": {"period_s": 5},
+        "sweep": {"enabled": False},
+    })
+    assert back.calibration == CalibrationConfig(count=8, resolution=(200, 150))
+    assert back.execution == ExecutionConfig(fit_count=7)
+    assert back.breathing == BreathingConfig(period_s=5.0)
+    assert type(back.breathing.period_s) is float
+    assert back.sweep == SweepConfig(enabled=False)
+    doc = back.to_json_dict()
+    assert doc == {**Scenario(master_seed=5).to_json_dict(),
+                   **{name: doc[name] for name in SECTION_DEFAULTS}}
 
 
 def test_scenario_document_validation():
@@ -341,6 +416,17 @@ def test_cli_detect_from_a_cloud_file(reduced_double_run, tmp_path, capsys):
     doc = json.loads((tmp_path / "detection.json").read_text())
     assert set(doc) == {"center", "normal", "radius_mm", "rms_mm", "inliers", "t"}
     assert json.loads(capsys.readouterr().out) == doc
+
+
+def test_cli_detect_renders_scene_frame_0_without_a_cloud(tmp_path, capsys):
+    sc = reduced_scenario(str(tmp_path / "out"))
+    config = write_config(tmp_path, sc)
+    assert cli.main(["detect", "--config", config]) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "out" / "detection.json").read_text())
+    assert json.loads(capsys.readouterr().out) == doc
+    [first, *_] = simulate_clouds(sc, out_dir=str(tmp_path / "clouds"))
+    assert first.name == "cloud_scene_0000.ply"
+    assert doc == detect_ring(read_cloud(first)).to_json_dict()
 
 
 def test_cli_simulate_from_config(tmp_path, capsys):
