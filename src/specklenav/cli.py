@@ -35,10 +35,8 @@ from .harness import (
     load_scenario,
     run_scenario,
     simulate_clouds,
-    stage_seed,
 )
 from .ply import read_cloud
-from .scene import render_cloud
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -127,15 +125,10 @@ def cmd_calibrate(args) -> int:
 def cmd_detect(args) -> int:
     scenario = _scenario_from_args(args)
     if args.cloud:
-        cloud = read_cloud(args.cloud)
+        pose = detect_ring(read_cloud(args.cloud))
     else:
-        flange = scenario.robot_script[0]
-        cam = scenario.camera.with_mount_pose(scenario.camera_in_phantom(flange))
-        marker = scenario.marker if scenario.include_marker else None
-        cloud = render_cloud(scenario.phantom, marker, cam, t=0.0,
-                             seed=stage_seed(scenario.master_seed, "scene:frame:0"),
-                             noise_scale=scenario.noise_scale)
-    pose = detect_ring(cloud)
+        with scenario.render_scene_frame(0) as cloud:
+            pose = detect_ring(cloud)
     doc = pose.to_json_dict()
     _write_json(scenario.out_dir, "detection.json", doc)
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -321,6 +321,14 @@ class Aabb:
         h = np.asarray(extents, dtype=float) / 2.0
         return cls(lo=c - h, hi=c + h)
 
+    def to_json_dict(self) -> dict:
+        return {"center": [float(v) for v in self.center],
+                "extents": [float(v) for v in self.extents]}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "Aabb":
+        return cls.from_center_extents(d["center"], d["extents"])
+
     @property
     def center(self) -> np.ndarray:
         return (self.lo + self.hi) / 2.0

@@ -23,16 +23,17 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from types import UnionType
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import fusion as fusion_mod
 from . import respiration as resp_mod
 from .camera import CameraModel
-from .detect import MarkerPose, detect_ring, track
+from .detect import detect_ring, track
 from .fusion import ExecutionRecord, apply_correction, fit_tcp_correction, marker_in_base
 from .geometry import Aabb, Point3, RigidTransform, line_angle_deg, pose_error
 from .handeye import (
@@ -79,23 +80,8 @@ def stage_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@contextmanager
-def _replayable(label: str, seed: int):
-    """Tag an exception from one frame's render or detection with the frame's
-    seed label and seed; ``run_scenario`` copies both into the error dict."""
-    try:
-        yield
-    except Exception as exc:
-        exc.replay_frame = (label, seed)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # Scenario configuration
-
-
-def _transform_from(d: dict) -> RigidTransform:
-    return RigidTransform.from_json_dict(d)
 
 
 @dataclass(frozen=True)
@@ -110,16 +96,6 @@ class CalibrationConfig:
     board_half_extents_mm: tuple[float, float] = (40.0, 30.0)
     resolution: tuple[int, int] = (256, 192)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "tilt_range_deg": self.tilt_range_deg,
-            "board_noise_rot_deg": self.board_noise_rot_deg,
-            "board_noise_mm": self.board_noise_mm,
-            "board_half_extents_mm": list(self.board_half_extents_mm),
-            "resolution": list(self.resolution),
-        }
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -127,14 +103,6 @@ class ExecutionConfig:
     fit_count: int = 8
     lateral_span_mm: float = 60.0
     lift_span_mm: float = 30.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "probe_count": self.probe_count,
-            "fit_count": self.fit_count,
-            "lateral_span_mm": self.lateral_span_mm,
-            "lift_span_mm": self.lift_span_mm,
-        }
 
 
 @dataclass(frozen=True)
@@ -148,31 +116,12 @@ class BreathingConfig:
     min_hold_s: float = 2.0
     alarm_threshold_mm: float = 2.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "frame_rate_hz": self.frame_rate_hz,
-            "amplitude_mm": self.amplitude_mm,
-            "period_s": self.period_s,
-            "resolution": list(self.resolution),
-            "amplitude_tol_mm": self.amplitude_tol_mm,
-            "min_hold_s": self.min_hold_s,
-            "alarm_threshold_mm": self.alarm_threshold_mm,
-        }
-
 
 @dataclass(frozen=True)
 class SweepConfig:
     enabled: bool = True
     resolution: tuple[int, int] = (240, 180)
     patch_fraction: float = 0.25
-
-    def to_json_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "resolution": list(self.resolution),
-            "patch_fraction": self.patch_fraction,
-        }
 
 
 @dataclass(frozen=True)
@@ -240,30 +189,47 @@ class Scenario:
         cam_in_base = flange_in_base.compose(self.hand_eye_true)
         return self.phantom_in_base.invert().compose(cam_in_base)
 
+    def script_pose(self, j: int) -> RigidTransform:
+        """Scene frame j's flange pose: walk the script, park at its last entry."""
+        return self.robot_script[min(j, len(self.robot_script) - 1)]
+
+    # -- rendering ----------------------------------------------------------
+
+    @contextmanager
+    def render(self, label: str, mount: RigidTransform, *, marker: bool,
+               t: float = 0.0, resolution: tuple[int, int] | None = None,
+               phantom: TorsoPhantom | None = None):
+        """Render the frame named ``label`` and yield its cloud.
+
+        The camera sits at ``mount`` in the phantom frame.  ``marker`` says
+        whether the scenario's marker is in the scene; ``resolution`` and
+        ``phantom`` default to the scenario's own.  The frame's seed is
+        ``stage_seed(master_seed, label)``.  An exception raised by the
+        render or inside the ``with`` block (the frame's detection) is
+        tagged with the label and seed, which ``run_scenario`` copies into
+        the error dict, so the one frame can be rendered again alone.
+        """
+        seed = stage_seed(self.master_seed, label)
+        cam = replace(self.camera, mount_pose=mount,
+                      resolution=resolution or self.camera.resolution)
+        try:
+            yield render_cloud(phantom or self.phantom,
+                               self.marker if marker else None, cam, t=t,
+                               seed=seed, noise_scale=self.noise_scale)
+        except Exception as exc:
+            exc.replay_frame = (label, seed)
+            raise
+
+    def render_scene_frame(self, j: int):
+        """``render`` of scripted scene frame j, as the scene stage sees it."""
+        return self.render(f"scene:frame:{j}",
+                           self.camera_in_phantom(self.script_pose(j)),
+                           marker=self.include_marker, t=j / self.camera.frame_rate)
+
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "out_dir": self.out_dir,
-            "noise_scale": self.noise_scale,
-            "include_marker": self.include_marker,
-            "scene_frames": self.scene_frames,
-            "camera": self.camera.to_json_dict(),
-            "phantom": self.phantom.to_json_dict(),
-            "marker": self.marker.to_json_dict(),
-            "phantom_in_base": self.phantom_in_base.to_json_dict(),
-            "hand_eye_true": self.hand_eye_true.to_json_dict(),
-            "robot_script": [p.to_json_dict() for p in self.robot_script],
-            "observation_box": {
-                "center": [float(v) for v in self.observation_box.center],
-                "extents": [float(v) for v in self.observation_box.extents],
-            },
-            "calibration": self.calibration.to_json_dict(),
-            "execution": self.execution.to_json_dict(),
-            "breathing": self.breathing.to_json_dict(),
-            "sweep": self.sweep.to_json_dict(),
-        }
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
@@ -271,86 +237,51 @@ class Scenario:
             raise ConfigError("scenario document must be a JSON object")
         if "master_seed" not in doc:
             raise ConfigError("scenario must state master_seed explicitly")
-        known = {
-            "master_seed", "out_dir", "noise_scale", "include_marker",
-            "scene_frames", "camera", "phantom", "marker", "phantom_in_base",
-            "hand_eye_true", "robot_script", "observation_box", "calibration",
-            "execution", "breathing", "sweep",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
         try:
-            kwargs: dict = {"master_seed": int(doc["master_seed"])}
-            if "out_dir" in doc:
-                kwargs["out_dir"] = str(doc["out_dir"])
-            for key in ("noise_scale",):
-                if key in doc:
-                    kwargs[key] = float(doc[key])
-            if "include_marker" in doc:
-                kwargs["include_marker"] = bool(doc["include_marker"])
-            if "scene_frames" in doc:
-                kwargs["scene_frames"] = int(doc["scene_frames"])
-            if "camera" in doc:
-                kwargs["camera"] = CameraModel.from_json_dict(doc["camera"])
-            if "phantom" in doc:
-                kwargs["phantom"] = TorsoPhantom.from_json_dict(doc["phantom"])
-            if "marker" in doc:
-                kwargs["marker"] = RingMarker.from_json_dict(doc["marker"])
-            if "phantom_in_base" in doc:
-                kwargs["phantom_in_base"] = _transform_from(doc["phantom_in_base"])
-            if "hand_eye_true" in doc:
-                kwargs["hand_eye_true"] = _transform_from(doc["hand_eye_true"])
-            if "robot_script" in doc:
-                kwargs["robot_script"] = tuple(
-                    _transform_from(p) for p in doc["robot_script"])
-            if "observation_box" in doc:
-                box = doc["observation_box"]
-                kwargs["observation_box"] = Aabb.from_center_extents(
-                    box["center"], box["extents"])
-            if "calibration" in doc:
-                c = doc["calibration"]
-                kwargs["calibration"] = CalibrationConfig(
-                    count=int(c.get("count", 10)),
-                    tilt_range_deg=float(c.get("tilt_range_deg", 22.0)),
-                    board_noise_rot_deg=float(c.get("board_noise_rot_deg", 0.01)),
-                    board_noise_mm=float(c.get("board_noise_mm", 0.03)),
-                    board_half_extents_mm=tuple(
-                        float(v) for v in c.get("board_half_extents_mm", (40.0, 30.0))),
-                    resolution=tuple(int(v) for v in c.get("resolution", (256, 192))),
-                )
-            if "execution" in doc:
-                e = doc["execution"]
-                kwargs["execution"] = ExecutionConfig(
-                    probe_count=int(e.get("probe_count", 12)),
-                    fit_count=int(e.get("fit_count", 8)),
-                    lateral_span_mm=float(e.get("lateral_span_mm", 60.0)),
-                    lift_span_mm=float(e.get("lift_span_mm", 30.0)),
-                )
-            if "breathing" in doc:
-                b = doc["breathing"]
-                kwargs["breathing"] = BreathingConfig(
-                    duration_s=float(b.get("duration_s", 16.0)),
-                    frame_rate_hz=float(b.get("frame_rate_hz", 8.0)),
-                    amplitude_mm=float(b.get("amplitude_mm", 3.0)),
-                    period_s=float(b.get("period_s", 4.0)),
-                    resolution=tuple(int(v) for v in b.get("resolution", (160, 120))),
-                    amplitude_tol_mm=float(b.get("amplitude_tol_mm", 0.8)),
-                    min_hold_s=float(b.get("min_hold_s", 2.0)),
-                    alarm_threshold_mm=float(b.get("alarm_threshold_mm", 2.0)),
-                )
-            if "sweep" in doc:
-                s = doc["sweep"]
-                kwargs["sweep"] = SweepConfig(
-                    enabled=bool(s.get("enabled", True)),
-                    resolution=tuple(int(v) for v in s.get("resolution", (240, 180))),
-                    patch_fraction=float(s.get("patch_fraction", 0.25)),
-                )
-            return cls(**kwargs)
+            return _dataclass_from_json(cls, doc, "scenario")
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario document: {exc}") from exc
+
+
+def _to_json(value):
+    """JSON form of a config value: its ``to_json_dict`` where it has one,
+    a dict of its fields for the other dataclasses, a list for a tuple."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _from_json(hint, value, where: str):
+    """Inverse of ``_to_json`` for a field annotated ``hint``: ``from_json_dict``
+    where the type has one, and ``int``, ``float``, ``bool`` or ``str`` coercion
+    for scalars."""
+    if get_origin(hint) is tuple:
+        return tuple(_from_json(get_args(hint)[0], v, where) for v in value)
+    if get_origin(hint) is UnionType:  # ``X | None``: a stated value is an X
+        hint = get_args(hint)[0]
+    if hasattr(hint, "from_json_dict"):
+        return hint.from_json_dict(value)
+    if is_dataclass(hint):
+        return _dataclass_from_json(hint, value, where)
+    return hint(value)
+
+
+def _dataclass_from_json(cls, doc: dict, where: str):
+    """``cls`` built from the keys ``doc`` states; the others keep their
+    defaults.  A key that names no field is a ConfigError."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    unknown = set(doc) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return cls(**{name: _from_json(hints[name], doc[name], name)
+                  for name in names if name in doc})
 
 
 def default_scenario(out_dir: str = "runs/default",
@@ -486,6 +417,15 @@ def _stage_plan(sc: Scenario) -> dict:
 
 def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
                        out: Path) -> dict:
+    """Hand-eye samples from synthetic board observations at the planned poses.
+
+    The solve uses only the board poses, with noise drawn from the
+    "calibration" seed.  Each pose is also rendered at the calibration
+    resolution, with the marker in view whatever ``include_marker`` says,
+    and the ring detected.  Those renders feed only ``ring_visible_in_all_views``
+    and ``ring_center_error_*``; they are kept because they are the run's
+    only detection check on tilted views.
+    """
     rng = np.random.default_rng(stage_seed(sc.master_seed, "calibration"))
     cam_base = replace(sc.camera, resolution=sc.calibration.resolution)
     board_in_base = RigidTransform.translation(*sc.marker_top_in_base(0.0))
@@ -496,13 +436,10 @@ def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
     rim_in_view = []
     for i, flange in enumerate(flange_poses):
         cam_in_phantom = sc.camera_in_phantom(flange)
-        cam = cam_base.with_mount_pose(cam_in_phantom)
-        rim_in_view.append(marker_rim_in_view(cam, sc.phantom, sc.marker, 0.0))
-        label = f"calibration:render:{i}"
-        seed = stage_seed(sc.master_seed, label)
-        with _replayable(label, seed):
-            cloud = render_cloud(sc.phantom, sc.marker, cam, t=0.0, seed=seed,
-                                 noise_scale=sc.noise_scale)
+        rim_in_view.append(marker_rim_in_view(
+            cam_base.with_mount_pose(cam_in_phantom), sc.phantom, sc.marker, 0.0))
+        with sc.render(f"calibration:render:{i}", cam_in_phantom, marker=True,
+                       resolution=sc.calibration.resolution) as cloud:
             if i == 0:
                 write_cloud(out / "cloud_calib_0000.ply", cloud)
             found = detect_ring(cloud)
@@ -573,30 +510,6 @@ def _stage_gate(sc: Scenario, flange_poses, boards_obs, hand_eye_hat) -> dict:
     }
 
 
-def _detect_scene_frame(sc: Scenario, flange: RigidTransform, label: str,
-                        t: float, previous: MarkerPose | None,
-                        out: Path | None = None,
-                        cloud_name: str | None = None):
-    cam_in_phantom = sc.camera_in_phantom(flange)
-    cam = sc.camera.with_mount_pose(cam_in_phantom)
-    seed = stage_seed(sc.master_seed, label)
-    marker = sc.marker if sc.include_marker else None
-    with _replayable(label, seed):
-        cloud = render_cloud(sc.phantom, marker, cam, t=t, seed=seed,
-                             noise_scale=sc.noise_scale)
-        if out is not None and cloud_name is not None:
-            write_cloud(out / cloud_name, cloud)
-        pose = detect_ring(cloud) if previous is None else track(previous, cloud)
-    truth_cam = cam_in_phantom.invert().apply(
-        marker_top_center_world(sc.phantom, sc.marker, t))
-    return pose, cloud, truth_cam
-
-
-def _script_pose(sc: Scenario, j: int) -> RigidTransform:
-    """Frame j's flange pose: walk the script, park at its last entry."""
-    return sc.robot_script[min(j, len(sc.robot_script) - 1)]
-
-
 def _stage_scene(sc: Scenario, out: Path) -> dict:
     frame_rate = sc.camera.frame_rate
     poses = []
@@ -605,17 +518,18 @@ def _stage_scene(sc: Scenario, out: Path) -> dict:
     previous = None
     for j in range(sc.scene_frames):
         t = j / frame_rate
-        flange = _script_pose(sc, j)
-        pose, cloud, truth_cam = _detect_scene_frame(
-            sc, flange, f"scene:frame:{j}", t, previous,
-            out=out if j == 0 else None,
-            cloud_name="cloud_scene_0000.ply" if j == 0 else None)
+        with sc.render_scene_frame(j) as cloud:
+            if j == 0:
+                write_cloud(out / "cloud_scene_0000.ply", cloud)
+            pose = detect_ring(cloud) if previous is None else track(previous, cloud)
+        phantom_to_cam = sc.camera_in_phantom(sc.script_pose(j)).invert()
+        truth_cam = phantom_to_cam.apply(
+            marker_top_center_world(sc.phantom, sc.marker, t))
         poses.append(pose)
         center_errors.append(float(np.linalg.norm(pose.center.as_array() - truth_cam)))
         # Ground-truth surface normal points up in the phantom frame; compare
         # as lines because the fitted normal is oriented toward the camera.
-        up_cam = sc.camera_in_phantom(flange).invert().rotate(
-            np.array([0.0, 0.0, 1.0]))
+        up_cam = phantom_to_cam.rotate(np.array([0.0, 0.0, 1.0]))
         normal_errors.append(line_angle_deg(pose.normal, up_cam))
         previous = pose
     return {
@@ -650,8 +564,9 @@ def _stage_fusion(sc: Scenario, hand_eye_hat: RigidTransform, out: Path) -> dict
     for k, offset in enumerate(offsets):
         flange_k = RigidTransform.translation(*offset).compose(sc.robot_script[0])
         t = (sc.scene_frames + k) / frame_rate
-        pose_k, _, _ = _detect_scene_frame(sc, flange_k, f"fusion:probe:{k}",
-                                           t, previous=None)
+        with sc.render(f"fusion:probe:{k}", sc.camera_in_phantom(flange_k),
+                       marker=sc.include_marker, t=t) as cloud:
+            pose_k = detect_ring(cloud)
         fused, _ = marker_in_base(hand_eye_hat, flange_k, pose_k)
         observed_cmd = fused.as_array() + offset
         executed = truth_base + offset
@@ -697,20 +612,14 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
                       breathing_amplitude_mm=cfg.amplitude_mm,
                       breathing_period_s=cfg.period_s)
     cam_in_phantom = sc.camera_in_phantom(sc.robot_script[0])
-    cam = replace(sc.camera, resolution=cfg.resolution,
-                  mount_pose=cam_in_phantom)
     frame_count = int(round(cfg.duration_s * cfg.frame_rate_hz))
 
     poses = []
     previous = None
     for j in range(frame_count):
-        t = j / cfg.frame_rate_hz
-        label = f"breathing:frame:{j}"
-        seed = stage_seed(sc.master_seed, label)
-        marker = sc.marker if sc.include_marker else None
-        with _replayable(label, seed):
-            cloud = render_cloud(phantom, marker, cam, t=t, seed=seed,
-                                 noise_scale=sc.noise_scale)
+        with sc.render(f"breathing:frame:{j}", cam_in_phantom,
+                       marker=sc.include_marker, t=j / cfg.frame_rate_hz,
+                       resolution=cfg.resolution, phantom=phantom) as cloud:
             pose = detect_ring(cloud) if previous is None else track(previous, cloud)
         poses.append(pose)
         previous = pose
@@ -748,13 +657,9 @@ def _stage_sweep(sc: Scenario) -> dict:
                                      -fy * frac / 2.0, fy * frac / 2.0))
         mount = RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 180.0,
                                                translation=(0.0, 0.0, d_meas))
-        cam = replace(sc.camera, resolution=cfg.resolution, mount_pose=mount)
-        label = f"sweep:{d}"
-        seed = stage_seed(sc.master_seed, label)
-        with _replayable(label, seed):
-            cloud = render_cloud(patch, None, cam, seed=seed,
-                                 noise_scale=sc.noise_scale)
-        z = cloud.points[:, 2]
+        with sc.render(f"sweep:{d}", mount, marker=False,
+                       resolution=cfg.resolution, phantom=patch) as cloud:
+            z = cloud.points[:, 2]
         rows.append({
             "distance_mm": d,
             "measured_at_mm": d_meas,
@@ -864,21 +769,15 @@ def run_scenario(scenario: Scenario, *,
 def simulate_clouds(scenario: Scenario, out_dir=None) -> list[Path]:
     """Render the scripted scene frames and write one PLY file per frame.
 
-    Frame j reuses the scene stage's seed label, so frame 0 matches the
-    cloud a full run writes as cloud_scene_0000.ply.
+    Frame j is the scene stage's frame j, so frame 0 matches the cloud a
+    full run writes as cloud_scene_0000.ply.
     """
     out = Path(out_dir if out_dir is not None else scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    marker = scenario.marker if scenario.include_marker else None
     paths = []
     for j in range(scenario.scene_frames):
-        flange = _script_pose(scenario, j)
-        cam = scenario.camera.with_mount_pose(scenario.camera_in_phantom(flange))
-        cloud = render_cloud(scenario.phantom, marker, cam,
-                             t=j / scenario.camera.frame_rate,
-                             seed=stage_seed(scenario.master_seed, f"scene:frame:{j}"),
-                             noise_scale=scenario.noise_scale)
-        paths.append(write_cloud(out / f"cloud_scene_{j:04d}.ply", cloud))
+        with scenario.render_scene_frame(j) as cloud:
+            paths.append(write_cloud(out / f"cloud_scene_{j:04d}.ply", cloud))
     return paths
 
 

@@ -151,6 +151,19 @@ def test_scenario_document_validation():
         Scenario.from_json_dict([1, 2, 3])
 
 
+@pytest.mark.parametrize("section", list(SECTION_DEFAULTS))
+def test_unknown_section_keys_are_rejected(section):
+    with pytest.raises(ConfigError, match=rf"{section}.*'frame_rate'"):
+        Scenario.from_json_dict({"master_seed": 1, section: {"frame_rate": 30}})
+
+
+def test_camera_still_ignores_the_dropped_blur_key():
+    doc = Scenario(master_seed=1).to_json_dict()
+    doc["camera"]["optical_blur_px"] = 0.6
+    assert Scenario.from_json_dict(doc).to_json_dict()["camera"] == \
+        Scenario(master_seed=1).to_json_dict()["camera"]
+
+
 def test_scenario_field_validation():
     with pytest.raises(ConfigError):
         Scenario(master_seed=1, scene_frames=0)
