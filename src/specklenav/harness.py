@@ -648,13 +648,18 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
 def _stage_sweep(sc: Scenario) -> dict:
     cfg = sc.sweep
     rows = []
-    frac = cfg.patch_fraction
+    # The patch covers at least patch_fraction of each axis of the view,
+    # rounded out to whole pixels, so every edge lies half a pixel from the
+    # nearest ray centres and no ray's hit is decided by rounding.  Half
+    # widths are in the normalized grid coordinates of the rays.
+    half_u, half_v = (1.0 - 2.0 * math.floor(n * (1.0 - cfg.patch_fraction) / 2.0) / n
+                      for n in cfg.resolution)
     for row in sc.camera.fov_table:
         d = row.distance_mm
         d_meas = min(max(d, sc.camera.near_mm + 1.0), sc.camera.far_mm - 2.0)
         fx, fy = sc.camera.field_of_view(d_meas)
-        patch = TorsoPhantom(extent=(-fx * frac / 2.0, fx * frac / 2.0,
-                                     -fy * frac / 2.0, fy * frac / 2.0))
+        patch = TorsoPhantom(extent=(-fx * half_u / 2.0, fx * half_u / 2.0,
+                                     -fy * half_v / 2.0, fy * half_v / 2.0))
         mount = RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 180.0,
                                                translation=(0.0, 0.0, d_meas))
         with sc.render(f"sweep:{d}", mount, marker=False,

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from specklenav import cli
+from specklenav import cli, harness
 from specklenav.camera import CameraModel
 from specklenav.detect import detect_ring
 from specklenav.geometry import Aabb, RigidTransform
@@ -276,6 +277,25 @@ def test_failed_frame_replays_from_its_label_and_seed(no_marker_run):
         detect_ring(cloud)
     assert type(raised.value).__name__ == report.error["type"]
     assert str(raised.value) == report.error["message"]
+
+
+def test_sweep_count_does_not_hang_on_the_flip_rounding(monkeypatch):
+    # The sweep camera's half turn about x leaves sin(pi) = 1.2e-16 in its
+    # rotation; the exact flip quaternion does not.  A patch edge on a row
+    # of ray centres would count that row under one mount and not the other.
+    sc = default_scenario()
+    rounded = [row["point_count"] for row in harness._stage_sweep(sc)["summary"]["rows"]]
+
+    def exact_flip(axis, angle_deg, translation):
+        assert (tuple(axis), angle_deg) == ((1.0, 0.0, 0.0), 180.0)
+        return RigidTransform(q=np.array([0.0, 1.0, 0.0, 0.0]),
+                              t=np.asarray(translation, dtype=float))
+
+    monkeypatch.setattr(harness, "RigidTransform",
+                        SimpleNamespace(from_axis_angle=exact_flip))
+    exact = [row["point_count"] for row in harness._stage_sweep(sc)["summary"]["rows"]]
+    # 240 x 180 rays; a quarter of each axis, rounded out to whole pixels.
+    assert exact == rounded == [60 * 46] * len(rounded)
 
 
 def test_last_stage_truncates_the_pipeline(tmp_path):

@@ -350,12 +350,13 @@ def test_rays_off_a_narrow_patch_find_no_skin(kind):
 
 @pytest.mark.parametrize("distance", [251.0, 300.0, 400.0, 500.0, 698.0])
 def test_straight_down_render_covers_every_patch_pixel(distance):
-    # The sweep's patch: a quarter of the field of view at the render depth,
-    # seen straight down by 240 x 180 rays.  Its x edges lie half a pixel
-    # from the nearest ray: 60 columns.  Each y edge passes through a row of
-    # ray centres; the camera's half turn (sin(pi) is 1.2e-16, not 0) moves
-    # both rows by 3e-14 to 9e-14 mm, one just onto the patch and one just
-    # off it: 45 rows.
+    # A quarter of the field of view at the render depth, seen straight down
+    # by 240 x 180 rays.  Its x edges lie half a pixel from the nearest ray:
+    # 60 columns.  Each y edge passes through a row of ray centres; the
+    # camera's half turn (sin(pi) is 1.2e-16, not 0) moves both rows by
+    # 3e-14 to 9e-14 mm, one just onto the patch and one just off it: 45
+    # rows.  (The sweep stage rounds its patch out to whole pixels, so no
+    # edge of its patch meets a ray centre.)
     cam = down_camera(distance, resolution=(240, 180))
     fx, fy = cam.field_of_view(distance)
     patch = TorsoPhantom(extent=(-fx / 8.0, fx / 8.0, -fy / 8.0, fy / 8.0))
