@@ -19,7 +19,6 @@ from .fov import (
     ViewFrustum,
     accuracy_estimate,
     blind_spot_check,
-    field_of_view,
     observation_rectangle_fit,
 )
 from .fusion import (
@@ -88,7 +87,6 @@ __all__ = [
     "emit_table",
     "estimate_period",
     "extract_signal",
-    "field_of_view",
     "fit_tcp_correction",
     "marker_in_base",
     "motion_alarm",

@@ -10,7 +10,7 @@ nearest knot and emit a RangeClampWarning.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,14 @@ class FovRow:
         for name in ("distance_mm", "fov_x_mm", "fov_y_mm", "sigma_z_mm", "pixel_size_mm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"FovRow.{name} must be positive")
+
+    def to_json_dict(self) -> list[float]:
+        """The row's scenario form, ``[d, fx, fy, sigma_z, px]``."""
+        return list(astuple(self))
+
+    @classmethod
+    def from_json_dict(cls, row) -> "FovRow":
+        return cls(*row)
 
 
 # Bench calibration of the reference camera over its 250..700 mm working range.
@@ -161,27 +169,3 @@ class CameraModel:
 
     def with_mount_pose(self, pose: RigidTransform) -> "CameraModel":
         return replace(self, mount_pose=pose)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fov_table": [[row.distance_mm, row.fov_x_mm, row.fov_y_mm,
-                           row.sigma_z_mm, row.pixel_size_mm]
-                          for row in self.fov_table],
-            "mount_pose": self.mount_pose.to_json_dict(),
-            "lateral_sigma_factor": self.lateral_sigma_factor,
-            "frame_rate": self.frame_rate,
-            "resolution": list(self.resolution),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CameraModel":
-        """Inverse of ``to_json_dict``.  Unknown keys are ignored, such as
-        the ``optical_blur_px`` that older scenario and report files carry."""
-        rows = tuple(FovRow(*row) for row in d["fov_table"])
-        return cls(
-            fov_table=rows,
-            mount_pose=RigidTransform.from_json_dict(d["mount_pose"]),
-            lateral_sigma_factor=float(d["lateral_sigma_factor"]),
-            frame_rate=float(d["frame_rate"]),
-            resolution=tuple(int(v) for v in d["resolution"]),
-        )

@@ -2,9 +2,10 @@
 
 The structured-light camera sees a rectangle that grows with distance.
 These helpers answer the placement questions that come up when parking the
-camera over a surgical site: how big is the view at a given standoff, how
-close can the camera get while still covering a required rectangle, and is
-a given target actually visible past the equipment in the way.
+camera over a surgical site: how close can the camera get while still
+covering a required rectangle, and is a given target actually visible past
+the equipment in the way.  The view at a given standoff is
+``CameraModel.field_of_view``.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ class AccuracyEstimate:
     def to_json_dict(self) -> dict:
         return {"low_mm": self.low_mm, "high_mm": self.high_mm,
                 "note": self.note}
-
-
-def field_of_view(camera: CameraModel, distance_mm: float) -> tuple[float, float]:
-    """View rectangle (width, height) in mm at the given standoff."""
-    return camera.field_of_view(distance_mm)
 
 
 def observation_rectangle_fit(camera: CameraModel, rect_x_mm: float,

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -238,7 +238,7 @@ class Scenario:
         if "master_seed" not in doc:
             raise ConfigError("scenario must state master_seed explicitly")
         try:
-            return _dataclass_from_json(cls, doc, "scenario")
+            return _dataclass_from_json(cls, doc, "")
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -247,40 +247,69 @@ class Scenario:
 
 def _to_json(value):
     """JSON form of a config value: its ``to_json_dict`` where it has one,
-    a dict of its fields for the other dataclasses, a list for a tuple."""
+    a dict of its fields for the other dataclasses, a list for a tuple.
+    A value with no JSON form, such as a callable surface, is a TypeError."""
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     if is_dataclass(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
-    return value
+    if value is None or isinstance(value, (bool, int, float, str, dict)):
+        return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# The JSON values a scalar field takes, and how an error names them.  A
+# bool is never a number here, and an int field takes only integral numbers.
+_SCALARS = {bool: ((bool,), "a boolean"), int: ((int, float), "an integral number"),
+            float: ((int, float), "a number"), str: ((str,), "a string")}
+
+# Keys that files written by older versions carry for settings since
+# removed; loading ignores them.
+_RETIRED_KEYS = {CameraModel: {"optical_blur_px"}}
 
 
 def _from_json(hint, value, where: str):
-    """Inverse of ``_to_json`` for a field annotated ``hint``: ``from_json_dict``
-    where the type has one, and ``int``, ``float``, ``bool`` or ``str`` coercion
-    for scalars."""
-    if get_origin(hint) is tuple:
-        return tuple(_from_json(get_args(hint)[0], v, where) for v in value)
-    if get_origin(hint) is UnionType:  # ``X | None``: a stated value is an X
+    """Inverse of ``_to_json`` for a field annotated ``hint``, which ``where``
+    names in errors.  ``from_json_dict`` where the type has one; a scalar
+    must already have its field's JSON type."""
+    if get_origin(hint) in (Union, UnionType):  # a union's first type is its JSON form
         hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where} must hold {len(args)} values")
+        return tuple(_from_json(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
     if hasattr(hint, "from_json_dict"):
         return hint.from_json_dict(value)
-    if is_dataclass(hint):
-        return _dataclass_from_json(hint, value, where)
+    if is_dataclass(hint) or hint is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        return value if hint is dict else _dataclass_from_json(hint, value, where)
+    accepted, name = _SCALARS[hint]
+    if (not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool)
+            or (hint is int and isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{where} must be {name}, not {value!r}")
     return hint(value)
 
 
 def _dataclass_from_json(cls, doc: dict, where: str):
     """``cls`` built from the keys ``doc`` states; the others keep their
-    defaults.  A key that names no field is a ConfigError."""
+    defaults.  A key that names no field is a ConfigError, unless it is
+    one of ``cls``'s retired keys."""
     hints = get_type_hints(cls)
     names = [f.name for f in fields(cls)]
-    unknown = set(doc) - set(names)
+    unknown = set(doc) - set(names) - _RETIRED_KEYS.get(cls, set())
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    return cls(**{name: _from_json(hints[name], doc[name], name)
+        raise ConfigError(f"unknown {where or 'scenario'} keys: {sorted(unknown)}")
+    return cls(**{name: _from_json(hints[name], doc[name],
+                                   f"{where}.{name}" if where else name)
                   for name in names if name in doc})
 
 
@@ -343,11 +372,7 @@ class RunReport:
         report_path = out / "report.json"
         report_path.write_text(self.to_json())
         if self.timings:
-            with open(out / "timing.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["stage", "seconds"])
-                for name, seconds in self.timings:
-                    writer.writerow([name, f"{seconds:.6f}"])
+            (out / "timing.csv").write_text(emit_table(self, "timing"))
         return report_path
 
 

@@ -109,27 +109,6 @@ class TorsoPhantom:
         xmin, xmax, ymin, ymax = self.extent
         return (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
 
-    def to_json_dict(self) -> dict:
-        if callable(self.surface):
-            raise TypeError("callable surfaces are not JSON serializable")
-        return {
-            "surface": self.surface,
-            "extent": list(self.extent),
-            "breathing_amplitude_mm": self.breathing_amplitude_mm,
-            "breathing_period_s": self.breathing_period_s,
-            "breathing_phase_rad": self.breathing_phase_rad,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TorsoPhantom":
-        return cls(
-            surface=d["surface"],
-            extent=tuple(float(v) for v in d["extent"]),
-            breathing_amplitude_mm=float(d["breathing_amplitude_mm"]),
-            breathing_period_s=float(d["breathing_period_s"]),
-            breathing_phase_rad=float(d["breathing_phase_rad"]),
-        )
-
 
 def breathing_offset(phantom: TorsoPhantom, t: float) -> float:
     """Surface displacement (mm) along the outward patch normal at time t.
@@ -167,23 +146,6 @@ class RingMarker:
     def mid_diameter_mm(self) -> float:
         """Diameter of the circle midway between the two ring edges."""
         return (self.outer_diameter_mm + self.inner_diameter_mm) / 2.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outer_diameter_mm": self.outer_diameter_mm,
-            "inner_diameter_mm": self.inner_diameter_mm,
-            "thickness_mm": self.thickness_mm,
-            "pose_on_surface": self.pose_on_surface.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RingMarker":
-        return cls(
-            outer_diameter_mm=float(d["outer_diameter_mm"]),
-            inner_diameter_mm=float(d["inner_diameter_mm"]),
-            thickness_mm=float(d["thickness_mm"]),
-            pose_on_surface=RigidTransform.from_json_dict(d["pose_on_surface"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 import dataclasses
+import json
 
 import pytest
 
-from specklenav.harness import default_scenario, run_scenario
+from specklenav.harness import Scenario, default_scenario, run_scenario
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,12 @@ def reduced_scenario(out_dir: str, **overrides):
     if overrides:
         sc = dataclasses.replace(sc, **overrides)
     return sc
+
+
+def scenario_json_round_trip(**fields) -> Scenario:
+    """``Scenario(master_seed=1, **fields)`` written to JSON text and read back."""
+    doc = Scenario(master_seed=1, **fields).to_json_dict()
+    return Scenario.from_json_dict(json.loads(json.dumps(doc)))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ import pytest
 from specklenav.camera import CameraModel, FovRow, RangeClampWarning
 from specklenav.geometry import RigidTransform
 
+from conftest import scenario_json_round_trip
+
 # Bench-calibration rows of the reference camera: distance, fov_x, fov_y,
 # sigma_z, pixel size (mm).
 KNOTS = [
@@ -104,7 +106,7 @@ def test_with_mount_pose_returns_new_camera(camera):
 
 
 def test_json_roundtrip_is_exact(camera):
-    back = CameraModel.from_json_dict(camera.to_json_dict())
+    back = scenario_json_round_trip(camera=camera).camera
     assert back.fov_table == camera.fov_table
     assert back.frame_rate == camera.frame_rate
     assert back.resolution == camera.resolution
@@ -120,7 +122,7 @@ def test_copies_answer_queries_like_the_original(camera):
     points = np.column_stack([rng.uniform(-400, 400, 500), rng.uniform(-260, 260, 500),
                               rng.uniform(240.0, 710.0, 500)])
     moved = camera.with_mount_pose(RigidTransform.translation(1.0, 2.0, 3.0))
-    back = CameraModel.from_json_dict(moved.to_json_dict())
+    back = scenario_json_round_trip(camera=moved).camera
     for other in (moved, back):
         for a, b in zip(other.field_of_view(depths), camera.field_of_view(depths)):
             assert np.array_equal(a, b)
@@ -171,12 +173,3 @@ def test_frame_rate_and_resolution_bounds():
     with pytest.raises(ValueError):
         CameraModel(resolution=(1, 192))
 
-
-def test_camera_dict_with_the_dropped_blur_key_still_loads(camera):
-    # Scenario and report files written before optical_blur_px was removed
-    # carry the key; loading ignores it.
-    doc = camera.to_json_dict()
-    assert "optical_blur_px" not in doc
-    for blur in ([1.610, 2.378, 2.377, 1.937, 0.262, 1.304, 2.051], [1.0, 2.0], None):
-        back = CameraModel.from_json_dict({**doc, "optical_blur_px": blur})
-        assert back.to_json_dict() == doc

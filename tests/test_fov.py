@@ -8,7 +8,6 @@ from specklenav.fov import (
     VisibilityResult,
     accuracy_estimate,
     blind_spot_check,
-    field_of_view,
     observation_rectangle_fit,
 )
 from specklenav.geometry import Box, Point3, RigidTransform, random_transform
@@ -18,11 +17,11 @@ CAMERA = CameraModel()
 
 def test_field_of_view_at_the_table_rows():
     for row in DEFAULT_FOV_TABLE:
-        assert field_of_view(CAMERA, row.distance_mm) == (row.fov_x_mm, row.fov_y_mm)
+        assert CAMERA.field_of_view(row.distance_mm) == (row.fov_x_mm, row.fov_y_mm)
 
 
 def test_field_of_view_between_rows():
-    assert field_of_view(CAMERA, 300.0) == (271.11333333333334, 179.80666666666667)
+    assert CAMERA.field_of_view(300.0) == (271.11333333333334, 179.80666666666667)
 
 
 def test_view_grows_strictly_with_distance():

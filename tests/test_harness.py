@@ -128,6 +128,9 @@ def test_scenario_json_round_trip(tmp_path):
 def test_partial_sections_take_the_defaults():
     back = Scenario.from_json_dict({
         "master_seed": 5,
+        "camera": {"frame_rate": 30},
+        "phantom": {"breathing_amplitude_mm": 2},
+        "marker": {"thickness_mm": 3},
         "calibration": {"count": 8, "resolution": [200, 150]},
         "execution": {"fit_count": 7},
         "breathing": {"period_s": 5},
@@ -138,8 +141,13 @@ def test_partial_sections_take_the_defaults():
     assert back.breathing == BreathingConfig(period_s=5.0)
     assert type(back.breathing.period_s) is float
     assert back.sweep == SweepConfig(enabled=False)
+    assert type(back.camera.frame_rate) is float
+    assert type(back.marker.thickness_mm) is float
     doc = back.to_json_dict()
-    assert doc == {**Scenario(master_seed=5).to_json_dict(),
+    stated = Scenario(master_seed=5, camera=CameraModel(frame_rate=30.0),
+                      phantom=TorsoPhantom(breathing_amplitude_mm=2.0),
+                      marker=RingMarker(thickness_mm=3.0))
+    assert doc == {**stated.to_json_dict(),
                    **{name: doc[name] for name in SECTION_DEFAULTS}}
 
 
@@ -152,17 +160,56 @@ def test_scenario_document_validation():
         Scenario.from_json_dict([1, 2, 3])
 
 
-@pytest.mark.parametrize("section", list(SECTION_DEFAULTS))
-def test_unknown_section_keys_are_rejected(section):
-    with pytest.raises(ConfigError, match=rf"{section}.*'frame_rate'"):
-        Scenario.from_json_dict({"master_seed": 1, section: {"frame_rate": 30}})
+# A key each section does not have; the camera, phantom and marker ones are
+# one-letter slips of real keys.
+UNKNOWN_KEYS = {"calibration": "frame_rate", "execution": "frame_rate",
+                "breathing": "frame_rate", "sweep": "frame_rate",
+                "camera": "frame_rte", "phantom": "breathing_amplitude",
+                "marker": "thicknes_mm"}
+
+
+def exits_with_config_error(tmp_path, doc: dict) -> bool:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    return cli.main(argv) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("section", list(UNKNOWN_KEYS))
+def test_unknown_section_keys_are_rejected(section, tmp_path):
+    key = UNKNOWN_KEYS[section]
+    doc = {"master_seed": 1, section: {key: 30}}
+    with pytest.raises(ConfigError, match=rf"{section}.*'{key}'"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+
+
+# One value of the wrong JSON type per field; the error must name the field.
+WRONG_TYPES = {"include_marker": {"include_marker": "false"},
+               "sweep.enabled": {"sweep": {"enabled": "no"}},
+               "calibration.count": {"calibration": {"count": 6.9}},
+               "noise_scale": {"noise_scale": True},
+               "camera.frame_rate": {"camera": {"frame_rate": "30"}}}
+
+
+@pytest.mark.parametrize("field", list(WRONG_TYPES))
+def test_scalars_must_have_their_json_type(field, tmp_path):
+    doc = {"master_seed": 1, **WRONG_TYPES[field]}
+    with pytest.raises(ConfigError, match=rf"^{field} must be"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
 
 
 def test_camera_still_ignores_the_dropped_blur_key():
-    doc = Scenario(master_seed=1).to_json_dict()
-    doc["camera"]["optical_blur_px"] = 0.6
-    assert Scenario.from_json_dict(doc).to_json_dict()["camera"] == \
-        Scenario(master_seed=1).to_json_dict()["camera"]
+    # Scenario and report files written before optical_blur_px was removed
+    # carry the key; loading ignores it.
+    plain = Scenario(master_seed=1).to_json_dict()
+    assert "optical_blur_px" not in plain["camera"]
+    for blur in (0.6, [1.610, 2.378, 2.377, 1.937, 0.262, 1.304, 2.051],
+                 [1.0, 2.0], None):
+        doc = Scenario(master_seed=1).to_json_dict()
+        doc["camera"]["optical_blur_px"] = blur
+        assert Scenario.from_json_dict(doc).to_json_dict() == plain
 
 
 def test_scenario_field_validation():

@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from specklenav.camera import CameraModel
 from specklenav.geometry import Box, RigidTransform, random_transform
+from specklenav.harness import Scenario
 from specklenav.scene import (
     EmptyCloudError,
     PointCloud,
@@ -16,6 +17,8 @@ from specklenav.scene import (
     marker_top_center_world,
     render_cloud,
 )
+
+from conftest import scenario_json_round_trip
 
 
 def down_camera(distance_mm: float, **kwargs) -> CameraModel:
@@ -93,7 +96,7 @@ def test_phantom_json_roundtrip():
     phantom = TorsoPhantom(surface={"kind": "dome", "height_mm": 25.0,
                                     "rx_mm": 120.0, "ry_mm": 90.0},
                            breathing_amplitude_mm=2.0)
-    back = TorsoPhantom.from_json_dict(phantom.to_json_dict())
+    back = scenario_json_round_trip(phantom=phantom).phantom
     assert back.surface == phantom.surface
     assert back.extent == phantom.extent
     assert back.breathing_amplitude_mm == 2.0
@@ -102,7 +105,7 @@ def test_phantom_json_roundtrip():
 def test_callable_surface_not_serializable():
     phantom = TorsoPhantom(surface=lambda x, y: np.zeros_like(x))
     with pytest.raises(TypeError):
-        phantom.to_json_dict()
+        Scenario(master_seed=1, phantom=phantom).to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def test_ring_marker_defaults_and_validation():
 
 def test_ring_marker_json_roundtrip():
     marker = RingMarker(pose_on_surface=RigidTransform.translation(3.4, 3.4, 0.0))
-    back = RingMarker.from_json_dict(marker.to_json_dict())
+    back = scenario_json_round_trip(marker=marker).marker
     assert back.outer_diameter_mm == marker.outer_diameter_mm
     assert np.array_equal(back.pose_on_surface.t, marker.pose_on_surface.t)
 
