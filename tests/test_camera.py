@@ -5,6 +5,7 @@ import pytest
 
 from specklenav.camera import CameraModel, FovRow, RangeClampWarning
 from specklenav.geometry import RigidTransform
+from specklenav.harness import Scenario
 
 from conftest import scenario_json_round_trip
 
@@ -173,3 +174,16 @@ def test_frame_rate_and_resolution_bounds():
     with pytest.raises(ValueError):
         CameraModel(resolution=(1, 192))
 
+
+
+def test_camera_dict_with_the_dropped_blur_key_still_loads(camera):
+    # Scenario and report files written before optical_blur_px was removed
+    # carry the key; loading ignores it.
+    plain = scenario_json_round_trip(camera=camera)
+    doc = plain.to_json_dict()
+    assert "optical_blur_px" not in doc["camera"]
+    for blur in ([1.610, 2.378, 2.377, 1.937, 0.262, 1.304, 2.051], [1.0, 2.0], None):
+        doc["camera"]["optical_blur_px"] = blur
+        back = Scenario.from_json_dict(doc)
+        assert back.to_json_dict() == plain.to_json_dict()
+        assert back.camera.fov_table == camera.fov_table
