@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import RigidTransform
+from .geometry import RigidTransform, numbers_from_json
 
 
 class RangeClampWarning(UserWarning):
@@ -43,7 +43,7 @@ class FovRow:
 
     @classmethod
     def from_json_dict(cls, row) -> "FovRow":
-        return cls(*row)
+        return cls(*numbers_from_json(row, 5, "a fov_table row"))
 
 
 # Bench calibration of the reference camera over its 250..700 mm working range.

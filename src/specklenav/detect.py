@@ -371,22 +371,36 @@ def detect_ring(cloud: PointCloud, params: DetectParams = DetectParams()) -> Mar
     return poses[0]
 
 
+def track_window(previous: MarkerPose,
+                 params: DetectParams = DetectParams()) -> tuple[np.ndarray, float]:
+    """The sphere (centre, radius) that ``track`` crops a cloud to: three
+    times the expected outer diameter around the previous centre."""
+    return previous.center.as_array(), 3.0 * params.expected_outer_diameter_mm
+
+
+def detect_in_crop(crop: PointCloud,
+                   params: DetectParams = DetectParams()) -> MarkerPose | None:
+    """``detect_ring`` on a cloud cropped to ``track_window``, or None when
+    the crop fails: it has fewer than ``min_inliers`` points, or it holds no
+    ring, several rings or degenerate geometry."""
+    if len(crop) < params.min_inliers:
+        return None
+    try:
+        return detect_ring(crop, params)
+    except (NoMarkerFoundError, AmbiguousMarkerError, DegenerateGeometryError):
+        return None
+
+
 def track(previous: MarkerPose, cloud: PointCloud,
           params: DetectParams = DetectParams()) -> MarkerPose:
     """Re-detect near the previous pose, falling back to a full search.
 
-    The cloud is cropped to a sphere of three times the expected outer
-    diameter around the previous centre; any failure inside the crop
-    triggers one full-cloud ``detect_ring``.
+    The cloud is cropped to ``track_window``; when ``detect_in_crop`` fails
+    on the crop, the whole cloud gets one ``detect_ring``.
     """
-    radius = 3.0 * params.expected_outer_diameter_mm
-    center = previous.center.as_array()
+    center, radius = track_window(previous, params)
     mask = np.linalg.norm(cloud.points - center, axis=1) <= radius
-    if int(mask.sum()) >= params.min_inliers:
-        cropped = PointCloud(points=cloud.points[mask],
-                             timestamp_s=cloud.timestamp_s, seed=cloud.seed)
-        try:
-            return detect_ring(cropped, params)
-        except (NoMarkerFoundError, AmbiguousMarkerError, DegenerateGeometryError):
-            pass
-    return detect_ring(cloud, params)
+    crop = PointCloud(points=cloud.points[mask], timestamp_s=cloud.timestamp_s,
+                      seed=cloud.seed)
+    pose = detect_in_crop(crop, params)
+    return detect_ring(cloud, params) if pose is None else pose

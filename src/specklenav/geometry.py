@@ -16,6 +16,15 @@ import numpy as np
 EXACT_TOL = 1e-9
 
 
+def numbers_from_json(values, count: int, what: str) -> list[float]:
+    """A JSON list of ``count`` numbers as floats.  An entry must be an int
+    or a float; a bool or a string is a ValueError that names ``what``."""
+    if (not isinstance(values, list) or len(values) != count
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
+        raise ValueError(f"{what} must be a list of {count} numbers, not {values!r}")
+    return [float(v) for v in values]
+
+
 def _as_float_triple(v) -> tuple[float, float, float]:
     a = np.asarray(v, dtype=float).reshape(3)
     return float(a[0]), float(a[1]), float(a[2])
@@ -244,7 +253,8 @@ class RigidTransform:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RigidTransform":
-        return cls(q=np.asarray(d["q"], dtype=float), t=np.asarray(d["t"], dtype=float))
+        return cls(q=np.array(numbers_from_json(d["q"], 4, "q")),
+                   t=np.array(numbers_from_json(d["t"], 3, "t")))
 
     def is_close(self, other: "RigidTransform", tol: float = EXACT_TOL) -> bool:
         err = pose_error(self, other)
@@ -327,7 +337,8 @@ class Aabb:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Aabb":
-        return cls.from_center_extents(d["center"], d["extents"])
+        return cls.from_center_extents(numbers_from_json(d["center"], 3, "center"),
+                                       numbers_from_json(d["extents"], 3, "extents"))
 
     @property
     def center(self) -> np.ndarray:

@@ -24,6 +24,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Sequence, Union, get_args, get_origin, get_type_hints
@@ -33,7 +34,7 @@ import numpy as np
 from . import fusion as fusion_mod
 from . import respiration as resp_mod
 from .camera import CameraModel
-from .detect import detect_ring, track
+from .detect import MarkerPose, detect_in_crop, detect_ring, track_window
 from .fusion import ExecutionRecord, apply_correction, fit_tcp_correction, marker_in_base
 from .geometry import Aabb, Point3, RigidTransform, line_angle_deg, pose_error
 from .handeye import (
@@ -45,6 +46,7 @@ from .handeye import (
 from .ply import write_cloud
 from .respiration import detect_breath_hold, estimate_period, extract_signal, motion_alarm
 from .scene import (
+    EmptyCloudError,
     RingMarker,
     TorsoPhantom,
     marker_rim_in_view,
@@ -198,12 +200,15 @@ class Scenario:
     @contextmanager
     def render(self, label: str, mount: RigidTransform, *, marker: bool,
                t: float = 0.0, resolution: tuple[int, int] | None = None,
-               phantom: TorsoPhantom | None = None):
+               phantom: TorsoPhantom | None = None,
+               window: tuple[np.ndarray, float] | None = None):
         """Render the frame named ``label`` and yield its cloud.
 
         The camera sits at ``mount`` in the phantom frame.  ``marker`` says
         whether the scenario's marker is in the scene; ``resolution`` and
-        ``phantom`` default to the scenario's own.  The frame's seed is
+        ``phantom`` default to the scenario's own.  ``window`` is passed to
+        ``render_cloud``, which then yields only the frame's points in that
+        camera-frame sphere.  The frame's seed is
         ``stage_seed(master_seed, label)``.  An exception raised by the
         render or inside the ``with`` block (the frame's detection) is
         tagged with the label and seed, which ``run_scenario`` copies into
@@ -215,16 +220,17 @@ class Scenario:
         try:
             yield render_cloud(phantom or self.phantom,
                                self.marker if marker else None, cam, t=t,
-                               seed=seed, noise_scale=self.noise_scale)
+                               seed=seed, noise_scale=self.noise_scale, window=window)
         except Exception as exc:
             exc.replay_frame = (label, seed)
             raise
 
-    def render_scene_frame(self, j: int):
+    def render_scene_frame(self, j: int, window: tuple[np.ndarray, float] | None = None):
         """``render`` of scripted scene frame j, as the scene stage sees it."""
         return self.render(f"scene:frame:{j}",
                            self.camera_in_phantom(self.script_pose(j)),
-                           marker=self.include_marker, t=j / self.camera.frame_rate)
+                           marker=self.include_marker, t=j / self.camera.frame_rate,
+                           window=window)
 
     # -- serialization ------------------------------------------------------
 
@@ -287,7 +293,10 @@ def _from_json(hint, value, where: str):
         return tuple(_from_json(a, v, f"{where}[{i}]")
                      for i, (a, v) in enumerate(zip(args, value)))
     if hasattr(hint, "from_json_dict"):
-        return hint.from_json_dict(value)
+        try:
+            return hint.from_json_dict(value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     if is_dataclass(hint) or hint is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a JSON object")
@@ -535,18 +544,42 @@ def _stage_gate(sc: Scenario, flange_poses, boards_obs, hand_eye_hat) -> dict:
     }
 
 
+def _tracked_pose(previous: MarkerPose, frame) -> tuple[MarkerPose, bool]:
+    """``track(previous, cloud)`` on the frame that ``frame()`` renders, and
+    whether the full frame had to be rendered.
+
+    ``frame(window=...)`` renders only the frame's points in ``track``'s
+    window, bit for bit the crop ``track`` takes, so the crop gives the same
+    pose.  When the crop fails (the window is empty or ``detect_in_crop``
+    finds no single ring in it), the full frame is rendered under the same
+    label and seed and searched whole, as ``track`` falls back to do.
+    """
+    try:
+        with frame(window=track_window(previous)) as crop:
+            pose = detect_in_crop(crop)
+    except EmptyCloudError:
+        pose = None
+    if pose is not None:
+        return pose, False
+    with frame() as cloud:
+        return detect_ring(cloud), True
+
+
 def _stage_scene(sc: Scenario, out: Path) -> dict:
     frame_rate = sc.camera.frame_rate
     poses = []
     center_errors = []
     normal_errors = []
-    previous = None
+    fallbacks = 0
     for j in range(sc.scene_frames):
         t = j / frame_rate
-        with sc.render_scene_frame(j) as cloud:
-            if j == 0:
+        if j == 0:
+            with sc.render_scene_frame(j) as cloud:
                 write_cloud(out / "cloud_scene_0000.ply", cloud)
-            pose = detect_ring(cloud) if previous is None else track(previous, cloud)
+                pose = detect_ring(cloud)
+        else:
+            pose, fell_back = _tracked_pose(pose, partial(sc.render_scene_frame, j))
+            fallbacks += fell_back
         phantom_to_cam = sc.camera_in_phantom(sc.script_pose(j)).invert()
         truth_cam = phantom_to_cam.apply(
             marker_top_center_world(sc.phantom, sc.marker, t))
@@ -556,11 +589,11 @@ def _stage_scene(sc: Scenario, out: Path) -> dict:
         # as lines because the fitted normal is oriented toward the camera.
         up_cam = phantom_to_cam.rotate(np.array([0.0, 0.0, 1.0]))
         normal_errors.append(line_angle_deg(pose.normal, up_cam))
-        previous = pose
     return {
         "poses": poses,
         "summary": {
             "frame_count": len(poses),
+            "track_fallbacks": fallbacks,
             "center_error_median_mm": float(np.median(center_errors)),
             "center_error_max_mm": float(np.max(center_errors)),
             "normal_error_median_deg": float(np.median(normal_errors)),
@@ -640,14 +673,18 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
     frame_count = int(round(cfg.duration_s * cfg.frame_rate_hz))
 
     poses = []
-    previous = None
+    fallbacks = 0
     for j in range(frame_count):
-        with sc.render(f"breathing:frame:{j}", cam_in_phantom,
-                       marker=sc.include_marker, t=j / cfg.frame_rate_hz,
-                       resolution=cfg.resolution, phantom=phantom) as cloud:
-            pose = detect_ring(cloud) if previous is None else track(previous, cloud)
+        frame = partial(sc.render, f"breathing:frame:{j}", cam_in_phantom,
+                        marker=sc.include_marker, t=j / cfg.frame_rate_hz,
+                        resolution=cfg.resolution, phantom=phantom)
+        if j == 0:
+            with frame() as cloud:
+                pose = detect_ring(cloud)
+        else:
+            pose, fell_back = _tracked_pose(pose, frame)
+            fallbacks += fell_back
         poses.append(pose)
-        previous = pose
 
     signal = extract_signal(poses, poses[0].normal)
     resp_mod.write_signal_csv(out / "signal.csv", signal)
@@ -658,6 +695,7 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
     return {
         "summary": {
             "frame_count": frame_count,
+            "track_fallbacks": fallbacks,
             "period_estimate_s": float(period),
             "period_true_s": cfg.period_s,
             "period_error_s": float(period - cfg.period_s),

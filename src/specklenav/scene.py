@@ -34,38 +34,69 @@ class EmptyCloudError(RuntimeError):
     """No ray produced a point: scene missed the frustum entirely."""
 
 
-def _surface_function(surface, extent) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
-                                                float, tuple[float, float] | None]:
-    """Height function of a surface, an upper bound of it over the patch and
-    the plane gradient (gx, gy) of a planar kind.
+# The parameters of each surface kind, with the default of an optional one
+# (None where the descriptor must state it).
+_SURFACE_KEYS = {
+    "flat": {},
+    "slope": {"gx": 0.0, "gy": 0.0},
+    "ripple": {"amplitude_mm": None, "wavelength_x_mm": None, "wavelength_y_mm": None},
+    "dome": {"height_mm": None, "rx_mm": None, "ry_mm": None},
+}
 
-    The bound is inf for a callable surface, whose maximum is unknown.  The
-    gradient is None for the curved kinds and for callables.
+
+def _surface_params(surface: dict) -> tuple[str, dict[str, float]]:
+    """Kind and parameters of a surface descriptor, defaults filled in.
+
+    A key the kind does not have, a missing required key and a value that
+    is not an int or float (a bool or a string) are ValueErrors.
+    """
+    kind = surface.get("kind", "flat")
+    if not isinstance(kind, str) or kind not in _SURFACE_KEYS:
+        raise ValueError(f"unknown surface kind {kind!r}")
+    keys = _SURFACE_KEYS[kind]
+    params = {}
+    for key, value in surface.items():
+        if key == "kind":
+            continue
+        if key not in keys:
+            raise ValueError(f"{kind} surface has no key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{kind} surface key {key!r} must be a number, not {value!r}")
+        params[key] = float(value)
+    for key, default in keys.items():
+        if key not in params:
+            if default is None:
+                raise ValueError(f"{kind} surface needs the key {key!r}")
+            params[key] = default
+    return kind, params
+
+
+def _surface_function(surface, extent) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+                                                tuple[float, float],
+                                                tuple[float, float] | None]:
+    """Height function of a surface, its height range (floor, ceiling) over
+    the patch and the plane gradient (gx, gy) of a planar kind.
+
+    The range is (-inf, inf) for a callable surface, whose extremes are
+    unknown.  The gradient is None for the curved kinds and for callables.
     """
     if callable(surface):
-        return surface, math.inf, None
-    kind = surface.get("kind", "flat")
+        return surface, (-math.inf, math.inf), None
+    kind, p = _surface_params(surface)
     if kind == "flat":
-        return (lambda x, y: np.zeros_like(x)), 0.0, (0.0, 0.0)
+        return (lambda x, y: np.zeros_like(x)), (0.0, 0.0), (0.0, 0.0)
     if kind == "slope":
-        gx = float(surface.get("gx", 0.0))
-        gy = float(surface.get("gy", 0.0))
+        gx, gy = p["gx"], p["gy"]
         xmin, xmax, ymin, ymax = extent
-        bound = max(gx * x + gy * y for x in (xmin, xmax) for y in (ymin, ymax))
-        return (lambda x, y: gx * x + gy * y), bound, (gx, gy)
+        corners = [gx * x + gy * y for x in (xmin, xmax) for y in (ymin, ymax)]
+        return (lambda x, y: gx * x + gy * y), (min(corners), max(corners)), (gx, gy)
     if kind == "ripple":
-        amp = float(surface["amplitude_mm"])
-        wx = float(surface["wavelength_x_mm"])
-        wy = float(surface["wavelength_y_mm"])
+        amp, wx, wy = p["amplitude_mm"], p["wavelength_x_mm"], p["wavelength_y_mm"]
         return (lambda x, y: amp * np.cos(2 * np.pi * x / wx) * np.cos(2 * np.pi * y / wy),
-                abs(amp), None)
-    if kind == "dome":
-        h = float(surface["height_mm"])
-        rx = float(surface["rx_mm"])
-        ry = float(surface["ry_mm"])
-        return (lambda x, y: h * np.clip(1.0 - (x / rx) ** 2 - (y / ry) ** 2, 0.0, None),
-                max(h, 0.0), None)
-    raise ValueError(f"unknown surface kind {kind!r}")
+                (-abs(amp), abs(amp)), None)
+    h, rx, ry = p["height_mm"], p["rx_mm"], p["ry_mm"]
+    return (lambda x, y: h * np.clip(1.0 - (x / rx) ** 2 - (y / ry) ** 2, 0.0, None),
+            (min(h, 0.0), max(h, 0.0)), None)
 
 
 @dataclass(frozen=True)
@@ -93,9 +124,9 @@ class TorsoPhantom:
         if self.breathing_period_s <= 0:
             raise ValueError("breathing period must be positive")
         # Resolve the descriptor once so rendering does not re-parse it.
-        fn, bound, plane = _surface_function(self.surface, self.extent)
+        fn, height_range, plane = _surface_function(self.surface, self.extent)
         object.__setattr__(self, "_height_fn", fn)
-        object.__setattr__(self, "_height_bound", bound)
+        object.__setattr__(self, "_height_range", height_range)
         object.__setattr__(self, "_plane", plane)
 
     def height(self, x, y) -> np.ndarray:
@@ -219,13 +250,14 @@ def _box_bounds(box: Box) -> tuple[np.ndarray, np.ndarray]:
     return box.pose.t - half, box.pose.t + half
 
 
-def _meets_box(seg_lo: np.ndarray, seg_hi: np.ndarray, box_lo: np.ndarray,
+def _meets_box(wa: np.ndarray, wb: np.ndarray, box_lo: np.ndarray,
                box_hi: np.ndarray) -> np.ndarray:
-    """Rows whose segment bounding box [seg_lo, seg_hi] (N, 3) meets [box_lo, box_hi]."""
-    meets = np.ones(len(seg_lo), dtype=bool)
+    """Rows whose segment from ``wa`` to ``wb`` (N, 3) has a bounding box that
+    meets [box_lo, box_hi]."""
+    meets = np.ones(len(wa), dtype=bool)
     for k in range(3):
-        meets &= seg_lo[:, k] <= box_hi[k]
-        meets &= seg_hi[:, k] >= box_lo[k]
+        meets &= np.minimum(wa[:, k], wb[:, k]) <= box_hi[k]
+        meets &= np.maximum(wa[:, k], wb[:, k]) >= box_lo[k]
     return meets
 
 
@@ -358,8 +390,9 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
     """
     knots = [row.distance_mm for row in camera.fov_table]
     xmin, xmax, ymin, ymax = phantom.extent
-    skin_lo = np.array([xmin, ymin, -np.inf]) - _BOX_PAD_MM
-    skin_hi = np.array([xmax, ymax, phantom._height_bound + breath]) + _BOX_PAD_MM
+    floor, ceiling = phantom._height_range
+    skin_lo = np.array([xmin, ymin, floor + breath]) - _BOX_PAD_MM
+    skin_hi = np.array([xmax, ymax, ceiling + breath]) + _BOX_PAD_MM
     targets = [(skin_lo, skin_hi)] + [(lo, hi) for *_, lo, hi in marker_planes] \
         + [_box_bounds(box) for box in occluders]
 
@@ -387,10 +420,8 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
             wa = _knot_points_world(camera, uu[idx], vv[idx], za)
         wb = _knot_points_world(camera, uu[idx], vv[idx], zb)
         dw = wb - wa
-        seg_lo = np.minimum(wa, wb)
-        seg_hi = np.maximum(wa, wb)
 
-        near = _meets_box(seg_lo, seg_hi, skin_lo, skin_hi)
+        near = _meets_box(wa, wb, skin_lo, skin_hi)
         seg_hit = np.full(len(idx), np.inf)
         if near.any():
             if phantom._plane is None:
@@ -400,7 +431,7 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
 
         # Marker top annuli: exact segment-plane intersection per linear piece.
         for origin, normal, r_in, r_out, top_inv, box_lo, box_hi in marker_planes:
-            rows = np.nonzero(_meets_box(seg_lo, seg_hi, box_lo, box_hi))[0]
+            rows = np.nonzero(_meets_box(wa, wb, box_lo, box_hi))[0]
             if len(rows) == 0:
                 continue
             a = wa[rows]
@@ -435,6 +466,51 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
     return hit_depth
 
 
+def _window_rays(camera: CameraModel, uu: np.ndarray, vv: np.ndarray, draws: np.ndarray,
+                 noise_scale: float, center, radius: float) -> np.ndarray:
+    """Pixels whose point can land within ``radius`` of the camera-frame ``center``.
+
+    A pixel's point is its ray's point at the hit depth moved by noise of at
+    most ``noise_scale * max sigma_z * (|n0| + lateral * (|n1| + |n2|))``,
+    from the pixel's own draws n.  Its ray must therefore pass within the
+    radius plus that pad (its reach) of the centre, at a depth within the
+    largest reach of the centre's.  A ray is straight between table knots,
+    so its points at the ends of that depth range and at the knots inside
+    it bound the ray there; a pixel is kept when the box of those points
+    comes within its reach.  A ray's point at depth z is (u * fx(z) / 2,
+    v * fy(z) / 2, z) with fx, fy > 0, so the box's x and y sides come from
+    the smallest and largest fx and fy over those depths.  The reach
+    carries the 1e-6 mm box pad against rounding.
+    """
+    cx, cy, cz = np.asarray(center, dtype=float)
+    sigma_max = noise_scale * max(row.sigma_z_mm for row in camera.fov_table)
+    reach = np.abs(draws[:, 1]) + np.abs(draws[:, 2])
+    reach *= camera.lateral_sigma_factor
+    reach += np.abs(draws[:, 0])
+    reach *= sigma_max
+    reach += radius + _BOX_PAD_MM
+    farthest = float(reach.max())
+    z_lo = max(cz - farthest, camera.near_mm)
+    z_hi = min(cz + farthest, camera.far_mm)
+    if z_lo > z_hi:
+        return np.empty(0, dtype=np.intp)
+    depths = [z_lo, z_hi] + [row.distance_mm for row in camera.fov_table
+                             if z_lo < row.distance_mm < z_hi]
+    fx, fy = camera.field_of_view(np.array(depths))
+    gap_z = max(z_lo - cz, cz - z_hi, 0.0)
+    dist2 = np.full(len(uu), gap_z * gap_z)
+    for w, f, c in ((uu, fx, cx), (vv, fy, cy)):
+        near_side = w * f.min() / 2.0
+        far_side = w * f.max() / 2.0
+        # Gap from the centre to the box side along this axis, 0 when level.
+        gap = np.maximum(np.minimum(near_side, far_side) - c, 0.0)
+        gap += np.maximum(c - np.maximum(near_side, far_side), 0.0)
+        gap *= gap
+        dist2 += gap
+    reach *= reach
+    return np.nonzero(dist2 <= reach)[0]
+
+
 def render_cloud(phantom: TorsoPhantom,
                  marker: "RingMarker | Sequence[RingMarker] | None",
                  camera: CameraModel,
@@ -442,7 +518,8 @@ def render_cloud(phantom: TorsoPhantom,
                  seed: int = 0,
                  *,
                  occluders: Sequence[Box] = (),
-                 noise_scale: float = 1.0) -> PointCloud:
+                 noise_scale: float = 1.0,
+                 window: tuple[Sequence[float], float] | None = None) -> PointCloud:
     """Render one depth frame of the scene at time t.
 
     One ray is cast per sensor grid cell.  The lateral position of a
@@ -472,15 +549,16 @@ def render_cloud(phantom: TorsoPhantom,
     changes no ray's result; a segment is skipped only where it cannot hit.
     A whole segment between two knots is skipped, without placing any ray,
     when the box of its four corner rays meets no target box: the phantom
-    box (the patch extent in x and y, up to the surface's height bound
-    plus the breathing offset in z), a marker's top-face box or an
-    occluder's box.  Within a segment, the surface scan runs only on rays
-    whose segment box meets the phantom box, and a marker's plane test
-    only on rays whose box meets that marker's box.  All boxes are padded
-    by 1e-6 mm, which covers the rounding of ``wa + s * dw``.  A skin hit
-    lies on the patch and at most at the bound, so it lies in the phantom
-    box.  A callable surface has no height bound, so only the patch
-    outline culls its segments.
+    box (the patch extent in x and y, and in z the surface's height range
+    over the patch, floor to ceiling, plus the breathing offset), a
+    marker's top-face box or an occluder's box.  Within a segment, the
+    surface scan runs only on rays whose segment box meets the phantom box,
+    and a marker's plane test only on rays whose box meets that marker's
+    box.  All boxes are padded by 1e-6 mm, which covers the rounding of
+    ``wa + s * dw``.  A skin hit lies on the patch and within the height
+    range, so it lies in the phantom box; a segment wholly below the floor
+    finds no skin.  A callable surface's range is unknown, (-inf, inf), so
+    only the patch outline culls its segments.
 
     Hits are perturbed along the line of sight with sigma_z(depth) and
     laterally with the lateral factor times sigma_z, both scaled by
@@ -489,7 +567,17 @@ def render_cloud(phantom: TorsoPhantom,
     by pixel, so a point's noise depends only on its pixel and ``seed``:
     a ray that gains or loses a hit moves no other point.
 
-    Raises EmptyCloudError when nothing survives.
+    ``window=(center, radius)`` renders only the points within ``radius``
+    of the camera-frame ``center``: the result equals, bit for bit and in
+    the same order, ``full.points[np.linalg.norm(full.points - center,
+    axis=1) <= radius]`` of the full render.  Only the pixels whose point
+    can land in the window are marched (see ``_window_rays``): a pixel's
+    noise moves its point by at most ``noise_scale * max sigma_z * (|n0| +
+    lateral * (|n1| + |n2|))`` from its own draws, so its ray must pass
+    within the radius plus that pad of the centre.
+
+    Raises EmptyCloudError when nothing survives, in a window render also
+    when the window holds no point.
     """
     if noise_scale < 0:
         raise ValueError("noise_scale must be non-negative")
@@ -522,6 +610,18 @@ def render_cloud(phantom: TorsoPhantom,
         marker_planes.append((top.t, normal, m.inner_diameter_mm / 2.0, r_out,
                               top.invert(), top.t - half, top.t + half))
 
+    # One draw per sensor pixel, so a point's noise depends on its pixel alone.
+    # A window render needs them to choose its pixels; a full render draws
+    # them after the march, which then needs the memory itself.
+    pixels = None
+    if window is not None:
+        center, radius = window
+        draws = np.random.default_rng(seed).standard_normal((nx * ny, 3))
+        pixels = _window_rays(camera, uu, vv, draws, noise_scale, center, radius)
+        if len(pixels) == 0:
+            raise EmptyCloudError("no ray can reach the window")
+        uu, vv = uu[pixels], vv[pixels]
+
     hit_depth = _march_rays(phantom, breath, marker_planes, occluders, camera, uu, vv)
     hits = np.isfinite(hit_depth)
     if not np.any(hits):
@@ -529,9 +629,10 @@ def render_cloud(phantom: TorsoPhantom,
 
     sel = np.nonzero(hits)[0]
     points_cam = _ray_points_cam(camera, uu[sel], vv[sel], hit_depth[sel])
-
-    # One draw per sensor pixel, so a point's noise depends on its pixel alone.
-    draws = np.random.default_rng(seed).standard_normal((nx * ny, 3))[sel]
+    if pixels is None:
+        draws = np.random.default_rng(seed).standard_normal((nx * ny, 3))[sel]
+    else:
+        draws = draws[pixels[sel]]
     if noise_scale > 0.0:
         sigma_axial = np.asarray(camera.sigma_z(points_cam[:, 2])) * noise_scale
         sigma_lateral = sigma_axial * camera.lateral_sigma_factor
@@ -549,7 +650,10 @@ def render_cloud(phantom: TorsoPhantom,
                       + draws[:, 2:3] * sigma_lateral[:, None] * lat2)
 
     keep = camera.contains(points_cam)
+    if window is not None:
+        keep &= np.linalg.norm(points_cam - center, axis=1) <= radius
     points_cam = points_cam[keep]
     if len(points_cam) == 0:
-        raise EmptyCloudError("all points fell outside the frustum after noise")
+        raise EmptyCloudError("all points fell outside the frustum after noise"
+                              if window is None else "no point landed in the window")
     return PointCloud(points=points_cam, timestamp_s=float(t), seed=int(seed))

@@ -8,7 +8,7 @@ import pytest
 
 from specklenav import cli, harness
 from specklenav.camera import CameraModel
-from specklenav.detect import detect_ring
+from specklenav.detect import detect_ring, track
 from specklenav.geometry import Aabb, RigidTransform
 from specklenav.harness import (
     BreathingConfig,
@@ -200,6 +200,52 @@ def test_scalars_must_have_their_json_type(field, tmp_path):
     assert exits_with_config_error(tmp_path, doc)
 
 
+# Surface descriptors that loaded before their keys were checked: a string
+# value, an unknown key, a misspelt key that silently left a flat slope, a
+# key the kind does not have and a boolean.
+BAD_SURFACES = {
+    "string_and_unknown": ({"kind": "slope", "gx": "0.05", "gy": 0, "banana": 3}, "slope"),
+    "misspelt_gradient": ({"kind": "slope", "gxx": 0.05}, "slope.*'gxx'"),
+    "key_of_another_kind": ({"kind": "flat", "gx": 0.1}, "flat.*'gx'"),
+    "boolean_amplitude": ({"kind": "ripple", "amplitude_mm": True, "wavelength_x_mm": 80,
+                           "wavelength_y_mm": 60}, "ripple.*'amplitude_mm'"),
+    "string_height": ({"kind": "dome", "height_mm": "30", "rx_mm": 100, "ry_mm": 80},
+                      "dome.*'height_mm'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SURFACES))
+def test_surface_descriptors_take_only_their_own_numeric_keys(case, tmp_path):
+    surface, message = BAD_SURFACES[case]
+    doc = {"master_seed": 1, "phantom": {"surface": surface}}
+    with pytest.raises(ConfigError, match=message):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+
+
+# Values the RigidTransform, FovRow and Aabb hooks used to convert or pass on.
+BAD_HOOK_VALUES = {
+    "string_quaternion": ({"camera": {"mount_pose": {"q": ["1", "0", "0", "0"],
+                                                     "t": [0, 0, 0]}}}, "camera.mount_pose"),
+    "string_translation": ({"hand_eye_true": {"q": [1, 0, 0, 0], "t": ["0", 0, 0]}},
+                           "hand_eye_true"),
+    "boolean_fov_row": ({"camera": {"fov_table": [[True, 198.44, 129.2, 0.033, 0.106],
+                                                  [700.0, 751.32, 498.63, 0.359, 0.41]]}},
+                        r"camera.fov_table\[0\]"),
+    "string_box_centre": ({"observation_box": {"center": [0, 0, "1"], "extents": [1, 1, 1]}},
+                          "observation_box"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_HOOK_VALUES))
+def test_json_hooks_take_only_numbers(case, tmp_path):
+    section, where = BAD_HOOK_VALUES[case]
+    doc = {"master_seed": 1, **section}
+    with pytest.raises(ConfigError, match=rf"^{where}: .*must be a list of \d numbers"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+
+
 def test_camera_still_ignores_the_dropped_blur_key():
     # Scenario and report files written before optical_blur_px was removed
     # carry the key; loading ignores it.
@@ -269,6 +315,26 @@ def test_default_run_stage_content(default_run):
     breathing = report.stages["breathing"]
     assert abs(breathing["period_error_s"]) <= 0.02 * breathing["period_true_s"]
     assert len(report.stages["sweep"]["rows"]) == 7
+    # The camera stands still, so every tracked frame is found in its window.
+    assert scene["track_fallbacks"] == 0
+    assert breathing["track_fallbacks"] == 0
+
+
+def test_a_jump_past_the_crop_renders_the_full_frame(tmp_path):
+    # The second scene pose moves the camera 100 mm sideways, more than the
+    # 72 mm crop radius, so frame 1's window misses the ring.
+    sc = default_scenario(out_dir=str(tmp_path))
+    start = sc.robot_script[0]
+    jump = RigidTransform.translation(100.0, 0.0, 0.0).compose(start)
+    sc = dataclasses.replace(sc, robot_script=(start, jump), scene_frames=2)
+    scene = harness._stage_scene(sc, tmp_path)
+    assert scene["summary"]["track_fallbacks"] == 1
+    with sc.render_scene_frame(0) as cloud:
+        first = detect_ring(cloud)
+    with sc.render_scene_frame(1) as cloud:
+        want = track(first, cloud)
+    assert np.linalg.norm(want.center.as_array() - first.center.as_array()) > 72.0
+    assert scene["poses"][1].to_json_dict() == want.to_json_dict()
 
 
 def test_reruns_are_byte_identical(reduced_double_run):

@@ -578,8 +578,77 @@ def test_height_bound_covers_the_surface(surface, extent):
     phantom = TorsoPhantom(surface=surface, extent=extent)
     x, y = np.meshgrid(np.linspace(extent[0], extent[1], 601),
                        np.linspace(extent[2], extent[3], 401))
-    assert phantom._height_bound >= float(np.max(phantom.height(x, y)))
+    floor, ceiling = phantom._height_range
+    heights = phantom.height(x, y)
+    assert floor <= float(np.min(heights))
+    assert ceiling >= float(np.max(heights))
 
 
 def test_callable_surface_has_no_height_bound():
-    assert TorsoPhantom(surface=lambda x, y: np.zeros_like(x))._height_bound == np.inf
+    height_range = TorsoPhantom(surface=lambda x, y: np.zeros_like(x))._height_range
+    assert height_range == (-np.inf, np.inf)
+
+
+# ---------------------------------------------------------------------------
+# window renders
+
+WINDOW_SURFACES = {
+    "flat": {"kind": "flat"},
+    "slope": SKIP_SURFACES["slope"][0],
+    "ripple": SKIP_SURFACES["ripple"][0],
+    "dome": SKIP_SURFACES["dome"][0],
+}
+WINDOW_MARKERS = (RingMarker(pose_on_surface=RigidTransform.translation(-20.0, 10.0, 0.0)),
+                  RingMarker(pose_on_surface=RigidTransform.translation(45.0, -35.0, 0.0)))
+# The patch reaches past the frustum on +x and ends inside it on -x.
+WINDOW_EXTENT = (-110.0, 280.0, -190.0, 190.0)
+WINDOW_LID = Box(pose=RigidTransform.from_axis_angle((0.0, 0.0, 1.0), 30.0,
+                                                     translation=(-10.0, 40.0, 60.0)),
+                 half_extents=(25.0, 15.0, 5.0))
+
+
+def window_at(where: str, phantom: TorsoPhantom, cam: CameraModel,
+              full: np.ndarray) -> tuple[np.ndarray, float]:
+    """A camera-frame (centre, radius) window at one of four places; the
+    frustum ones are placed from the rightmost point of the full render."""
+    to_cam = cam.mount_pose.invert()
+    edge = full[np.argmax(full[:, 0])]
+    if where == "marker":
+        return to_cam.apply(marker_top_center_world(phantom, WINDOW_MARKERS[0], 0.6)), 72.0
+    if where == "small":
+        # Centred on a rendered point of the annulus, with a radius below the
+        # noise: the window's depth range is so short that a ray's box hugs
+        # the ray, and without the noise pad the point's own pixel is dropped.
+        on_ring = to_cam.apply(marker_top_center_world(phantom, WINDOW_MARKERS[0], 0.6)
+                               + [10.0, 0.0, 0.0])
+        return full[np.argmin(np.linalg.norm(full - on_ring, axis=1))], 0.1
+    if where == "patch_edge":
+        return to_cam.apply([WINDOW_EXTENT[0], -30.0, 0.0]), 40.0
+    if where == "frustum_edge":
+        return edge + [10.0, 0.0, 0.0], 40.0
+    return edge + [300.0, 0.0, 0.0], 40.0
+
+
+@pytest.mark.parametrize("where", ["marker", "small", "patch_edge", "frustum_edge",
+                                   "off_frustum"])
+@pytest.mark.parametrize("noise_scale", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("tilt", [0.0, 20.0])
+@pytest.mark.parametrize("kind", sorted(WINDOW_SURFACES))
+def test_window_render_is_the_full_render_cropped(kind, tilt, noise_scale, where):
+    # The window contract: the same points, bit for bit and in pixel order,
+    # as the full frame cropped to the sphere.
+    phantom = TorsoPhantom(surface=WINDOW_SURFACES[kind], extent=WINDOW_EXTENT,
+                           breathing_amplitude_mm=2.5)
+    cam = tilted_camera(420.0, tilt, resolution=(96, 72))
+    kwargs = dict(t=0.6, seed=11, occluders=(WINDOW_LID,), noise_scale=noise_scale)
+    full = render_cloud(phantom, WINDOW_MARKERS, cam, **kwargs).points
+    center, radius = window_at(where, phantom, cam, full)
+    want = full[np.linalg.norm(full - center, axis=1) <= radius]
+    if where == "off_frustum":
+        assert len(want) == 0
+        with pytest.raises(EmptyCloudError):
+            render_cloud(phantom, WINDOW_MARKERS, cam, window=(center, radius), **kwargs)
+        return
+    assert 0 < len(want) < len(full)
+    got = render_cloud(phantom, WINDOW_MARKERS, cam, window=(center, radius), **kwargs)
+    assert np.array_equal(got.points, want)
