@@ -8,19 +8,8 @@ seeded scenario runner.
 """
 
 from .camera import CameraModel, FovRow, RangeClampWarning
-from .detect import (
-    DetectParams,
-    MarkerPose,
-    NoMarkerFoundError,
-    detect_ring,
-    track,
-)
-from .fov import (
-    ViewFrustum,
-    accuracy_estimate,
-    blind_spot_check,
-    observation_rectangle_fit,
-)
+from .detect import MarkerPose, NoMarkerFoundError, detect_ring, track
+from .fov import accuracy_estimate, blind_spot_check, observation_rectangle_fit
 from .fusion import (
     ExecutionRecord,
     TcpCorrection,
@@ -62,7 +51,6 @@ __all__ = [
     "BreathSignal",
     "CalibrationSample",
     "CameraModel",
-    "DetectParams",
     "ExecutionRecord",
     "FovRow",
     "HandEyeResult",
@@ -77,7 +65,6 @@ __all__ = [
     "Scenario",
     "TcpCorrection",
     "TorsoPhantom",
-    "ViewFrustum",
     "accuracy_estimate",
     "apply_correction",
     "blind_spot_check",

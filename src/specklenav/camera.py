@@ -10,8 +10,7 @@ nearest knot and emit a RangeClampWarning.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, field, replace
-from typing import Sequence
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -130,33 +129,19 @@ class CameraModel:
         """Lateral size of one pixel (mm) at a standoff distance."""
         return self._interp(distance_mm, "pixel_size_mm")
 
-    def contains(self, points_cam: np.ndarray,
-                 near_mm: float | None = None,
-                 far_mm: float | None = None) -> np.ndarray:
-        """Frustum membership test for camera-frame points, vectorized.
-
-        A point is inside when its depth lies in [near, far] and its
-        lateral offsets fit inside the interpolated field of view at
-        that depth.
-        """
-        p = np.atleast_2d(np.asarray(points_cam, dtype=float))
-        near = self.near_mm if near_mm is None else near_mm
-        far = self.far_mm if far_mm is None else far_mm
-        z = p[:, 2]
-        ok = (z >= near) & (z <= far)
-        zc = np.clip(z, self.near_mm, self.far_mm)
-        fx = np.interp(zc, self._knots_mm, self._columns["fov_x_mm"])
-        fy = np.interp(zc, self._knots_mm, self._columns["fov_y_mm"])
-        ok &= np.abs(p[:, 0]) <= fx / 2.0
-        ok &= np.abs(p[:, 1]) <= fy / 2.0
-        return ok
+    def contains(self, points_cam: np.ndarray) -> np.ndarray:
+        """Frustum membership of camera-frame points (N, 3), vectorized:
+        ``frustum_margin >= 0``.  A point is inside when its depth lies in
+        [near, far] and its lateral offsets fit inside the interpolated
+        field of view at that depth; a non-finite point never is."""
+        return self.frustum_margin(np.atleast_2d(points_cam)) >= 0.0
 
     def frustum_margin(self, points_cam: np.ndarray) -> np.ndarray:
         """Signed slack (mm) of camera-frame points (..., 3) in the frustum.
 
         The smallest of z - near, far - z, fov_x/2 - |x| and fov_y/2 - |y|
-        at the clamped depth, one value per point.  For finite points it
-        is >= 0 exactly where ``contains`` (default planes) is True.
+        at the clamped depth, one value per point; NaN when a coordinate
+        is NaN.
         """
         p = np.asarray(points_cam, dtype=float)
         z = p[..., 2]
@@ -166,6 +151,3 @@ class CameraModel:
         return np.minimum(np.minimum(z - self.near_mm, self.far_mm - z),
                           np.minimum(fx / 2.0 - np.abs(p[..., 0]),
                                      fy / 2.0 - np.abs(p[..., 1])))
-
-    def with_mount_pose(self, pose: RigidTransform) -> "CameraModel":
-        return replace(self, mount_pose=pose)

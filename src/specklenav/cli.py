@@ -16,12 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .detect import detect_ring
-from .fov import (
-    ViewFrustum,
-    accuracy_estimate,
-    blind_spot_check,
-    observation_rectangle_fit,
-)
+from .fov import accuracy_estimate, blind_spot_check, observation_rectangle_fit
 from .geometry import Point3
 from .harness import (
     ConfigError,
@@ -125,10 +120,10 @@ def cmd_calibrate(args) -> int:
 def cmd_detect(args) -> int:
     scenario = _scenario_from_args(args)
     if args.cloud:
-        pose = detect_ring(read_cloud(args.cloud))
+        pose = detect_ring(read_cloud(args.cloud), scenario.marker)
     else:
         with scenario.render_scene_frame(0) as cloud:
-            pose = detect_ring(cloud)
+            pose = detect_ring(cloud, scenario.marker)
     doc = pose.to_json_dict()
     _write_json(scenario.out_dir, "detection.json", doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -161,8 +156,8 @@ def cmd_fov(args) -> int:
     extents = [float(v) for v in box.extents]
     fit = observation_rectangle_fit(camera, extents[0], extents[1])
     camera_in_base = scenario.robot_script[0].compose(scenario.hand_eye_true)
-    visibility = blind_spot_check(camera_in_base, ViewFrustum(camera=camera),
-                                  [], Point3.from_array(box.center))
+    visibility = blind_spot_check(camera_in_base, camera, [],
+                                  Point3.from_array(box.center))
     band = accuracy_estimate(max(extents))
     doc = {
         "working_range_mm": [camera.near_mm, camera.far_mm],

@@ -13,10 +13,11 @@ the skin.  Detection proceeds in four steps:
    the winner with the lowest geometric residual.
 
 The fitted circle tracks the middle of the annulus, so the diameter
-gate compares against the mean of the expected outer and inner
-diameters.  Only five degrees of freedom of the marker are observable
-(centre plus plane normal); the in-plane angle is not reported.  The
-normal is always oriented toward the camera origin.
+gate compares against the mean of the outer and inner diameters of the
+``RingMarker`` passed in (the scenario's marker in a run).  Only five
+degrees of freedom of the marker are observable (centre plus plane
+normal); the in-plane angle is not reported.  The normal is always
+oriented toward the camera origin.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .geometry import Point3
-from .scene import PointCloud
+from .scene import PointCloud, RingMarker
 
 _GN_ITERS = 60
 # Preemptive RANSAC (Nister 2005): hypotheses are drawn in chunks of
@@ -37,6 +38,18 @@ _GN_ITERS = 60
 _CHUNK = 64
 _SUBSET_POINTS = 2048
 _VERIFY_TOP = 8
+_RANSAC_ITERATIONS = 300
+_RANSAC_SEED = 0
+_PLANE_INLIER_MM = 1.0
+# The proud band above the skin plane, the cluster linkage distance (mm),
+# the smallest cluster that counts (at least the circle fit's 6 points),
+# and how far a cluster's fitted diameter may sit from the marker's mid
+# diameter (mm).
+_BAND_LOW_MM = 1.0
+_BAND_HIGH_MM = 4.0
+_CLUSTER_LINK_MM = 8.0
+_MIN_INLIERS = 15
+_DIAMETER_TOLERANCE_MM = 2.0
 
 
 class TooFewPointsError(ValueError):
@@ -58,42 +71,6 @@ class AmbiguousMarkerError(RuntimeError):
         self.candidates = tuple(candidates)
         super().__init__(
             f"{len(self.candidates)} clusters pass the ring gate with comparable residuals")
-
-
-@dataclass(frozen=True)
-class DetectParams:
-    """Tuning knobs for ``detect_ring``. Lengths in mm."""
-
-    expected_outer_diameter_mm: float = 24.0
-    expected_inner_diameter_mm: float = 16.0
-    diameter_tolerance_mm: float = 2.0
-    ransac_iterations: int = 300
-    plane_inlier_threshold_mm: float = 1.0
-    min_inliers: int = 15
-    rng_seed: int = 0
-    band_low_mm: float = 1.0
-    band_high_mm: float = 4.0
-    cluster_link_mm: float = 8.0
-
-    def __post_init__(self):
-        if not (0 < self.expected_inner_diameter_mm < self.expected_outer_diameter_mm):
-            raise ValueError("need 0 < inner < outer expected diameter")
-        if self.diameter_tolerance_mm <= 0:
-            raise ValueError("diameter tolerance must be positive")
-        if self.ransac_iterations < 1:
-            raise ValueError("ransac_iterations must be >= 1")
-        if self.plane_inlier_threshold_mm <= 0:
-            raise ValueError("plane inlier threshold must be positive")
-        if self.min_inliers < 6:
-            raise ValueError("min_inliers must be at least 6 (circle fit minimum)")
-        if not (0 <= self.band_low_mm < self.band_high_mm):
-            raise ValueError("need 0 <= band_low < band_high")
-        if self.cluster_link_mm <= 0:
-            raise ValueError("cluster_link_mm must be positive")
-
-    @property
-    def expected_mid_diameter_mm(self) -> float:
-        return (self.expected_outer_diameter_mm + self.expected_inner_diameter_mm) / 2.0
 
 
 @dataclass(frozen=True)
@@ -321,8 +298,8 @@ def _cluster_indices(points: np.ndarray, link_mm: float) -> list[np.ndarray]:
     return sorted(clusters, key=lambda c: c[0])
 
 
-def detect_ring(cloud: PointCloud, params: DetectParams = DetectParams()) -> MarkerPose:
-    """Find the ring marker in a cloud. See the module docstring for the steps.
+def detect_ring(cloud: PointCloud, marker: RingMarker = RingMarker()) -> MarkerPose:
+    """Find ``marker`` in a cloud. See the module docstring for the steps.
 
     Raises NoMarkerFoundError when nothing passes the gates and
     AmbiguousMarkerError when several clusters pass with geometric
@@ -330,27 +307,25 @@ def detect_ring(cloud: PointCloud, params: DetectParams = DetectParams()) -> Mar
     attached to the error).
     """
     pts = cloud.points
-    if len(pts) < params.min_inliers:
+    if len(pts) < _MIN_INLIERS:
         raise NoMarkerFoundError(f"cloud has only {len(pts)} points")
-    centroid, normal, _ = _ransac_plane(
-        pts, params.plane_inlier_threshold_mm, params.ransac_iterations,
-        params.rng_seed)
+    centroid, normal, _ = _ransac_plane(pts, _PLANE_INLIER_MM, _RANSAC_ITERATIONS,
+                                        _RANSAC_SEED)
     heights = (pts - centroid) @ normal
-    band = (heights >= params.band_low_mm) & (heights <= params.band_high_mm)
+    band = (heights >= _BAND_LOW_MM) & (heights <= _BAND_HIGH_MM)
     candidates_pts = pts[band]
-    if len(candidates_pts) < params.min_inliers:
+    if len(candidates_pts) < _MIN_INLIERS:
         raise NoMarkerFoundError("no points in the proud band above the skin plane")
 
     fits = []
-    for cluster in _cluster_indices(candidates_pts, params.cluster_link_mm):
-        if len(cluster) < max(params.min_inliers, 6):
+    for cluster in _cluster_indices(candidates_pts, _CLUSTER_LINK_MM):
+        if len(cluster) < _MIN_INLIERS:
             continue
         try:
             fit = fit_circle_3d(candidates_pts[cluster])
         except (TooFewPointsError, DegenerateGeometryError):
             continue
-        if abs(2.0 * fit.radius_mm - params.expected_mid_diameter_mm) \
-                <= params.diameter_tolerance_mm:
+        if abs(2.0 * fit.radius_mm - marker.mid_diameter_mm) <= _DIAMETER_TOLERANCE_MM:
             fits.append((fit, len(cluster)))
     if not fits:
         raise NoMarkerFoundError("no cluster passed the ring diameter gate")
@@ -372,35 +347,33 @@ def detect_ring(cloud: PointCloud, params: DetectParams = DetectParams()) -> Mar
 
 
 def track_window(previous: MarkerPose,
-                 params: DetectParams = DetectParams()) -> tuple[np.ndarray, float]:
+                 marker: RingMarker = RingMarker()) -> tuple[np.ndarray, float]:
     """The sphere (centre, radius) that ``track`` crops a cloud to: three
-    times the expected outer diameter around the previous centre."""
-    return previous.center.as_array(), 3.0 * params.expected_outer_diameter_mm
+    times the marker's outer diameter around the previous centre."""
+    return previous.center.as_array(), 3.0 * marker.outer_diameter_mm
 
 
 def detect_in_crop(crop: PointCloud,
-                   params: DetectParams = DetectParams()) -> MarkerPose | None:
+                   marker: RingMarker = RingMarker()) -> MarkerPose | None:
     """``detect_ring`` on a cloud cropped to ``track_window``, or None when
-    the crop fails: it has fewer than ``min_inliers`` points, or it holds no
-    ring, several rings or degenerate geometry."""
-    if len(crop) < params.min_inliers:
-        return None
+    the crop fails: it holds no ring (too few points included), several
+    rings or degenerate geometry."""
     try:
-        return detect_ring(crop, params)
+        return detect_ring(crop, marker)
     except (NoMarkerFoundError, AmbiguousMarkerError, DegenerateGeometryError):
         return None
 
 
 def track(previous: MarkerPose, cloud: PointCloud,
-          params: DetectParams = DetectParams()) -> MarkerPose:
+          marker: RingMarker = RingMarker()) -> MarkerPose:
     """Re-detect near the previous pose, falling back to a full search.
 
     The cloud is cropped to ``track_window``; when ``detect_in_crop`` fails
     on the crop, the whole cloud gets one ``detect_ring``.
     """
-    center, radius = track_window(previous, params)
+    center, radius = track_window(previous, marker)
     mask = np.linalg.norm(cloud.points - center, axis=1) <= radius
     crop = PointCloud(points=cloud.points[mask], timestamp_s=cloud.timestamp_s,
                       seed=cloud.seed)
-    pose = detect_in_crop(crop, params)
-    return detect_ring(cloud, params) if pose is None else pose
+    pose = detect_in_crop(crop, marker)
+    return detect_ring(cloud, marker) if pose is None else pose

@@ -10,51 +10,17 @@ the equipment in the way.  The view at a given standoff is
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .camera import CameraModel, RangeClampWarning
 from .geometry import Box, Point3, RigidTransform
 
 
 @dataclass(frozen=True)
-class ViewFrustum:
-    """Working depth slice of the observation pyramid.
-
-    Cross-sections follow the camera's distance/field-of-view table; depths
-    outside the table's knot range are clamped to it (with a warning), since
-    the interpolant has no support beyond the measured rows.
-    """
-
-    camera: CameraModel = field(default_factory=CameraModel)
-    near_mm: float = -math.inf
-    far_mm: float = math.inf
-
-    def __post_init__(self) -> None:
-        near = self.near_mm if math.isfinite(self.near_mm) else self.camera.near_mm
-        far = self.far_mm if math.isfinite(self.far_mm) else self.camera.far_mm
-        clipped_near = min(max(near, self.camera.near_mm), self.camera.far_mm)
-        clipped_far = min(max(far, self.camera.near_mm), self.camera.far_mm)
-        if clipped_near != near or clipped_far != far:
-            warnings.warn(
-                "frustum depth range clamped to the camera table span",
-                RangeClampWarning, stacklevel=2)
-        if not clipped_near < clipped_far:
-            raise ValueError("frustum needs near < far after clamping")
-        object.__setattr__(self, "near_mm", clipped_near)
-        object.__setattr__(self, "far_mm", clipped_far)
-
-
-@dataclass(frozen=True)
 class VisibilityResult:
     visible: bool
     reason: str  # "visible" | "outside_frustum" | "occluded"
-
-    def to_json_dict(self) -> dict:
-        return {"visible": self.visible, "reason": self.reason}
 
 
 @dataclass(frozen=True)
@@ -72,10 +38,6 @@ class AccuracyEstimate:
     note: str = ("rule-of-thumb band (1-5 % of the observation-space edge); "
                  "the depth-noise table is sub-millimetre over its range and "
                  "should be preferred for quantitative work")
-
-    def to_json_dict(self) -> dict:
-        return {"low_mm": self.low_mm, "high_mm": self.high_mm,
-                "note": self.note}
 
 
 def observation_rectangle_fit(camera: CameraModel, rect_x_mm: float,
@@ -113,20 +75,16 @@ def observation_rectangle_fit(camera: CameraModel, rect_x_mm: float,
     return hi
 
 
-def blind_spot_check(camera_pose: RigidTransform, frustum: ViewFrustum,
+def blind_spot_check(camera_pose: RigidTransform, camera: CameraModel,
                      occluders: list[Box], target: Point3) -> VisibilityResult:
     """Can the camera at camera_pose actually see the target point?
 
-    Visible means the target falls inside the frustum depth slice and view
-    rectangle, and no occluder box cuts the straight line of sight.
+    Visible means the target lies in the camera's frustum
+    (``CameraModel.contains``) and no occluder box cuts the straight line
+    of sight.
     """
     target_w = target.as_array()
-    in_cam = camera_pose.invert().apply(target_w)
-    z = float(in_cam[2])
-    if not (frustum.near_mm <= z <= frustum.far_mm):
-        return VisibilityResult(False, "outside_frustum")
-    fov_x, fov_y = frustum.camera.field_of_view(z)
-    if abs(float(in_cam[0])) > fov_x / 2.0 or abs(float(in_cam[1])) > fov_y / 2.0:
+    if not camera.contains(camera_pose.invert().apply(target_w))[0]:
         return VisibilityResult(False, "outside_frustum")
 
     origin = camera_pose.t.reshape(1, 3)

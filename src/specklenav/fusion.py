@@ -34,15 +34,6 @@ class ExecutionRecord:
     camera_observed: Point3
     robot_executed: Point3
 
-    @property
-    def difference(self) -> Point3:
-        """Componentwise robot_executed - camera_observed."""
-        return Point3(
-            self.robot_executed.x - self.camera_observed.x,
-            self.robot_executed.y - self.camera_observed.y,
-            self.robot_executed.z - self.camera_observed.z,
-        )
-
 
 @dataclass(frozen=True)
 class TcpCorrection:
@@ -84,14 +75,6 @@ class TcpCorrection:
             "fit_pair_count": self.fit_pair_count,
             "fit_rms": self.fit_rms,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TcpCorrection":
-        sx, sy, sz = (float(v) for v in data["scale"])
-        ox, oy, oz = (float(v) for v in data["offset"])
-        return cls(sx, sy, sz, ox, oy, oz,
-                   fit_pair_count=int(data["fit_pair_count"]),
-                   fit_rms=float(data["fit_rms"]))
 
 
 def marker_in_base(

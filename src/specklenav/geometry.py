@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -208,9 +208,6 @@ class RigidTransform:
         t = self.rotation_matrix @ other.t + self.t
         return RigidTransform(q=q, t=t)
 
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
-
     def invert(self) -> "RigidTransform":
         qc = self.q * np.array([1.0, -1.0, -1.0, -1.0])
         rt = _quat_to_matrix(qc)
@@ -223,9 +220,6 @@ class RigidTransform:
         p = np.atleast_2d(p)
         out = p @ self.rotation_matrix.T + self.t
         return out[0] if single else out
-
-    def apply_point(self, p: Point3) -> Point3:
-        return Point3.from_array(self.apply(p.as_array()))
 
     def rotate(self, vectors) -> np.ndarray:
         """Rotate direction vectors without translating them."""
@@ -398,12 +392,3 @@ class Box:
             t_hi = np.minimum(t_hi, hi)
         ok &= t_lo <= t_hi
         return ok, np.where(ok, t_lo, np.inf)
-
-    def to_json_dict(self) -> dict:
-        return {"pose": self.pose.to_json_dict(),
-                "half_extents": [float(v) for v in self.half_extents]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Box":
-        return cls(pose=RigidTransform.from_json_dict(d["pose"]),
-                   half_extents=np.asarray(d["half_extents"], dtype=float))

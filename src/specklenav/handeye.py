@@ -28,6 +28,12 @@ from .camera import CameraModel
 from .geometry import (Aabb, RigidTransform, _quat_multiply, _quat_to_matrix,
                        line_angle_deg, pose_error)
 
+# The reprojection gate: a calibration passes when the mean corner offset
+# stays below this many pixels.
+GATE_THRESHOLD_PX = 0.5
+# The relative rotation axes of a solve must span at least this angle.
+_MIN_AXIS_SEPARATION_DEG = 5.0
+
 
 class TooFewSamplesError(ValueError):
     """Fewer samples or planned poses than the problem needs."""
@@ -101,13 +107,9 @@ class ReprojectionStats:
     max_px: float
     per_corner_px: tuple[float, ...] = field(repr=False, default=())
 
-    def passes_gate(self, threshold_px: float = 0.5) -> bool:
+    def passes_gate(self, threshold_px: float = GATE_THRESHOLD_PX) -> bool:
         """Static verification gate: the mean offset must stay below threshold."""
         return self.mean_px < threshold_px
-
-    def to_json_dict(self) -> dict:
-        return {"mean_px": self.mean_px, "std_px": self.std_px,
-                "max_px": self.max_px, "corner_count": len(self.per_corner_px)}
 
 
 def _relative_motions(samples: Sequence[CalibrationSample]):
@@ -141,19 +143,18 @@ def _check_axis_spread(a_motions, min_separation_deg: float):
             f"need {min_separation_deg} deg for a stable solution")
 
 
-def solve_ax_xb(samples: Sequence[CalibrationSample],
-                min_axis_separation_deg: float = 5.0) -> HandEyeResult:
+def solve_ax_xb(samples: Sequence[CalibrationSample]) -> HandEyeResult:
     """Solve AX = XB over all sample pairs.
 
     Raises TooFewSamplesError below 3 samples and
     InsufficientMotionError when the relative rotation axes are within
-    ``min_axis_separation_deg`` of a single line.
+    5 degrees of a single line.
     """
     samples = list(samples)
     if len(samples) < 3:
         raise TooFewSamplesError(f"hand-eye needs at least 3 samples, got {len(samples)}")
     motions = list(_relative_motions(samples))
-    _check_axis_spread([a for a, _ in motions], min_axis_separation_deg)
+    _check_axis_spread([a for a, _ in motions], _MIN_AXIS_SEPARATION_DEG)
 
     scatter = np.zeros((3, 3))
     for a, b in motions:

@@ -38,6 +38,7 @@ from .detect import MarkerPose, detect_in_crop, detect_ring, track_window
 from .fusion import ExecutionRecord, apply_correction, fit_tcp_correction, marker_in_base
 from .geometry import Aabb, Point3, RigidTransform, line_angle_deg, pose_error
 from .handeye import (
+    GATE_THRESHOLD_PX,
     plan_poses,
     reprojection_error,
     sample_from_board_observation,
@@ -55,8 +56,6 @@ from .scene import (
 )
 
 VERSION = "0.1.0"
-
-GATE_THRESHOLD_PX = 0.5
 
 
 class ConfigError(ValueError):
@@ -471,12 +470,12 @@ def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
     for i, flange in enumerate(flange_poses):
         cam_in_phantom = sc.camera_in_phantom(flange)
         rim_in_view.append(marker_rim_in_view(
-            cam_base.with_mount_pose(cam_in_phantom), sc.phantom, sc.marker, 0.0))
+            replace(cam_base, mount_pose=cam_in_phantom), sc.phantom, sc.marker, 0.0))
         with sc.render(f"calibration:render:{i}", cam_in_phantom, marker=True,
                        resolution=sc.calibration.resolution) as cloud:
             if i == 0:
                 write_cloud(out / "cloud_calib_0000.ply", cloud)
-            found = detect_ring(cloud)
+            found = detect_ring(cloud, sc.marker)
         truth_cam = cam_in_phantom.invert().apply(
             marker_top_center_world(sc.phantom, sc.marker, 0.0))
         center_errors.append(float(np.linalg.norm(
@@ -531,7 +530,7 @@ def _stage_gate(sc: Scenario, flange_poses, boards_obs, hand_eye_hat) -> dict:
         predicted.append(_project_px(
             cam_px, cam_pose_hat.invert().apply(consensus.apply(corners_local))))
     stats = reprojection_error(np.vstack(observed), np.vstack(predicted))
-    passed = stats.passes_gate(GATE_THRESHOLD_PX)
+    passed = stats.passes_gate()
     return {
         "passed": passed,
         "summary": {
@@ -544,9 +543,10 @@ def _stage_gate(sc: Scenario, flange_poses, boards_obs, hand_eye_hat) -> dict:
     }
 
 
-def _tracked_pose(previous: MarkerPose, frame) -> tuple[MarkerPose, bool]:
-    """``track(previous, cloud)`` on the frame that ``frame()`` renders, and
-    whether the full frame had to be rendered.
+def _tracked_pose(previous: MarkerPose, frame,
+                  marker: RingMarker) -> tuple[MarkerPose, bool]:
+    """``track(previous, cloud, marker)`` on the frame that ``frame()``
+    renders, and whether the full frame had to be rendered.
 
     ``frame(window=...)`` renders only the frame's points in ``track``'s
     window, bit for bit the crop ``track`` takes, so the crop gives the same
@@ -555,35 +555,48 @@ def _tracked_pose(previous: MarkerPose, frame) -> tuple[MarkerPose, bool]:
     label and seed and searched whole, as ``track`` falls back to do.
     """
     try:
-        with frame(window=track_window(previous)) as crop:
-            pose = detect_in_crop(crop)
+        with frame(window=track_window(previous, marker)) as crop:
+            pose = detect_in_crop(crop, marker)
     except EmptyCloudError:
         pose = None
     if pose is not None:
         return pose, False
     with frame() as cloud:
-        return detect_ring(cloud), True
+        return detect_ring(cloud, marker), True
+
+
+def _detect_then_track(frames, marker: RingMarker,
+                       first_ply: Path | None = None) -> tuple[list[MarkerPose], int]:
+    """The marker's pose in each of a sequence of frames, and the count of
+    frames that fell back to a full render.
+
+    Frame 0 is rendered whole and searched with ``detect_ring`` (its cloud
+    is written to ``first_ply`` when one is given); every later frame goes
+    through ``_tracked_pose`` from the pose before it.  Each item of
+    ``frames`` is a ``Scenario.render`` call waiting for its ``window``.
+    """
+    with frames[0]() as cloud:
+        if first_ply is not None:
+            write_cloud(first_ply, cloud)
+        poses = [detect_ring(cloud, marker)]
+    fallbacks = 0
+    for frame in frames[1:]:
+        pose, fell_back = _tracked_pose(poses[-1], frame, marker)
+        poses.append(pose)
+        fallbacks += fell_back
+    return poses, fallbacks
 
 
 def _stage_scene(sc: Scenario, out: Path) -> dict:
-    frame_rate = sc.camera.frame_rate
-    poses = []
+    poses, fallbacks = _detect_then_track(
+        [partial(sc.render_scene_frame, j) for j in range(sc.scene_frames)],
+        sc.marker, out / "cloud_scene_0000.ply")
     center_errors = []
     normal_errors = []
-    fallbacks = 0
-    for j in range(sc.scene_frames):
-        t = j / frame_rate
-        if j == 0:
-            with sc.render_scene_frame(j) as cloud:
-                write_cloud(out / "cloud_scene_0000.ply", cloud)
-                pose = detect_ring(cloud)
-        else:
-            pose, fell_back = _tracked_pose(pose, partial(sc.render_scene_frame, j))
-            fallbacks += fell_back
+    for j, pose in enumerate(poses):
         phantom_to_cam = sc.camera_in_phantom(sc.script_pose(j)).invert()
         truth_cam = phantom_to_cam.apply(
-            marker_top_center_world(sc.phantom, sc.marker, t))
-        poses.append(pose)
+            marker_top_center_world(sc.phantom, sc.marker, j / sc.camera.frame_rate))
         center_errors.append(float(np.linalg.norm(pose.center.as_array() - truth_cam)))
         # Ground-truth surface normal points up in the phantom frame; compare
         # as lines because the fitted normal is oriented toward the camera.
@@ -624,7 +637,7 @@ def _stage_fusion(sc: Scenario, hand_eye_hat: RigidTransform, out: Path) -> dict
         t = (sc.scene_frames + k) / frame_rate
         with sc.render(f"fusion:probe:{k}", sc.camera_in_phantom(flange_k),
                        marker=sc.include_marker, t=t) as cloud:
-            pose_k = detect_ring(cloud)
+            pose_k = detect_ring(cloud, sc.marker)
         fused, _ = marker_in_base(hand_eye_hat, flange_k, pose_k)
         observed_cmd = fused.as_array() + offset
         executed = truth_base + offset
@@ -672,19 +685,11 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
     cam_in_phantom = sc.camera_in_phantom(sc.robot_script[0])
     frame_count = int(round(cfg.duration_s * cfg.frame_rate_hz))
 
-    poses = []
-    fallbacks = 0
-    for j in range(frame_count):
-        frame = partial(sc.render, f"breathing:frame:{j}", cam_in_phantom,
-                        marker=sc.include_marker, t=j / cfg.frame_rate_hz,
-                        resolution=cfg.resolution, phantom=phantom)
-        if j == 0:
-            with frame() as cloud:
-                pose = detect_ring(cloud)
-        else:
-            pose, fell_back = _tracked_pose(pose, frame)
-            fallbacks += fell_back
-        poses.append(pose)
+    poses, fallbacks = _detect_then_track(
+        [partial(sc.render, f"breathing:frame:{j}", cam_in_phantom,
+                 marker=sc.include_marker, t=j / cfg.frame_rate_hz,
+                 resolution=cfg.resolution, phantom=phantom)
+         for j in range(frame_count)], sc.marker)
 
     signal = extract_signal(poses, poses[0].normal)
     resp_mod.write_signal_csv(out / "signal.csv", signal)

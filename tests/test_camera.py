@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,21 +90,16 @@ def test_contains_checks_depth_and_lateral_extent(camera):
     lateral_out = np.array([[218.0, 0.0, 400.0]])
     assert camera.contains(lateral_in).all()
     assert not camera.contains(lateral_out).any()
-
-
-def test_contains_accepts_override_planes(camera):
-    p = np.array([[0.0, 0.0, 300.0]])
-    assert camera.contains(p).all()
-    assert not camera.contains(p, near_mm=350.0).any()
-    assert not camera.contains(np.array([[0.0, 0.0, 600.0]]), far_mm=500.0).any()
-
-
-def test_with_mount_pose_returns_new_camera(camera):
-    pose = RigidTransform.translation(1.0, 2.0, 3.0)
-    other = camera.with_mount_pose(pose)
-    assert other.mount_pose.is_close(pose)
-    assert camera.mount_pose.is_close(RigidTransform.identity())
-    assert other.fov_table == camera.fov_table
+    # The near and far planes and the lateral edges are inside.
+    edges = np.array([[0.0, 0.0, 250.0], [0.0, 0.0, 700.0],
+                      [217.685, 0.0, 400.0], [0.0, -142.465, 400.0]])
+    assert camera.contains(edges).all()
+    assert camera.contains(edges[0]).shape == (1,)
+    nan, inf = float("nan"), float("inf")
+    odd = np.array([[nan, 0.0, 400.0], [0.0, nan, 400.0], [0.0, 0.0, nan],
+                    [inf, 0.0, 400.0], [0.0, -inf, 400.0], [0.0, 0.0, inf],
+                    [0.0, 0.0, -inf]])
+    assert not camera.contains(odd).any()
 
 
 def test_json_roundtrip_is_exact(camera):
@@ -122,7 +118,7 @@ def test_copies_answer_queries_like_the_original(camera):
     rng = np.random.default_rng(3)
     points = np.column_stack([rng.uniform(-400, 400, 500), rng.uniform(-260, 260, 500),
                               rng.uniform(240.0, 710.0, 500)])
-    moved = camera.with_mount_pose(RigidTransform.translation(1.0, 2.0, 3.0))
+    moved = replace(camera, mount_pose=RigidTransform.translation(1.0, 2.0, 3.0))
     back = scenario_json_round_trip(camera=moved).camera
     for other in (moved, back):
         for a, b in zip(other.field_of_view(depths), camera.field_of_view(depths)):

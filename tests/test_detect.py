@@ -5,7 +5,6 @@ from specklenav.camera import CameraModel
 from specklenav.detect import (
     AmbiguousMarkerError,
     DegenerateGeometryError,
-    DetectParams,
     MarkerPose,
     NoMarkerFoundError,
     TooFewPointsError,
@@ -17,6 +16,7 @@ from specklenav.detect import (
     detect_ring,
     fit_circle_3d,
     track,
+    track_window,
 )
 from specklenav.geometry import Point3, RigidTransform, random_transform
 from specklenav.scene import PointCloud, RingMarker, TorsoPhantom, render_cloud
@@ -95,10 +95,24 @@ def test_tiny_cloud_raises():
 
 
 def test_wrong_expected_diameter_finds_nothing():
-    params = DetectParams(expected_outer_diameter_mm=60.0,
-                          expected_inner_diameter_mm=52.0)
     with pytest.raises(NoMarkerFoundError):
-        detect_ring(scene_cloud(3), params)
+        detect_ring(scene_cloud(3), RingMarker(outer_diameter_mm=60, inner_diameter_mm=52))
+
+
+def test_detection_and_tracking_read_the_marker_size():
+    large = RingMarker(outer_diameter_mm=40.0, inner_diameter_mm=30.0)
+    cloud = scene_cloud(12, marker=large)
+    with pytest.raises(NoMarkerFoundError):
+        detect_ring(cloud)
+    pose = detect_ring(cloud, large)
+    assert pose.radius_mm == pytest.approx(large.mid_diameter_mm / 2.0, abs=0.5)
+    assert np.linalg.norm(pose.center.as_array() - TOP_TRUTH) < 0.3
+    assert track_window(pose, large)[1] == 120.0
+    shifted = RingMarker(outer_diameter_mm=40.0, inner_diameter_mm=30.0,
+                         pose_on_surface=RigidTransform.translation(6.0, -4.0, 0.0))
+    nxt = track(pose, scene_cloud(13, marker=shifted), large)
+    expect = TOP_TRUTH + np.array([6.0, 4.0, 0.0])  # camera y axis is flipped
+    assert np.linalg.norm(nxt.center.as_array() - expect) < 0.3
 
 
 def test_rigid_invariance_of_detection():
@@ -142,19 +156,8 @@ def test_track_falls_back_to_full_search():
     assert np.linalg.norm(got.center.as_array() - expect) < 0.3
 
 
-def test_detect_params_validation():
-    with pytest.raises(ValueError):
-        DetectParams(expected_inner_diameter_mm=30.0)
-    with pytest.raises(ValueError):
-        DetectParams(min_inliers=3)
-    with pytest.raises(ValueError):
-        DetectParams(band_low_mm=5.0, band_high_mm=4.0)
-    with pytest.raises(ValueError):
-        DetectParams(ransac_iterations=0)
-
-
 def test_expected_mid_diameter():
-    assert DetectParams().expected_mid_diameter_mm == 20.0
+    assert RingMarker().mid_diameter_mm == 20.0
 
 
 def test_circle_fit_on_synthetic_circle():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from specklenav.camera import DEFAULT_FOV_TABLE, CameraModel, RangeClampWarning
+from specklenav.camera import DEFAULT_FOV_TABLE, CameraModel
 from specklenav.fov import (
     AccuracyEstimate,
-    ViewFrustum,
     VisibilityResult,
     accuracy_estimate,
     blind_spot_check,
@@ -60,47 +59,29 @@ def test_rectangle_fit_rejects_bad_dimensions():
 
 
 def test_default_frustum_spans_the_table():
-    frustum = ViewFrustum()
-    assert frustum.near_mm == 250.0
-    assert frustum.far_mm == 700.0
-
-
-def test_frustum_clamps_to_the_table_with_a_warning():
-    with pytest.warns(RangeClampWarning):
-        frustum = ViewFrustum(near_mm=100.0, far_mm=900.0)
-    assert frustum.near_mm == 250.0
-    assert frustum.far_mm == 700.0
-
-
-def test_frustum_rejects_an_empty_depth_slice():
-    with pytest.raises(ValueError):
-        ViewFrustum(near_mm=500.0, far_mm=400.0)
-    with pytest.raises(ValueError), pytest.warns(RangeClampWarning):
-        ViewFrustum(near_mm=800.0, far_mm=900.0)  # both clamp onto the far knot
+    for z in (250.0, 700.0):
+        assert blind_spot_check(RigidTransform.identity(), CAMERA, [],
+                                Point3(0.0, 0.0, z)).visible
 
 
 def test_target_straight_ahead_is_visible():
-    result = blind_spot_check(RigidTransform.identity(), ViewFrustum(), [],
+    result = blind_spot_check(RigidTransform.identity(), CAMERA, [],
                               Point3(0.0, 0.0, 400.0))
     assert result == VisibilityResult(True, "visible")
 
 
 def test_target_outside_the_depth_slice():
-    frustum = ViewFrustum()
-    for z in (200.0, 710.0):
-        result = blind_spot_check(RigidTransform.identity(), frustum, [],
+    for z in (200.0, 249.9, 700.1, 710.0):
+        result = blind_spot_check(RigidTransform.identity(), CAMERA, [],
                                   Point3(0.0, 0.0, z))
-        assert result.reason == "outside_frustum"
-    narrowed = ViewFrustum(near_mm=300.0, far_mm=500.0)
-    assert blind_spot_check(RigidTransform.identity(), narrowed, [],
-                            Point3(0.0, 0.0, 280.0)).reason == "outside_frustum"
+        assert result == VisibilityResult(False, "outside_frustum")
 
 
 def test_target_just_past_the_view_edge():
     # half view width at 400 mm is 217.685 mm
-    inside = blind_spot_check(RigidTransform.identity(), ViewFrustum(), [],
+    inside = blind_spot_check(RigidTransform.identity(), CAMERA, [],
                               Point3(217.0, 0.0, 400.0))
-    outside = blind_spot_check(RigidTransform.identity(), ViewFrustum(), [],
+    outside = blind_spot_check(RigidTransform.identity(), CAMERA, [],
                                Point3(218.0, 0.0, 400.0))
     assert inside.visible
     assert outside == VisibilityResult(False, "outside_frustum")
@@ -109,7 +90,7 @@ def test_target_just_past_the_view_edge():
 def test_box_on_the_line_of_sight_occludes():
     blocker = Box(pose=RigidTransform.translation(0.0, 0.0, 300.0),
                   half_extents=np.array([40.0, 40.0, 10.0]))
-    result = blind_spot_check(RigidTransform.identity(), ViewFrustum(), [blocker],
+    result = blind_spot_check(RigidTransform.identity(), CAMERA, [blocker],
                               Point3(0.0, 0.0, 400.0))
     assert result == VisibilityResult(False, "occluded")
 
@@ -117,14 +98,13 @@ def test_box_on_the_line_of_sight_occludes():
 def test_box_beside_the_line_of_sight_does_not_occlude():
     bystander = Box(pose=RigidTransform.translation(150.0, 0.0, 300.0),
                     half_extents=np.array([40.0, 40.0, 10.0]))
-    result = blind_spot_check(RigidTransform.identity(), ViewFrustum(), [bystander],
+    result = blind_spot_check(RigidTransform.identity(), CAMERA, [bystander],
                               Point3(0.0, 0.0, 400.0))
     assert result.visible
 
 
 def test_visibility_is_rigid_invariant():
     """Moving camera, occluders and target together never changes the verdict."""
-    frustum = ViewFrustum()
     blocker = Box(pose=RigidTransform.translation(0.0, 0.0, 300.0),
                   half_extents=np.array([40.0, 40.0, 10.0]))
     cases = [([], Point3(0.0, 0.0, 400.0)),
@@ -133,13 +113,13 @@ def test_visibility_is_rigid_invariant():
              ([blocker], Point3(120.0, 0.0, 400.0))]
     rng = np.random.default_rng(31)
     for occluders, target in cases:
-        base = blind_spot_check(RigidTransform.identity(), frustum, occluders, target)
+        base = blind_spot_check(RigidTransform.identity(), CAMERA, occluders, target)
         for _ in range(20):
             g = random_transform(rng, max_rotation_deg=90.0, max_translation_mm=500.0)
             moved_boxes = [Box(pose=g.compose(b.pose), half_extents=b.half_extents)
                            for b in occluders]
             moved_target = Point3.from_array(g.apply(target.as_array()))
-            got = blind_spot_check(g, frustum, moved_boxes, moved_target)
+            got = blind_spot_check(g, CAMERA, moved_boxes, moved_target)
             assert got == base
 
 
@@ -155,16 +135,7 @@ def test_accuracy_estimate_band():
 def test_accuracy_note_flags_the_band_as_coarse():
     estimate = accuracy_estimate(300.0)
     assert "sub-millimetre" in estimate.note
-    doc = estimate.to_json_dict()
-    assert set(doc) == {"low_mm", "high_mm", "note"}
-
-
-def test_visibility_json():
-    assert blind_spot_check(RigidTransform.identity(), ViewFrustum(), [],
-                            Point3(0.0, 0.0, 400.0)).to_json_dict() == {
-        "visible": True, "reason": "visible"}
 
 
 def test_accuracy_estimate_is_a_plain_band():
-    est = AccuracyEstimate(low_mm=2.0, high_mm=10.0, note="n")
-    assert est.to_json_dict() == {"low_mm": 2.0, "high_mm": 10.0, "note": "n"}
+    assert accuracy_estimate(200.0) == AccuracyEstimate(low_mm=2.0, high_mm=10.0)

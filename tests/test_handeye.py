@@ -14,7 +14,6 @@ from specklenav.handeye import (
     InfeasibleBoxError,
     InsufficientMotionError,
     LengthMismatchError,
-    ReprojectionStats,
     TooFewSamplesError,
     plan_poses,
     reprojection_error,
@@ -304,12 +303,6 @@ def test_plan_rejects_an_oversized_box():
     deep = Aabb.from_center_extents((0.0, 0.0, 0.0), (10.0, 10.0, 500.0))
     with pytest.raises(InfeasibleBoxError):
         plan_poses(deep, 5, 22.0)
-
-
-def test_reprojection_stats_json():
-    doc = ReprojectionStats(mean_px=0.1, std_px=0.05, max_px=0.2,
-                            per_corner_px=(0.1, 0.2)).to_json_dict()
-    assert doc == {"mean_px": 0.1, "std_px": 0.05, "max_px": 0.2, "corner_count": 2}
 
 
 # ---------------------------------------------------------------------------

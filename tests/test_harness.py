@@ -380,7 +380,7 @@ def test_failed_frame_replays_from_its_label_and_seed(no_marker_run):
     assert (stage, kind) == ("scene", "frame")
     j = int(j)
     flange = sc.robot_script[min(j, len(sc.robot_script) - 1)]
-    cam = sc.camera.with_mount_pose(sc.camera_in_phantom(flange))
+    cam = dataclasses.replace(sc.camera, mount_pose=sc.camera_in_phantom(flange))
     cloud = render_cloud(sc.phantom, None, cam, t=j / sc.camera.frame_rate,
                          seed=seed, noise_scale=sc.noise_scale)
     # The run wrote this frame's cloud before its detection failed.
@@ -573,6 +573,21 @@ def test_cli_detect_renders_scene_frame_0_without_a_cloud(tmp_path, capsys):
     [first, *_] = simulate_clouds(sc, out_dir=str(tmp_path / "clouds"))
     assert first.name == "cloud_scene_0000.ply"
     assert doc == detect_ring(read_cloud(first)).to_json_dict()
+
+
+def test_a_larger_ring_runs_through_the_scene_stage(tmp_path, capsys):
+    # Detection and tracking read the ring size from the scenario's marker;
+    # the default 24/16 mm gate finds no 40/30 mm ring.
+    sc = reduced_scenario(str(tmp_path / "out"))
+    large = dataclasses.replace(sc.marker, outer_diameter_mm=40.0, inner_diameter_mm=30.0)
+    sc = dataclasses.replace(sc, marker=large, observation_box=None)
+    report = run_scenario(sc, last_stage="scene")
+    assert report.verdict == "PASSED"
+    assert report.stages["scene"]["track_fallbacks"] == 0
+    assert report.stages["scene"]["center_error_max_mm"] < 0.3
+    assert cli.main(["detect", "--config", write_config(tmp_path, sc)]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["radius_mm"] == pytest.approx(large.mid_diameter_mm / 2.0, abs=0.5)
 
 
 def test_cli_simulate_from_config(tmp_path, capsys):
