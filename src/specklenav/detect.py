@@ -5,8 +5,9 @@ the skin.  Detection proceeds in four steps:
 
 1. a seeded preemptive RANSAC finds the skin plane: every hypothesis
    is counted on an evenly strided subset of at most 2048 points, the
-   8 best are counted again on the whole cloud, and the winner's
-   inliers get a PCA refit,
+   8 best are counted again on the whole cloud (each count an exact
+   BLAS product), and the winner's inliers get a PCA refit from their
+   3x3 scatter,
 2. a band-pass on plane residuals keeps points riding above it,
 3. surviving points are clustered by Euclidean linkage,
 4. each cluster gets a 3D circle fit and the ring diameter gate picks
@@ -202,10 +203,11 @@ def _plane_support(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     """(n, k) inlier mask of k planes ``normal . x = offset``.
 
     Subset scoring and full verification both use this ``(n, 3) @ (3, k)``
-    product.  With OpenBLAS each entry then has the same bits for any
-    k >= 2, which keeps a cloud that is its own subset on the reference's
-    bits.  k = 1 would take a matrix-vector path that can differ in the
-    last bit, so a single plane is scored as two copies of itself.
+    product and count the mask with ``_column_counts``.  With OpenBLAS
+    each entry then has the same bits for any k >= 2, which keeps a cloud
+    that is its own subset on the reference's bits.  k = 1 would take a
+    matrix-vector path that can differ in the last bit, so a single plane
+    is scored as two copies of itself.
     """
     if len(normals) == 1:
         return _plane_support(points, np.repeat(normals, 2, axis=0),
@@ -216,9 +218,20 @@ def _plane_support(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     return dists <= threshold
 
 
-def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
-                  seed: int):
-    """Best consensus plane via preemptive RANSAC, then a PCA refit on inliers.
+def _column_counts(mask: np.ndarray) -> np.ndarray:
+    """True entries per column of an (n, k) mask, as float64.
+
+    One BLAS product of a ones-vector with the mask cast to float64, which
+    is several times quicker than ``np.count_nonzero(mask, axis=0)``.
+    Every partial sum is an integer below 2**53, so each count is exact
+    whatever order the product adds in.
+    """
+    return np.ones(len(mask)) @ mask.astype(np.float64)
+
+
+def _ransac_inliers(points: np.ndarray, threshold: float, iterations: int,
+                    seed: int) -> np.ndarray:
+    """Inlier mask of the best consensus plane, by preemptive RANSAC.
 
     Hypotheses come from the counter-based Philox generator in chunks of
     64, so runs are reproducible on any platform for a given seed.  Each
@@ -244,15 +257,19 @@ def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
         done += m
         tri = rng.integers(0, n, size=(m, 3))
         p0 = points[tri[:, 0]]
-        cross = np.cross(points[tri[:, 1]] - p0, points[tri[:, 2]] - p0)
+        a = points[tri[:, 1]] - p0
+        b = points[tri[:, 2]] - p0
+        # a x b by components: the same products and differences as np.cross.
+        cross = np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                                 a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                                 a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
         norms = np.linalg.norm(cross, axis=1)
         ok = norms > 1e-12
         if not np.any(ok):
             continue
         unit = cross[ok] / norms[ok, None]
         offset = np.einsum("ij,ij->i", p0[ok], unit)
-        support.append(np.count_nonzero(
-            _plane_support(subset, unit, offset, threshold), axis=0))
+        support.append(_column_counts(_plane_support(subset, unit, offset, threshold)))
         normals.append(unit)
         offsets.append(offset)
     if not normals:
@@ -263,17 +280,29 @@ def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
     top = np.sort(np.argsort(-np.concatenate(support), kind="stable")[:_VERIFY_TOP])
     within = _plane_support(points, np.concatenate(normals)[top],
                             np.concatenate(offsets)[top], threshold)
-    counts = np.count_nonzero(within, axis=0)
+    counts = _column_counts(within)
     best = int(np.argmax(counts))
     if counts[best] < 3:
         raise DegenerateGeometryError("RANSAC found no plane support")
-    inliers = points[within[:, best]]
+    return within[:, best]
+
+
+def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid and unit normal of the ``_ransac_inliers`` plane, refit.
+
+    The refit is a PCA of the inliers: the normal is the eigenvector of
+    the smallest eigenvalue of their 3x3 scatter about the centroid,
+    oriented toward the camera origin.
+    """
+    # np.compress picks the same rows as boolean indexing, several times
+    # faster on (n, 3) points.
+    inliers = np.compress(_ransac_inliers(points, threshold, iterations, seed),
+                          points, axis=0)
     centroid = inliers.mean(axis=0)
-    _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
-    normal = _orient_toward_origin(vt[2], centroid)
-    # Final inlier set against the refined plane.
-    mask = np.abs((points - centroid) @ normal) <= threshold
-    return centroid, normal, mask
+    centered = inliers - centroid
+    _, axes = np.linalg.eigh(centered.T @ centered)
+    return centroid, _orient_toward_origin(axes[:, 0], centroid)
 
 
 def _cluster_indices(points: np.ndarray, link_mm: float) -> list[np.ndarray]:
@@ -309,11 +338,11 @@ def detect_ring(cloud: PointCloud, marker: RingMarker = RingMarker()) -> MarkerP
     pts = cloud.points
     if len(pts) < _MIN_INLIERS:
         raise NoMarkerFoundError(f"cloud has only {len(pts)} points")
-    centroid, normal, _ = _ransac_plane(pts, _PLANE_INLIER_MM, _RANSAC_ITERATIONS,
-                                        _RANSAC_SEED)
+    centroid, normal = _ransac_plane(pts, _PLANE_INLIER_MM, _RANSAC_ITERATIONS,
+                                     _RANSAC_SEED)
     heights = (pts - centroid) @ normal
     band = (heights >= _BAND_LOW_MM) & (heights <= _BAND_HIGH_MM)
-    candidates_pts = pts[band]
+    candidates_pts = np.compress(band, pts, axis=0)
     if len(candidates_pts) < _MIN_INLIERS:
         raise NoMarkerFoundError("no points in the proud band above the skin plane")
 
@@ -373,7 +402,7 @@ def track(previous: MarkerPose, cloud: PointCloud,
     """
     center, radius = track_window(previous, marker)
     mask = np.linalg.norm(cloud.points - center, axis=1) <= radius
-    crop = PointCloud(points=cloud.points[mask], timestamp_s=cloud.timestamp_s,
-                      seed=cloud.seed)
+    crop = PointCloud(points=np.compress(mask, cloud.points, axis=0),
+                      timestamp_s=cloud.timestamp_s, seed=cloud.seed)
     pose = detect_in_crop(crop, marker)
     return detect_ring(cloud, marker) if pose is None else pose

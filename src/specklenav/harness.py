@@ -278,9 +278,14 @@ _RETIRED_KEYS = {CameraModel: {"optical_blur_px"}}
 def _from_json(hint, value, where: str):
     """Inverse of ``_to_json`` for a field annotated ``hint``, which ``where``
     names in errors.  ``from_json_dict`` where the type has one; a scalar
-    must already have its field's JSON type."""
+    must already have its field's JSON type.  ``null`` reads as None for
+    a field whose type admits None, and is an error for any other."""
     if get_origin(hint) in (Union, UnionType):  # a union's first type is its JSON form
+        if value is None and type(None) in get_args(hint):
+            return None
         hint = get_args(hint)[0]
+    if value is None:
+        raise ConfigError(f"{where} must not be null")
     if get_origin(hint) is tuple:
         args = get_args(hint)
         if not isinstance(value, list):

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .camera import CameraModel
+from .camera import CameraModel, FovRow
 from .geometry import Box, RigidTransform
 
 # Height that ``TorsoPhantom.height`` reports outside the phantom patch; it
@@ -230,17 +230,20 @@ def marker_rim_in_view(camera: CameraModel, phantom: TorsoPhantom,
     return bool(np.all(camera.contains(rim_cam)))
 
 
-def _ray_points_cam(camera: CameraModel, u: np.ndarray, v: np.ndarray, z) -> np.ndarray:
-    """Camera-frame ray positions at depth z for normalized grid coords."""
-    fx, fy = camera.field_of_view(z)
+def _ray_points_cam(u: np.ndarray, v: np.ndarray, z, fx, fy) -> np.ndarray:
+    """Camera-frame ray positions at depth z for normalized grid coords,
+    given the field of view (fx, fy) at z."""
     return np.stack([u * fx / 2.0, v * fy / 2.0,
                      np.broadcast_to(np.asarray(z, dtype=float), u.shape)], axis=-1)
 
 
 def _knot_points_world(camera: CameraModel, u: np.ndarray, v: np.ndarray,
-                       knot_mm: float) -> np.ndarray:
-    """Scene-frame ray positions (N, 3) at the depth of one table knot."""
-    pc = _ray_points_cam(camera, u, v, float(knot_mm))
+                       row: FovRow) -> np.ndarray:
+    """Scene-frame ray positions (N, 3) at the depth of one table knot.
+
+    The field of view is the row's own, which is what the interpolant
+    returns at a knot, bit for bit."""
+    pc = _ray_points_cam(u, v, float(row.distance_mm), row.fov_x_mm, row.fov_y_mm)
     return pc @ camera.mount_pose.rotation_matrix.T + camera.mount_pose.t
 
 
@@ -388,7 +391,7 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
 
     Work is culled with padded axis-aligned boxes; see ``render_cloud``.
     """
-    knots = [row.distance_mm for row in camera.fov_table]
+    table = camera.fov_table
     xmin, xmax, ymin, ymax = phantom.extent
     floor, ceiling = phantom._height_range
     skin_lo = np.array([xmin, ymin, floor + breath]) - _BOX_PAD_MM
@@ -401,7 +404,7 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
     # bound meets no target is skipped without placing any ray.
     cu = np.array([uu.min(), uu.max(), uu.min(), uu.max()])
     cv = np.array([vv.min(), vv.min(), vv.max(), vv.max()])
-    corners = np.stack([_knot_points_world(camera, cu, cv, z) for z in knots])
+    corners = np.stack([_knot_points_world(camera, cu, cv, row) for row in table])
     slab_lo = np.minimum(corners[:-1], corners[1:]).min(axis=1)[:, None]
     slab_hi = np.maximum(corners[:-1], corners[1:]).max(axis=1)[:, None]
     t_lo = np.array([lo for lo, _ in targets])
@@ -415,10 +418,10 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
     for k in np.nonzero(live)[0]:
         if len(idx) == 0:
             break
-        za, zb = knots[k], knots[k + 1]
+        za, zb = table[k].distance_mm, table[k + 1].distance_mm
         if k == 0 or not live[k - 1]:
-            wa = _knot_points_world(camera, uu[idx], vv[idx], za)
-        wb = _knot_points_world(camera, uu[idx], vv[idx], zb)
+            wa = _knot_points_world(camera, uu[idx], vv[idx], table[k])
+        wb = _knot_points_world(camera, uu[idx], vv[idx], table[k + 1])
         dw = wb - wa
 
         near = _meets_box(wa, wb, skin_lo, skin_hi)
@@ -628,7 +631,8 @@ def render_cloud(phantom: TorsoPhantom,
         raise EmptyCloudError("no ray intersected the scene inside the frustum")
 
     sel = np.nonzero(hits)[0]
-    points_cam = _ray_points_cam(camera, uu[sel], vv[sel], hit_depth[sel])
+    points_cam = _ray_points_cam(uu[sel], vv[sel], hit_depth[sel],
+                                 *camera.field_of_view(hit_depth[sel]))
     if pixels is None:
         draws = np.random.default_rng(seed).standard_normal((nx * ny, 3))[sel]
     else:

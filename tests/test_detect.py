@@ -10,8 +10,10 @@ from specklenav.detect import (
     TooFewPointsError,
     _SUBSET_POINTS,
     _cluster_indices,
+    _column_counts,
     _orient_toward_origin,
     _plane_support,
+    _ransac_inliers,
     _ransac_plane,
     detect_ring,
     fit_circle_3d,
@@ -227,7 +229,11 @@ def test_clusters_partition_the_points_in_order():
 
 
 def reference_ransac_plane(points, threshold, iterations, seed):
-    """Reference: every hypothesis counted on every point, first maximum wins."""
+    """Reference: every hypothesis counted on every point, first maximum wins.
+
+    Returns the winner's inlier mask, their centroid and the normal of an
+    SVD of the centred inliers, oriented toward the camera origin.
+    """
     n = len(points)
     rng = np.random.Generator(np.random.Philox(key=seed))
     best_count, best_mask, done = -1, None, 0
@@ -251,8 +257,24 @@ def reference_ransac_plane(points, threshold, iterations, seed):
     inliers = points[best_mask]
     centroid = inliers.mean(axis=0)
     _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
-    normal = _orient_toward_origin(vt[2], centroid)
-    return centroid, normal, np.abs((points - centroid) @ normal) <= threshold
+    return best_mask, centroid, _orient_toward_origin(vt[2], centroid)
+
+
+def line_gap_deg(a: np.ndarray, b: np.ndarray) -> float:
+    """Angle between two lines, accurate near zero."""
+    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(a, b)), abs(a @ b))))
+
+
+def assert_same_winner(points, iterations, seed):
+    """The RANSAC winner's inliers and centroid are the reference's bits, and
+    the scatter refit's normal is its SVD normal to 1e-9 degrees."""
+    mask, centroid, normal = reference_ransac_plane(points, 1.0, iterations, seed)
+    assert np.array_equal(_ransac_inliers(points, 1.0, iterations, seed), mask)
+    got_centroid, got_normal = _ransac_plane(points, 1.0, iterations, seed)
+    assert np.array_equal(got_centroid, centroid)
+    assert line_gap_deg(got_normal, normal) <= 1e-9
+    assert float(got_normal @ normal) > 0
+    assert np.linalg.norm(got_normal) == pytest.approx(1.0, abs=1e-12)
 
 
 def two_planes(rows: int) -> np.ndarray:
@@ -288,15 +310,12 @@ def test_ransac_plane_matches_the_reference_scoring(case):
         iterations = 130
     assert len(points) <= _SUBSET_POINTS
     for seed in (0, 11, 12):
-        want = reference_ransac_plane(points, 1.0, iterations, seed)
-        got = _ransac_plane(points, 1.0, iterations, seed)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        assert_same_winner(points, iterations, seed)
 
 
-def line_gap_deg(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between two lines, accurate near zero."""
-    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(a, b)), abs(a @ b))))
+def refit_support(points, centroid, normal) -> int:
+    """Points within the 1 mm threshold of a refit plane."""
+    return int(np.count_nonzero(np.abs((points - centroid) @ normal) <= 1.0))
 
 
 @pytest.mark.parametrize("tilt_deg", [0.0, 20.0])
@@ -312,11 +331,17 @@ def test_ransac_plane_stays_close_to_the_reference_on_large_clouds(surface, tilt
         points = scene_cloud(seed, surface=surface, tilt_deg=tilt_deg).points
         assert len(points) > _SUBSET_POINTS
         for rng_seed in (0, 11):
-            c_ref, n_ref, m_ref = reference_ransac_plane(points, 1.0, 300, rng_seed)
-            c, n, m = _ransac_plane(points, 1.0, 300, rng_seed)
+            _, c_ref, n_ref = reference_ransac_plane(points, 1.0, 300, rng_seed)
+            c, n = _ransac_plane(points, 1.0, 300, rng_seed)
             assert line_gap_deg(n, n_ref) <= 1e-3
             assert abs(float(c @ n) - float(c_ref @ n_ref)) <= 1e-2
-            assert abs(int(m.sum()) - int(m_ref.sum())) <= 1e-3 * m_ref.sum()
+            m, m_ref = refit_support(points, c, n), refit_support(points, c_ref, n_ref)
+            assert abs(m - m_ref) <= 1e-3 * m_ref
+            # The 3x3 scatter refit keeps the SVD normal of the same inliers.
+            inliers = points[_ransac_inliers(points, 1.0, 300, rng_seed)]
+            assert np.array_equal(c, inliers.mean(axis=0))
+            _, _, vt = np.linalg.svd(inliers - c, full_matrices=False)
+            assert line_gap_deg(n, vt[2]) <= 1e-9
 
 
 def test_ransac_plane_verifies_on_the_full_cloud():
@@ -339,11 +364,8 @@ def test_ransac_plane_verifies_on_the_full_cloud():
         tri = np.concatenate([rng.integers(0, n, size=(64, 3)) for _ in range(5)])[:300]
         for members in (low, high):
             assert np.isin(tri, members).all(axis=1).any()
-        want = reference_ransac_plane(points, 1.0, 300, seed)
-        got = _ransac_plane(points, 1.0, 300, seed)
-        assert abs(got[0][2] - 460.0) < 0.1
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        assert abs(_ransac_plane(points, 1.0, 300, seed)[0][2] - 460.0) < 0.1
+        assert_same_winner(points, 300, seed)
 
 
 def test_single_plane_support_matches_a_column_of_a_wider_product():
@@ -363,3 +385,22 @@ def test_single_plane_support_matches_a_column_of_a_wider_product():
             single = _plane_support(points, normals[:1], offsets[:1], threshold)
             assert single.shape == (300, 1)
             assert np.array_equal(single[:, 0], wide[:, 0])
+
+
+def test_column_counts_equal_count_nonzero():
+    rng = np.random.default_rng(3)
+    for rows, cols in ((_SUBSET_POINTS, 64), (_SUBSET_POINTS, 1), (49152, 8), (7, 3)):
+        for fill in (0.0, 0.3, 0.999, 1.0):
+            mask = rng.random((rows, cols)) < fill
+            if cols > 1:
+                mask[:, -1] = False  # an all-false column
+            counts = _column_counts(mask)
+            assert counts.dtype == np.float64
+            assert np.array_equal(counts, np.count_nonzero(mask, axis=0))
+    # A single plane's mask is a strided one-column view (the k = 1 path).
+    points = rng.uniform(-200.0, 200.0, size=(_SUBSET_POINTS, 3))
+    for offset in (0.0, 1e4):  # 1e4: no point within the threshold
+        single = _plane_support(points, np.array([[0.0, 0.0, 1.0]]),
+                                np.array([offset]), 50.0)
+        assert single.shape == (_SUBSET_POINTS, 1)
+        assert np.array_equal(_column_counts(single), np.count_nonzero(single, axis=0))

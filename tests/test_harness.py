@@ -258,6 +258,33 @@ def test_camera_still_ignores_the_dropped_blur_key():
         assert Scenario.from_json_dict(doc).to_json_dict() == plain
 
 
+def test_a_null_observation_box_is_derived(tmp_path):
+    # observation_box is Aabb | None, and None asks for the derived box.
+    derived = Scenario.from_json_dict({"master_seed": 1})
+    doc = {"master_seed": 1, "observation_box": None}
+    loaded = Scenario.from_json_dict(doc)
+    assert loaded.to_json_dict() == derived.to_json_dict()
+    assert np.array_equal(loaded.observation_box.center, derived.observation_box.center)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert harness.load_scenario(path).to_json_dict() == derived.to_json_dict()
+
+
+# null for fields whose type does not admit None.
+NULL_REQUIRED = {"noise_scale": {"noise_scale": None},
+                 "camera": {"camera": None},
+                 "calibration.resolution": {"calibration": {"resolution": None}},
+                 "marker.pose_on_surface": {"marker": {"pose_on_surface": None}}}
+
+
+@pytest.mark.parametrize("field", list(NULL_REQUIRED))
+def test_null_for_a_required_field_is_a_config_error(field, tmp_path):
+    doc = {"master_seed": 1, **NULL_REQUIRED[field]}
+    with pytest.raises(ConfigError, match=rf"^{field} must not be null"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+
+
 def test_scenario_field_validation():
     with pytest.raises(ConfigError):
         Scenario(master_seed=1, scene_frames=0)
