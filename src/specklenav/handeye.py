@@ -12,27 +12,29 @@ The rotation is solved by log-map least squares over all motion pairs
 (Park and Martin's formulation); the minimizing orthogonal matrix is
 extracted with an SVD so two well-separated rotation axes suffice.
 The translation follows from the stacked linear system
-(I - R_A) t_X = t_A - R_X t_B.
+(I - R_A) t_X = t_A - R_X t_B.  The solve runs on arrays: every pair's
+motions, log vectors, rows and residuals come from one batched pass over
+the samples' stacked quaternions and translations.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .camera import CameraModel
 from .geometry import (Aabb, RigidTransform, _quat_multiply, _quat_to_matrix,
-                       line_angle_deg, pose_error)
+                       line_angle_deg)
 
 # The reprojection gate: a calibration passes when the mean corner offset
 # stays below this many pixels.
 GATE_THRESHOLD_PX = 0.5
 # The relative rotation axes of a solve must span at least this angle.
 _MIN_AXIS_SEPARATION_DEG = 5.0
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class TooFewSamplesError(ValueError):
@@ -105,38 +107,45 @@ class ReprojectionStats:
     mean_px: float
     std_px: float
     max_px: float
-    per_corner_px: tuple[float, ...] = field(repr=False, default=())
 
     def passes_gate(self, threshold_px: float = GATE_THRESHOLD_PX) -> bool:
         """Static verification gate: the mean offset must stay below threshold."""
         return self.mean_px < threshold_px
 
 
-def _relative_motions(samples: Sequence[CalibrationSample]):
-    # Each sample is inverted once, not once per pair it starts.
-    flange_inv = [s.flange_in_base.invert() for s in samples]
-    target_inv = [s.target_in_camera.invert() for s in samples]
-    for i, j in itertools.combinations(range(len(samples)), 2):
-        yield (flange_inv[i].compose(samples[j].flange_in_base),
-               target_inv[i].compose(samples[j].target_in_camera))
+def _pair_motions(poses: Sequence[RigidTransform], i: np.ndarray, j: np.ndarray):
+    """The motions pose_i^-1 * pose_j of the pairs (i, j): unit quaternions
+    (4, m) signed as ``_quat_canonical`` signs them, rotation matrices
+    (m, 3, 3) and translations (m, 3)."""
+    q = np.array([p.q for p in poses]).T
+    t = np.array([p.t for p in poses])
+    inv_q = q[:, i] * _CONJUGATE[:, None]
+    motion_q = _quat_multiply(inv_q, q[:, j])
+    motion_q /= np.linalg.norm(motion_q, axis=0)
+    # The first non-zero component is made positive, not just w: a half
+    # turn has w == 0, and its log vector's sign rests on this rule.
+    first = motion_q[np.argmax(motion_q != 0.0, axis=0), np.arange(len(i))]
+    motion_q *= np.where(first < 0.0, -1.0, 1.0)
+    motion_t = np.einsum("mij,mj->mi", _quat_to_matrix(inv_q).transpose(2, 0, 1), t[j] - t[i])
+    return motion_q, _quat_to_matrix(motion_q).transpose(2, 0, 1), motion_t
 
 
-def _log_vector(transform: RigidTransform) -> np.ndarray:
-    """Rotation log map: axis times angle in radians."""
-    angle = math.radians(transform.rotation_angle_deg())
-    return transform.rotation_axis() * angle
+def _log_map(q: np.ndarray):
+    """Angles (m,) in radians and unit axes (3, m) of unit quaternions (4, m),
+    the log map for canonical ones; the axis is +z where the vector part vanishes."""
+    v_norm = np.linalg.norm(q[1:], axis=0)
+    axes = np.divide(q[1:], v_norm, out=np.repeat([[0.0], [0.0], [1.0]], len(v_norm), axis=1),
+                     where=v_norm >= 1e-15)
+    return 2.0 * np.arctan2(v_norm, np.abs(q[0])), axes
 
 
-def _check_axis_spread(a_motions, min_separation_deg: float):
-    axes = [m.rotation_axis() for m in a_motions
-            if m.rotation_angle_deg() > 0.1]
-    if len(axes) < 2:
+def _check_axis_spread(axes: np.ndarray, angles: np.ndarray, min_separation_deg: float):
+    """Raise unless two axes (3, m) of motions over 0.1 deg lie far enough apart."""
+    axes = axes[:, np.degrees(angles) > 0.1]
+    if axes.shape[1] < 2:
         raise InsufficientMotionError("need at least two rotating relative motions")
-    # Only the raising path needs the widest pair, for its message.
-    if any(line_angle_deg(u, w) >= min_separation_deg
-           for u, w in itertools.combinations(axes, 2)):
-        return
-    best = max(line_angle_deg(u, w) for u, w in itertools.combinations(axes, 2))
+    cos = np.abs(axes.T @ axes)[np.triu_indices(axes.shape[1], 1)]
+    best = math.degrees(math.acos(min(float(cos.min()), 1.0)))
     if best < min_separation_deg:
         raise InsufficientMotionError(
             f"rotation axes span only {best:.2f} deg, "
@@ -153,41 +162,34 @@ def solve_ax_xb(samples: Sequence[CalibrationSample]) -> HandEyeResult:
     samples = list(samples)
     if len(samples) < 3:
         raise TooFewSamplesError(f"hand-eye needs at least 3 samples, got {len(samples)}")
-    motions = list(_relative_motions(samples))
-    _check_axis_spread([a for a, _ in motions], _MIN_AXIS_SEPARATION_DEG)
+    # Pairs in itertools.combinations order, so the stacked rows keep it.
+    i, j = np.triu_indices(len(samples), 1)
+    a_q, a_rot, a_t = _pair_motions([s.flange_in_base for s in samples], i, j)
+    b_q, _, b_t = _pair_motions([s.target_in_camera for s in samples], i, j)
+    (a_angle, a_axis), (b_angle, b_axis) = _log_map(a_q), _log_map(b_q)
+    _check_axis_spread(a_axis, a_angle, _MIN_AXIS_SEPARATION_DEG)
 
-    scatter = np.zeros((3, 3))
-    for a, b in motions:
-        alpha = _log_vector(a)
-        beta = _log_vector(b)
-        scatter += np.outer(beta, alpha)
+    scatter = (b_axis * b_angle) @ (a_axis * a_angle).T
     u_mat, _, vt = np.linalg.svd(scatter)
     d = np.sign(np.linalg.det(vt.T @ u_mat.T))
     if d == 0:
         raise InsufficientMotionError("degenerate motion scatter")
     rot_x = vt.T @ np.diag([1.0, 1.0, d]) @ u_mat.T
 
-    rows = []
-    rhs = []
-    for a, b in motions:
-        rows.append(np.eye(3) - a.rotation_matrix)
-        rhs.append(a.t - rot_x @ b.t)
-    lhs = np.vstack(rows)
-    rhs = np.concatenate(rhs)
-    t_x, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    t_x, *_ = np.linalg.lstsq((np.eye(3) - a_rot).reshape(-1, 3),
+                              (a_t - b_t @ rot_x.T).reshape(-1), rcond=None)
 
+    # Residuals of A * X against X * B, as pose_error measures them.
     x_hat = RigidTransform.from_matrix(rot_x, t_x)
-    rot_sq = 0.0
-    tr_sq = 0.0
-    for a, b in motions:
-        err = pose_error(a.compose(x_hat), x_hat.compose(b))
-        rot_sq += err.rotation_error_deg ** 2
-        tr_sq += err.translation_error_mm ** 2
-    n = len(motions)
+    rel = _quat_multiply(_quat_multiply(a_q, x_hat.q[:, None]) * _CONJUGATE[:, None],
+                         _quat_multiply(x_hat.q[:, None], b_q))
+    rot_deg = np.degrees(_log_map(rel)[0])
+    tr_mm = np.linalg.norm(a_rot @ x_hat.t + a_t - (b_t @ x_hat.rotation_matrix.T + x_hat.t),
+                           axis=1)
     return HandEyeResult(
         camera_in_flange=x_hat,
-        rotation_residual_deg=math.sqrt(rot_sq / n),
-        translation_residual_mm=math.sqrt(tr_sq / n),
+        rotation_residual_deg=math.sqrt(float(rot_deg @ rot_deg) / len(i)),
+        translation_residual_mm=math.sqrt(float(tr_mm @ tr_mm) / len(i)),
         sample_count=len(samples),
     )
 
@@ -210,7 +212,6 @@ def reprojection_error(observed, reference) -> ReprojectionStats:
         mean_px=float(np.mean(offsets)),
         std_px=float(np.std(offsets)),
         max_px=float(np.max(offsets)),
-        per_corner_px=tuple(float(v) for v in offsets),
     )
 
 
@@ -308,11 +309,10 @@ def _candidate_grid(tilt_range_deg: float, shrink: int) -> _CandidateGrid:
     """The grid at scale 0.7**shrink, built once per key; arrays are read-only."""
     scale = 0.7 ** shrink
     rows = []
-    conjugate = np.array([1.0, -1.0, -1.0, -1.0])
     for tilt, azimuth, roll in _candidate_orientations(tilt_range_deg):
         pose = _look_pose(np.zeros(3), 0.0, tilt * scale, azimuth, roll * scale)
         rows.append((pose.q, _view_vector(tilt * scale, azimuth),
-                     _quat_to_matrix(pose.q * conjugate),
+                     _quat_to_matrix(pose.q * _CONJUGATE),
                      pose.invert().rotation_matrix))
     columns = [np.array(column) for column in zip(*rows)]
     for column in columns:

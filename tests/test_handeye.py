@@ -102,25 +102,29 @@ def test_too_few_samples():
         solve_ax_xb(make_samples(2))
 
 
+def _samples_at(flanges):
+    return [sample_from_board_observation(
+        flange, flange.compose(X_TRUE).invert().compose(BOARD_IN_BASE)) for flange in flanges]
+
+
+def _single_axis_samples():
+    return _samples_at([RigidTransform.from_axis_angle(
+        (0.0, 0.0, 1.0), 8.0 * i, translation=(10.0 * i, 0.0, 400.0)) for i in range(6)])
+
+
+def _pure_translation_samples():
+    return _samples_at([RigidTransform.translation(20.0 * i, -10.0 * i, 400.0)
+                        for i in range(4)])
+
+
 def test_single_axis_motion_is_rejected():
-    samples = []
-    for i in range(6):
-        flange = RigidTransform.from_axis_angle(
-            (0.0, 0.0, 1.0), 8.0 * i, translation=(10.0 * i, 0.0, 400.0))
-        board_in_camera = flange.compose(X_TRUE).invert().compose(BOARD_IN_BASE)
-        samples.append(sample_from_board_observation(flange, board_in_camera))
     with pytest.raises(InsufficientMotionError):
-        solve_ax_xb(samples)
+        solve_ax_xb(_single_axis_samples())
 
 
 def test_pure_translation_motion_is_rejected():
-    samples = []
-    for i in range(4):
-        flange = RigidTransform.translation(20.0 * i, -10.0 * i, 400.0)
-        board_in_camera = flange.compose(X_TRUE).invert().compose(BOARD_IN_BASE)
-        samples.append(sample_from_board_observation(flange, board_in_camera))
     with pytest.raises(InsufficientMotionError):
-        solve_ax_xb(samples)
+        solve_ax_xb(_pure_translation_samples())
 
 
 def test_reprojection_stats_known_values():
@@ -128,7 +132,6 @@ def test_reprojection_stats_known_values():
     assert stats.mean_px == pytest.approx(2.5)
     assert stats.std_px == pytest.approx(2.5)
     assert stats.max_px == pytest.approx(5.0)
-    assert stats.per_corner_px == (0.0, 5.0)
     assert not stats.passes_gate()
 
 
@@ -164,6 +167,11 @@ def _reference_axis_spread(a_motions, min_separation_deg):
             f"need {min_separation_deg} deg for a stable solution")
 
 
+def _batched_axis_spread(motions, min_separation_deg):
+    angles, axes = handeye._log_map(np.array([m.q for m in motions]).T)
+    handeye._check_axis_spread(axes, angles, min_separation_deg)
+
+
 def test_axis_spread_check_matches_the_full_scan():
     rng = np.random.default_rng(11)
     outcomes = set()
@@ -175,7 +183,7 @@ def test_axis_spread_check_matches_the_full_scan():
             rng.uniform(0.05, 30.0)) for _ in range(int(rng.integers(2, 14)))]
         for min_sep in (1.0, 5.0, 10.0):
             results = []
-            for check in (handeye._check_axis_spread, _reference_axis_spread):
+            for check in (_batched_axis_spread, _reference_axis_spread):
                 try:
                     check(motions, min_sep)
                     results.append(None)
@@ -184,6 +192,100 @@ def test_axis_spread_check_matches_the_full_scan():
             assert results[0] == results[1]
             outcomes.add(results[0] is None)
     assert outcomes == {True, False}
+
+
+def reference_solve_ax_xb(samples):
+    """The per-pair solve that ``solve_ax_xb`` batches: one RigidTransform
+    per motion and per residual, the same maths."""
+    samples = list(samples)
+    if len(samples) < 3:
+        raise TooFewSamplesError(f"hand-eye needs at least 3 samples, got {len(samples)}")
+    flange_inv = [s.flange_in_base.invert() for s in samples]
+    target_inv = [s.target_in_camera.invert() for s in samples]
+    motions = [(flange_inv[i].compose(samples[j].flange_in_base),
+                target_inv[i].compose(samples[j].target_in_camera))
+               for i, j in itertools.combinations(range(len(samples)), 2)]
+    _reference_axis_spread([a for a, _ in motions], 5.0)
+
+    def log_vector(m):
+        return m.rotation_axis() * math.radians(m.rotation_angle_deg())
+
+    scatter = np.zeros((3, 3))
+    for a, b in motions:
+        scatter += np.outer(log_vector(b), log_vector(a))
+    u_mat, _, vt = np.linalg.svd(scatter)
+    d = np.sign(np.linalg.det(vt.T @ u_mat.T))
+    if d == 0:
+        raise InsufficientMotionError("degenerate motion scatter")
+    rot_x = vt.T @ np.diag([1.0, 1.0, d]) @ u_mat.T
+    lhs = np.vstack([np.eye(3) - a.rotation_matrix for a, _ in motions])
+    rhs = np.concatenate([a.t - rot_x @ b.t for a, b in motions])
+    t_x, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+
+    x_hat = RigidTransform.from_matrix(rot_x, t_x)
+    errors = [pose_error(a.compose(x_hat), x_hat.compose(b)) for a, b in motions]
+    return HandEyeResult(
+        camera_in_flange=x_hat,
+        rotation_residual_deg=math.sqrt(
+            sum(e.rotation_error_deg ** 2 for e in errors) / len(motions)),
+        translation_residual_mm=math.sqrt(
+            sum(e.translation_error_mm ** 2 for e in errors) / len(motions)),
+        sample_count=len(samples),
+    )
+
+
+def assert_matches_reference(samples):
+    got = solve_ax_xb(samples)
+    want = reference_solve_ax_xb(samples)
+    err = pose_error(got.camera_in_flange, want.camera_in_flange)
+    assert err.rotation_error_deg <= 1e-9
+    assert err.translation_error_mm <= 1e-9
+    assert abs(got.rotation_residual_deg - want.rotation_residual_deg) <= 1e-9
+    assert abs(got.translation_residual_mm - want.translation_residual_mm) <= 1e-9
+    assert got.sample_count == want.sample_count
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("count", [3, 4, 10, 30])
+def test_solve_matches_the_per_pair_reference(count, noisy):
+    for seed in range(5 if noisy else 1):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(make_samples(count, rng, noise_rot_deg=0.05 * noisy,
+                                              noise_mm=0.1 * noisy))
+
+
+@pytest.mark.parametrize("make", [lambda: make_samples(2), _single_axis_samples,
+                                  _pure_translation_samples],
+                         ids=["too-few", "single-axis", "pure-translation"])
+def test_solve_raises_as_the_reference_does(make):
+    raised = []
+    for solve in (solve_ax_xb, reference_solve_ax_xb):
+        with pytest.raises((TooFewSamplesError, InsufficientMotionError)) as info:
+            solve(make())
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def test_half_turn_motion_keeps_the_scalar_sign():
+    """Flange half turns about x and then y give the motion [0, 0, 0, -1]:
+    w is exactly 0, and only the first-non-zero rule flips it positive.
+    The board observations are noisy, so no B motion is exactly a half
+    turn, and an A log vector of the wrong sign moves the solution off the
+    reference's (on noiseless motions the SVD projection would hide it)."""
+    flanges = [RigidTransform(q=np.array([0.0, 1.0, 0.0, 0.0]), t=(0.0, 0.0, 400.0)),
+               RigidTransform(q=np.array([0.0, 0.0, 1.0, 0.0]), t=(30.0, 0.0, 380.0))]
+    flanges += [s.flange_in_base for s in make_samples(4)]
+    motion = handeye._quat_multiply(flanges[0].q * np.array([1.0, -1.0, -1.0, -1.0]),
+                                    flanges[1].q)
+    assert motion.tolist() == [0.0, 0.0, 0.0, -1.0]
+    rng = np.random.default_rng(3)
+    samples = []
+    for flange in flanges:
+        wobble = RigidTransform.from_axis_angle(
+            rng.normal(size=3), rng.normal(0.0, 0.05), translation=rng.normal(0.0, 0.1, 3))
+        board_in_camera = flange.compose(X_TRUE).invert().compose(BOARD_IN_BASE)
+        samples.append(sample_from_board_observation(flange, board_in_camera.compose(wobble)))
+    assert_matches_reference(samples)
 
 
 def test_result_validation():
