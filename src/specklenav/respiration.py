@@ -35,38 +35,61 @@ class NoPeriodicityError(RuntimeError):
 class BreathSignal:
     """Time series of (t_s, displacement_mm), strictly increasing in time.
 
+    The samples live in two float arrays.  The constructor reads them once
+    and validates them in one batch, raising for the first bad sample what
+    ``append`` would have raised for it.  ``append`` copies both arrays, so
+    it is O(n) per call: build a long signal in one go, not sample by sample.
+
     Not thread-safe: the pipeline builds and reads a signal on one thread,
     and nothing appends to it concurrently.  Reads copy the underlying
     storage, so a snapshot never changes under the caller.
     """
 
     def __init__(self, samples: Iterable[tuple[float, float]] = ()) -> None:
-        self._times: list[float] = []
-        self._values: list[float] = []
-        for t, d in samples:
-            self.append(t, d)
+        data = np.array(samples if isinstance(samples, np.ndarray) else list(samples),
+                        dtype=float)
+        if data.size == 0:
+            data = data.reshape(0, 2)
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise ValueError("samples must be (t_s, displacement_mm) pairs")
+        times, values = data.T.copy()
+        _check_samples(times, values, -math.inf)
+        self._times = times
+        self._values = values
 
     def append(self, t_s: float, displacement_mm: float) -> None:
-        t_s = float(t_s)
-        displacement_mm = float(displacement_mm)
-        if not (math.isfinite(t_s) and math.isfinite(displacement_mm)):
-            raise ValueError("samples must be finite")
-        if self._times and t_s <= self._times[-1]:
-            raise NonMonotoneTimeError(
-                f"timestamp {t_s} not after {self._times[-1]}")
-        self._times.append(t_s)
-        self._values.append(displacement_mm)
+        times = np.array([float(t_s)])
+        values = np.array([float(displacement_mm)])
+        _check_samples(times, values, self._times[-1] if len(self._times) else -math.inf)
+        self._times = np.concatenate((self._times, times))
+        self._values = np.concatenate((self._values, values))
 
     def __len__(self) -> int:
         return len(self._times)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Snapshot of (times, displacements) as fresh arrays."""
-        return np.array(self._times), np.array(self._values)
+        return self._times.copy(), self._values.copy()
 
     @property
     def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self._times, self._values))
+        return list(zip(self._times.tolist(), self._values.tolist()))
+
+
+def _check_samples(times: np.ndarray, values: np.ndarray, last_t: float) -> None:
+    """Raise for the first sample that is not finite or not after the one before.
+
+    ``last_t`` is the time of the sample before ``times[0]`` (-inf if none).
+    """
+    prev = np.concatenate(([last_t], times[:-1]))
+    finite = np.isfinite(times) & np.isfinite(values)
+    bad = np.nonzero(~finite | (times <= prev))[0]
+    if len(bad) == 0:
+        return
+    i = int(bad[0])
+    if not finite[i]:
+        raise ValueError("samples must be finite")
+    raise NonMonotoneTimeError(f"timestamp {float(times[i])} not after {float(prev[i])}")
 
 
 @dataclass(frozen=True)
@@ -109,12 +132,18 @@ def extract_signal(poses: Sequence[MarkerPose],
         raise ValueError("reference_normal must be a non-zero finite vector")
     normal = normal / norm
 
-    origin = poses[0].center.as_array()
-    signal = BreathSignal()
-    for pose in poses:
-        disp = float((pose.center.as_array() - origin) @ normal)
-        signal.append(pose.timestamp_s, disp)
-    return signal
+    # One flat list of the poses' own floats; a tuple per pose would add n
+    # small objects, and with them about 2 MB of peak memory on long sessions.
+    rows = np.array([v for p in poses for v in (p.center.x, p.center.y, p.center.z,
+                                                 p.timestamp_s)], dtype=float).reshape(-1, 4)
+    d = rows[:, :3] - rows[0, :3]
+    # A stack of 1x3 @ 3x1 products: the same dot as each pose's d @ normal.
+    disp = np.matmul(d[:, None, :], normal[:, None])[:, 0, 0]
+    return BreathSignal(np.column_stack((rows[:, 3], disp)))
+
+
+# estimate_period fills this many lags between checks for the repeat region.
+_LAG_CHUNK = 64
 
 
 def estimate_period(signal: BreathSignal) -> float:
@@ -129,6 +158,11 @@ def estimate_period(signal: BreathSignal) -> float:
     at 0.5 or better; a parabola through the three surrounding lags then
     refines the answer below the sample spacing.  Assumes roughly uniform
     sampling.
+
+    Lags are filled in order, in chunks, only until that first repeat
+    region has closed, each with the same dot product a full correlation
+    computes for it.  So the answer has the same bits as from all n lags,
+    in O(n·P) time for a repeat P samples long instead of O(n²).
     """
     times, values = signal.arrays()
     if len(times) < 4:
@@ -140,28 +174,23 @@ def estimate_period(signal: BreathSignal) -> float:
         raise NoPeriodicityError("signal is constant")
 
     n = len(x)
-    raw = np.correlate(x, x, mode="full")[n - 1:]
     csum = np.concatenate(([0.0], np.cumsum(x * x)))
-    lags = np.arange(n)
-    head_energy = csum[n - lags]          # first n-k samples
-    tail_energy = csum[n] - csum[lags]    # last n-k samples
     min_overlap = max(4, n // 8)
-    usable = (n - lags) >= min_overlap
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(usable & (head_energy > 0.0) & (tail_energy > 0.0),
-                       raw / np.sqrt(head_energy * tail_energy), -np.inf)
-
-    # Step past the central lobe: first usable lag with negative correlation.
-    below = np.nonzero(usable & (rho < 0.0))[0]
-    if len(below) == 0:
-        raise NoPeriodicityError("autocorrelation never leaves the main lobe")
-    start = int(below[0])
-    positive = np.nonzero(rho[start:] > 0.0)[0]
-    if len(positive) == 0:
-        raise NoPeriodicityError("no repeat structure past the main lobe")
-    first = start + int(positive[0])
-    closing = np.nonzero(rho[first:] < 0.0)[0]
-    last = first + (int(closing[0]) if len(closing) else int(np.sum(usable)) - first)
+    usable = n - min_overlap + 1          # lags k with n - k >= min_overlap
+    rho = np.full(n, -np.inf)
+    filled = 0
+    region = None
+    while region is None:
+        lags = np.arange(filled, min(filled + _LAG_CHUNK, usable))
+        raw = np.array([np.dot(x[k:], x[:n - k]) for k in lags])
+        head_energy = csum[n - lags]          # first n-k samples
+        tail_energy = csum[n] - csum[lags]    # last n-k samples
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho[lags] = np.where((head_energy > 0.0) & (tail_energy > 0.0),
+                                 raw / np.sqrt(head_energy * tail_energy), -np.inf)
+        filled += len(lags)
+        region = _first_repeat_region(rho[:filled], complete=filled == usable)
+    first, last = region
 
     # The repeat estimate is the best lag within that first region; later
     # regions sit at period multiples and must not win ties.
@@ -181,10 +210,37 @@ def estimate_period(signal: BreathSignal) -> float:
     return (k + shift) * dt
 
 
+def _first_repeat_region(rho: np.ndarray, complete: bool):
+    """(first, last) lags of the first positive region past the main lobe.
+
+    ``rho`` holds the usable lags from 0, all of them when ``complete``.
+    Of a partial prefix the answer is None until the region has closed;
+    of the complete set a missing lobe or region raises, and a region that
+    never closes runs to the last usable lag.
+    """
+    # Step past the central lobe: first lag with negative correlation.
+    below = np.nonzero(rho < 0.0)[0]
+    if len(below) == 0:
+        if complete:
+            raise NoPeriodicityError("autocorrelation never leaves the main lobe")
+        return None
+    start = int(below[0])
+    positive = np.nonzero(rho[start:] > 0.0)[0]
+    if len(positive) == 0:
+        if complete:
+            raise NoPeriodicityError("no repeat structure past the main lobe")
+        return None
+    first = start + int(positive[0])
+    closing = np.nonzero(rho[first:] < 0.0)[0]
+    if len(closing):
+        return first, first + int(closing[0])
+    return (first, len(rho)) if complete else None
+
+
 # detect_breath_hold and motion_alarm handle at most this many window starts,
 # and this many window samples, at a time, so their temporaries stay small
 # however long the session is.
-_BLOCK = 1 << 10
+_BLOCK = 1 << 12
 
 
 def _index_blocks(n: int):
@@ -304,13 +360,10 @@ def write_signal_csv(path, signal: BreathSignal) -> None:
 
 
 def read_signal_csv(path) -> BreathSignal:
-    signal = BreathSignal()
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t_s", "displacement_mm"]:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for row in reader:
-            if row:
-                signal.append(float(row[0]), float(row[1]))
-    return signal
+        rows = [(float(row[0]), float(row[1])) for row in reader if row]
+    return BreathSignal(rows)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specklenav.detect import MarkerPose
+from specklenav import respiration
 from specklenav.geometry import Point3
 from specklenav.respiration import (
     AlarmEvent,
@@ -327,3 +328,258 @@ def test_alarm_rejects_non_positive_baseline_window():
     for window in (-1.0, 0.0):
         with pytest.raises(ValueError, match="baseline_window_s"):
             motion_alarm(signal, threshold_mm=1.0, baseline_window_s=window)
+
+
+# ---------------------------------------------------------------------------
+# array storage, the partial lag scan and the batched projection against
+# the per-sample code they replaced
+
+
+def reference_estimate_period(signal):
+    """Reference: estimate_period over the full correlation of all n lags."""
+    times, values = signal.arrays()
+    if len(times) < 4:
+        raise EmptyStreamError("signal too short for period estimation")
+    dt = float(np.mean(np.diff(times)))
+    x = values - values.mean()
+    power = float(x @ x)
+    if power <= 0.0:
+        raise NoPeriodicityError("signal is constant")
+
+    n = len(x)
+    raw = np.correlate(x, x, mode="full")[n - 1:]
+    csum = np.concatenate(([0.0], np.cumsum(x * x)))
+    lags = np.arange(n)
+    head_energy = csum[n - lags]
+    tail_energy = csum[n] - csum[lags]
+    min_overlap = max(4, n // 8)
+    usable = (n - lags) >= min_overlap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(usable & (head_energy > 0.0) & (tail_energy > 0.0),
+                       raw / np.sqrt(head_energy * tail_energy), -np.inf)
+
+    below = np.nonzero(usable & (rho < 0.0))[0]
+    if len(below) == 0:
+        raise NoPeriodicityError("autocorrelation never leaves the main lobe")
+    start = int(below[0])
+    positive = np.nonzero(rho[start:] > 0.0)[0]
+    if len(positive) == 0:
+        raise NoPeriodicityError("no repeat structure past the main lobe")
+    first = start + int(positive[0])
+    closing = np.nonzero(rho[first:] < 0.0)[0]
+    last = first + (int(closing[0]) if len(closing) else int(np.sum(usable)) - first)
+
+    k = first + int(np.argmax(rho[first:last]))
+    if rho[k] < 0.5:
+        raise NoPeriodicityError(
+            f"best repeat correlation {rho[k]:.3f} below 0.5")
+
+    if 1 <= k < n - 1 and np.isfinite(rho[k - 1]) and np.isfinite(rho[k + 1]):
+        y0, y1, y2 = rho[k - 1], rho[k], rho[k + 1]
+        denom = y0 - 2.0 * y1 + y2
+        shift = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
+        shift = float(np.clip(shift, -0.5, 0.5))
+    else:
+        shift = 0.0
+    return (k + shift) * dt
+
+
+def period_outcome(estimate, signal):
+    """The period's bits, or the type and message of what was raised."""
+    try:
+        return estimate(signal).hex()
+    except (EmptyStreamError, NoPeriodicityError) as exc:
+        return type(exc), str(exc)
+
+
+def breathing(n: int, period_samples: float, seed: int = 0, noise: float = 0.05):
+    rng = np.random.default_rng(seed)
+    tt = 0.05 * np.arange(n) + rng.uniform(0.0, 0.01, size=n)
+    dd = np.sin(2.0 * np.pi * np.arange(n) / period_samples)
+    return BreathSignal(zip(tt, dd + rng.normal(0.0, noise, size=n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_period_matches_the_full_correlation_on_jittered_signals(seed):
+    for n in (40, 300, 1500, 4000):
+        signal = jittered_signal(seed, n=n)
+        assert period_outcome(estimate_period, signal) \
+            == period_outcome(reference_estimate_period, signal)
+
+
+@pytest.mark.parametrize("period_samples", [7.0, 31.5, 63.0, 64.0, 97.3, 150.0, 400.0])
+def test_period_matches_the_full_correlation_across_lag_chunks(period_samples):
+    # Repeats from well inside the first chunk of lags to several chunks in.
+    for seed in range(3):
+        signal = breathing(int(6 * period_samples), period_samples, seed)
+        got = period_outcome(estimate_period, signal)
+        assert isinstance(got, str)
+        assert got == period_outcome(reference_estimate_period, signal)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 33])
+def test_period_matches_the_full_correlation_on_short_signals(n):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        tt = np.cumsum(rng.uniform(0.05, 0.2, size=n))
+        shapes = (rng.normal(size=n), np.sin(2.0 * np.pi * tt / rng.uniform(0.3, 2.0)))
+        for dd in shapes:
+            signal = BreathSignal(zip(tt, dd))
+            assert period_outcome(estimate_period, signal) \
+                == period_outcome(reference_estimate_period, signal)
+
+
+def test_period_when_the_repeat_region_runs_to_the_last_usable_lag():
+    # 52 samples of a 40-sample repeat: the usable lags end at 46, inside the
+    # first positive region past the main lobe, so no negative lag closes it.
+    signal = breathing(52, 40.0, seed=3, noise=0.0)
+    _, values = signal.arrays()
+    x = values - values.mean()
+    n = len(x)
+    usable = n - max(4, n // 8) + 1
+    rho = [np.dot(x[k:], x[:n - k]) for k in range(usable)]
+    start = next(k for k in range(usable) if rho[k] < 0.0)
+    first = next(k for k in range(start, usable) if rho[k] > 0.0)
+    assert all(r >= 0.0 for r in rho[first:])
+    got = period_outcome(estimate_period, signal)
+    assert isinstance(got, str)
+    assert got == period_outcome(reference_estimate_period, signal)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("three samples", EmptyStreamError, "signal too short for period estimation"),
+    ("constant", NoPeriodicityError, "signal is constant"),
+    ("four samples", NoPeriodicityError, "autocorrelation never leaves the main lobe"),
+    ("ramp", NoPeriodicityError, "no repeat structure past the main lobe"),
+    ("white noise", NoPeriodicityError, r"best repeat correlation 0\.\d{3} below 0\.5"),
+])
+def test_period_error_messages(case, error, message):
+    tt = 0.125 * np.arange(256)
+    dd = {"three samples": np.array([0.0, 1.0, 0.0]),
+          "constant": np.full(256, 5.0),
+          "four samples": np.array([0.0, 1.0, 3.0, 2.0]),
+          "ramp": 0.5 * np.arange(256.0),
+          "white noise": np.random.default_rng(4).normal(size=256)}[case]
+    signal = BreathSignal(zip(tt, dd))
+    with pytest.raises(error, match=f"^{message}$"):
+        estimate_period(signal)
+    with pytest.raises(error, match=f"^{message}$"):
+        reference_estimate_period(signal)
+
+
+def test_extract_signal_error_messages():
+    with pytest.raises(EmptyStreamError, match="^need at least two poses$"):
+        extract_signal([pose_at(0.0, 400.0)], np.array([0.0, 0.0, 1.0]))
+    poses = [pose_at(0.0, 400.0), pose_at(0.5, 401.0)]
+    for bad in (np.zeros(3), np.array([np.nan, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="non-zero finite"):
+            extract_signal(poses, bad)
+    with pytest.raises(NonMonotoneTimeError, match="^timestamp 0.5 not after 0.5$"):
+        extract_signal(poses + [pose_at(0.5, 402.0)], np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extract_signal_matches_the_per_pose_dot(seed):
+    rng = np.random.default_rng(seed)
+    n = 2000
+    tt = 10.0 + np.cumsum(rng.uniform(0.01, 0.1, size=n))
+    centers = rng.normal([15.0, -8.0, 420.0], [3.0, 3.0, 40.0], size=(n, 3))
+    poses = [MarkerPose(center=Point3(*c), normal=np.array([0.0, 0.0, -1.0]),
+                        radius_mm=10.0, rms_residual_mm=0.1, inlier_count=50,
+                        timestamp_s=t)
+             for c, t in zip(centers, tt)]
+    for reference in (rng.normal(size=3), np.array([0.0, 0.0, 3.0]), rng.normal(size=3) * 1e-3):
+        normal = reference / np.linalg.norm(reference)
+        origin = poses[0].center.as_array()
+        expected = [(float(p.timestamp_s), float((p.center.as_array() - origin) @ normal))
+                    for p in poses]
+        assert extract_signal(poses, reference).samples == expected
+
+
+def appended(samples):
+    """The type and message append raises on the first bad sample, or None."""
+    signal = BreathSignal()
+    try:
+        for t, d in samples:
+            signal.append(t, d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def constructed(samples):
+    try:
+        BreathSignal(samples)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fault, at", [
+    (fault, at) for fault in ("nan time", "nan value", "inf time", "-inf value")
+    for at in (0, 1, 5)] + [
+    (fault, at) for fault in ("equal time", "earlier time") for at in (1, 5)])
+def test_batch_constructor_raises_what_append_raises(fault, at):
+    samples = [(0.25 * i, float(i % 3)) for i in range(8)]
+    t, d = samples[at]
+    prev = samples[at - 1][0] if at else 0.0
+    samples[at] = {"nan time": (float("nan"), d), "nan value": (t, float("nan")),
+                   "inf time": (float("inf"), d), "-inf value": (t, float("-inf")),
+                   "equal time": (prev, d), "earlier time": (prev - 0.1, d)}[fault]
+    # A later fault of the other kind must not win over the first one.
+    samples[7] = (samples[6][0], float("nan"))
+    expected = appended(samples)
+    if fault in ("equal time", "earlier time"):
+        assert expected == (NonMonotoneTimeError,
+                            f"timestamp {samples[at][0]} not after {prev}")
+    else:
+        assert expected == (ValueError, "samples must be finite")
+    assert constructed(samples) == expected
+    assert constructed(np.array(samples)) == expected
+
+
+def test_batch_constructor_accepts_what_append_accepts():
+    samples = [(0.1 * i, float(i) ** 0.5) for i in range(50)]
+    assert appended(samples) is None
+    built = BreathSignal(samples)
+    assert built.samples == BreathSignal(np.array(samples)).samples == samples
+    built.append(5.0, 1.0)
+    assert len(built) == 51
+    with pytest.raises(NonMonotoneTimeError, match="^timestamp 5.0 not after 5.0$"):
+        built.append(5.0, 2.0)
+    assert len(built) == 51
+    assert BreathSignal().samples == []
+    with pytest.raises(ValueError, match="pairs"):
+        BreathSignal([(0.0, 1.0, 2.0)])
+
+
+def test_signal_csv_round_trip_of_a_long_session(tmp_path):
+    rng = np.random.default_rng(11)
+    tt = np.cumsum(rng.uniform(0.02, 0.05, size=18_000))
+    dd = 2.0 * np.sin(tt) + rng.normal(0.0, 0.03, size=len(tt))
+    path = tmp_path / "signal.csv"
+    write_signal_csv(path, BreathSignal(zip(tt, dd)))
+    got = read_signal_csv(path)
+    assert got.samples == [(float(f"{t:.6f}"), float(f"{d:.6f}")) for t, d in zip(tt, dd)]
+    again = tmp_path / "again.csv"
+    write_signal_csv(again, got)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_signal_csv_rejects_bad_rows(tmp_path):
+    path = tmp_path / "back.csv"
+    path.write_text("t_s,displacement_mm\n0.0,1.0\n0.5,1.0\n0.5,2.0\n")
+    with pytest.raises(NonMonotoneTimeError, match="^timestamp 0.5 not after 0.5$"):
+        read_signal_csv(path)
+
+
+@pytest.mark.parametrize("block", [7, 1 << 10, 1 << 12])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, block):
+    signal = jittered_signal(2, n=9000)
+    expected = (detect_breath_hold(signal, 0.5, 2.5), motion_alarm(signal, 4.0),
+                detect_breath_hold(signal, 0.3, 0.05), motion_alarm(signal, 2.5, 0.05))
+    assert expected[0] and expected[1]
+    monkeypatch.setattr(respiration, "_BLOCK", block)
+    got = (detect_breath_hold(signal, 0.5, 2.5), motion_alarm(signal, 4.0),
+           detect_breath_hold(signal, 0.3, 0.05), motion_alarm(signal, 2.5, 0.05))
+    assert got == expected
