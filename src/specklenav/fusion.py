@@ -64,10 +64,6 @@ class TcpCorrection:
         if self.fit_pair_count < 0:
             raise ValueError("fit_pair_count must be non-negative")
 
-    @classmethod
-    def identity(cls) -> "TcpCorrection":
-        return cls(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, fit_pair_count=0, fit_rms=0.0)
-
     def to_json_dict(self) -> dict:
         return {
             "scale": [self.scale_x, self.scale_y, self.scale_z],
@@ -174,22 +170,3 @@ def write_records(path, records: Iterable[ExecutionRecord]) -> None:
             row = [*rec.camera_observed.as_array(), *rec.robot_executed.as_array()]
             writer.writerow([f"{v:.6f}" for v in row])
 
-
-def read_records(path) -> list[ExecutionRecord]:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            vals = [float(v) for v in row]
-            if len(vals) != 6:
-                raise ValueError(f"expected 6 columns, got {len(vals)}")
-            records.append(ExecutionRecord(
-                camera_observed=Point3(vals[0], vals[1], vals[2]),
-                robot_executed=Point3(vals[3], vals[4], vals[5]),
-            ))
-    return records

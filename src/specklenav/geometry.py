@@ -13,8 +13,6 @@ from typing import Iterator
 
 import numpy as np
 
-EXACT_TOL = 1e-9
-
 
 def numbers_from_json(values, count: int, what: str) -> list[float]:
     """A JSON list of ``count`` numbers as floats.  An entry must be an int
@@ -176,14 +174,6 @@ class RigidTransform:
         return cls(q=q, t=np.asarray(translation, dtype=float))
 
     @classmethod
-    def rot_x(cls, angle_deg: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        return cls.from_axis_angle((1.0, 0.0, 0.0), angle_deg, translation)
-
-    @classmethod
-    def rot_y(cls, angle_deg: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        return cls.from_axis_angle((0.0, 1.0, 0.0), angle_deg, translation)
-
-    @classmethod
     def rot_z(cls, angle_deg: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         return cls.from_axis_angle((0.0, 0.0, 1.0), angle_deg, translation)
 
@@ -194,13 +184,6 @@ class RigidTransform:
     @property
     def rotation_matrix(self) -> np.ndarray:
         return _quat_to_matrix(self.q)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix
-        m[:3, 3] = self.t
-        return m
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return self * other, i.e. apply ``other`` first, then ``self``."""
@@ -249,10 +232,6 @@ class RigidTransform:
     def from_json_dict(cls, d: dict) -> "RigidTransform":
         return cls(q=np.array(numbers_from_json(d["q"], 4, "q")),
                    t=np.array(numbers_from_json(d["t"], 3, "t")))
-
-    def is_close(self, other: "RigidTransform", tol: float = EXACT_TOL) -> bool:
-        err = pose_error(self, other)
-        return err.rotation_error_deg <= math.degrees(tol) and err.translation_error_mm <= tol
 
 
 def line_angle_deg(u: np.ndarray, w: np.ndarray) -> float:

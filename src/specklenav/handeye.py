@@ -26,8 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .camera import CameraModel
-from .geometry import (Aabb, RigidTransform, _quat_multiply, _quat_to_matrix,
-                       line_angle_deg)
+from .geometry import Aabb, RigidTransform, _quat_multiply, _quat_to_matrix
 
 # The reprojection gate: a calibration passes when the mean corner offset
 # stays below this many pixels.
@@ -259,35 +258,15 @@ def _look_pose(target: np.ndarray, distance: float, tilt_rad: float,
     return RigidTransform.from_matrix(rot, position)
 
 
-# The batched screen rounds differently from the per-candidate code in the
-# last bits, so a decision this close to its threshold is taken again with
-# the scalar code: a frustum margin within _MARGIN_EPS_MM of zero (per
-# 1000 mm of coordinate size), a rotation angle within _ANGLE_EPS_DEG of
-# 2 * scale, and every score within _SCORE_EPS_DEG of the batch maximum.
-# Measured batch errors: 2.3e-13 mm on corners, 1.5e-14 deg on angles and
-# 6e-13 deg on scores above 0.01 deg.
-_MARGIN_EPS_MM = 1e-9
-_ANGLE_EPS_DEG = 1e-6
-_SCORE_EPS_DEG = 1e-6
-# acos magnifies the rounding of |u.w| near 1 (a score near 0 deg was off
-# by 1.2e-6 deg): below this batch maximum every passing candidate is
-# scored again.
-_SCORE_FLOOR_DEG = 1e-2
-
-
 @dataclass(frozen=True)
 class _CandidateGrid:
-    """The candidate rotations at one shrink scale, shared by every pose index
-    and, through the cache of ``_candidate_grid``, by every call.
-
-    Each row comes from the scalar code: ``q`` is the pose quaternion,
-    ``view`` its viewing direction, ``rot_t`` the matrix ``invert`` uses
-    for the translation and ``rot_apply`` the inverse pose's rotation.
+    """The candidate rotations at one shrink scale, one row per candidate
+    from ``_look_pose``: ``q`` is the pose quaternion, ``view`` its viewing
+    direction and ``rot_apply`` the inverse pose's rotation.
     """
 
     q: np.ndarray
     view: np.ndarray
-    rot_t: np.ndarray
     rot_apply: np.ndarray
 
 
@@ -312,7 +291,6 @@ def _candidate_grid(tilt_range_deg: float, shrink: int) -> _CandidateGrid:
     for tilt, azimuth, roll in _candidate_orientations(tilt_range_deg):
         pose = _look_pose(np.zeros(3), 0.0, tilt * scale, azimuth, roll * scale)
         rows.append((pose.q, _view_vector(tilt * scale, azimuth),
-                     _quat_to_matrix(pose.q * _CONJUGATE),
                      pose.invert().rotation_matrix))
     columns = [np.array(column) for column in zip(*rows)]
     for column in columns:
@@ -326,21 +304,23 @@ def plan_poses(observation_box: Aabb, count: int, tilt_range_deg: float,
                ) -> list[RigidTransform]:
     """Deterministic calibration poses that keep the box in view.
 
-    Standoffs span the feasible slice of the camera working range;
-    tilt magnitude, azimuth and roll vary per pose so the relative
-    rotation axes stay well separated (at least 10 degrees pairwise for
-    count <= 12).  Returned poses are flange poses assuming the camera
-    sits at ``nominal_camera_in_flange`` (identity by default, in which
-    case they are camera poses outright).
+    Standoffs span the feasible slice of the camera working range.  Each
+    pose screens a fixed grid of candidate orientations (tilt, azimuth and
+    roll) in one batched pass: a candidate must keep every box corner in
+    view (``camera.contains``) and turn at least 2 * scale degrees from the
+    previous pose, and the one whose motion axis lies farthest from every
+    axis already used wins, the first in grid order on a tie.  The scale
+    starts at 1; while no candidate passes, tilt and roll shrink by 0.7,
+    up to 11 times.  Each scale's grid is cached across calls.  Returned
+    poses are flange poses assuming the camera sits at
+    ``nominal_camera_in_flange`` (identity by default, in which case they
+    are camera poses outright).
 
-    Each pose screens the whole candidate grid in batch: frustum margin,
-    rotation angle from the previous pose and axis score for every
-    candidate at once.  Decisions within a small epsilon of their
-    threshold, and the scores near the best, are taken again with the
-    per-candidate scalar code, and the chosen pose is built by it, so
-    the plan is the same to the bit as a candidate-by-candidate loop.
-    The grid at each scale depends only on ``tilt_range_deg``, so it is
-    built once and cached across calls.
+    When every candidate keeps the box in view the frustum decides
+    nothing; with a tilt range of at least 2 degrees and count <= 12 the
+    consecutive motion axes then lie at least 10 degrees apart pairwise.
+    A box that rules candidates out can leave a pose only axes already
+    used, even at full scale, and then no separation is promised.
 
     Raises TooFewSamplesError for count < 3, ValueError for a tilt
     range outside (0, 60] and InfeasibleBoxError when no standoff fits.
@@ -356,88 +336,46 @@ def plan_poses(observation_box: Aabb, count: int, tilt_range_deg: float,
     d_lo, d_hi = _feasible_standoffs(observation_box, camera)
     center = observation_box.center
     corners = observation_box.corners()
-    margin_eps = _MARGIN_EPS_MM * max(
-        1.0, (float(np.abs(corners).max()) + camera.far_mm) / 1000.0)
-
-    # Poses are chosen greedily from a fixed candidate grid so that each
-    # consecutive relative rotation introduces an axis far from every axis
-    # already used; ties resolve by grid order, which keeps the plan fully
-    # deterministic.
     candidates = _candidate_orientations(tilt_range_deg)
-
-    def scalar_pose(i: int, distance: float, scale: float) -> RigidTransform:
-        tilt, azimuth, roll = candidates[i]
-        return _look_pose(center, distance, tilt * scale, azimuth, roll * scale)
 
     cam_poses: list[RigidTransform] = []
     used_axes: list[np.ndarray] = []
     for k in range(count):
         distance = d_lo + (d_hi - d_lo) * (k + 0.5) / count
         prev_inv = cam_poses[-1].invert() if cam_poses else None
-        best_pose = None
-        best_axis = None
         # Near the short end of the standoff range a steep tilt can push a
         # box corner out of view; retry the whole grid at gentler angles.
         for shrink in range(12):
             scale = 0.7 ** shrink
             grid = _candidate_grid(tilt_range_deg, shrink)
-
-            # Frustum margin of every candidate: positions as _look_pose
-            # forms them, box corners moved into each camera frame.
+            # Box corners in every candidate's camera frame, placed at the
+            # position _look_pose gives it.
             position = center - distance * grid.view
-            t_inv = -np.einsum("nij,nj->ni", grid.rot_t, position)
-            corners_cam = corners @ grid.rot_apply.transpose(0, 2, 1) + t_inv[:, None, :]
-            margin = camera.frustum_margin(corners_cam).min(axis=1)
-            passes = margin > margin_eps
-            maybe = margin >= -margin_eps
+            corners_cam = np.einsum("nij,nkj->nki", grid.rot_apply,
+                                    corners - position[:, None, :])
+            passes = camera.frustum_margin(corners_cam).min(axis=1) >= 0.0
+            score = np.full(len(candidates), 90.0)
             if prev_inv is not None:
                 # Motion from the previous pose, prev^-1 * pose; its angle
-                # does not depend on the quaternion's norm.
+                # and axis do not depend on the quaternion's norm.
                 motion_q = _quat_multiply(prev_inv.q, grid.q.T)
                 v_norm = np.linalg.norm(motion_q[1:], axis=0)
                 angle = np.degrees(2.0 * np.arctan2(v_norm, np.abs(motion_q[0])))
-                passes &= angle > 2.0 * scale + _ANGLE_EPS_DEG
-                maybe &= angle >= 2.0 * scale - _ANGLE_EPS_DEG
-            for i in np.flatnonzero(maybe & ~passes):
-                pose = scalar_pose(i, distance, scale)
-                in_view = bool(np.all(camera.contains(pose.invert().apply(corners))))
-                turns = prev_inv is None or not (
-                    prev_inv.compose(pose).rotation_angle_deg() < 2.0 * scale)
-                passes[i] = in_view and turns
-            if not passes.any():
-                continue
-            if prev_inv is None:
-                best_pose = scalar_pose(int(np.argmax(passes)), distance, scale)
-                break
-
-            # Score every passing candidate in batch, then score those near
-            # the best again with the scalar code; strict > keeps the
-            # first of equal scores in grid order.  With no axis used yet
-            # every score is exactly 90.
-            if used_axes:
-                axis = np.divide(motion_q[1:], v_norm, out=np.zeros_like(motion_q[1:]),
-                                 where=v_norm > 0.0)
-                cos = np.minimum(np.abs(np.array(used_axes) @ axis), 1.0)
-                score = np.degrees(np.arccos(cos)).min(axis=0)
-            else:
-                score = np.full(len(candidates), 90.0)
-            top = score[passes].max()
-            window = passes & ((score >= top - _SCORE_EPS_DEG) | (top < _SCORE_FLOOR_DEG))
-            best_i, best_score = -1, -1.0
-            for i in np.flatnonzero(window):
-                score_i = 90.0
+                passes &= angle >= 2.0 * scale
                 if used_axes:
-                    axis_i = prev_inv.compose(scalar_pose(i, distance, scale)).rotation_axis()
-                    score_i = min(line_angle_deg(axis_i, a) for a in used_axes)
-                if score_i > best_score:
-                    best_i, best_score = i, score_i
-            best_pose = scalar_pose(best_i, distance, scale)
-            best_axis = prev_inv.compose(best_pose).rotation_axis()
-            break
-        if best_pose is None:
+                    axis = np.divide(motion_q[1:], v_norm, out=np.zeros_like(motion_q[1:]),
+                                     where=v_norm > 0.0)
+                    cos = np.minimum(np.abs(np.array(used_axes) @ axis), 1.0)
+                    score = np.degrees(np.arccos(cos)).min(axis=0)
+            if passes.any():
+                # argmax takes the first of equal scores, in grid order.
+                tilt, azimuth, roll = candidates[int(np.argmax(np.where(passes, score, -1.0)))]
+                best_pose = _look_pose(center, distance, tilt * scale, azimuth, roll * scale)
+                break
+        else:
             raise InfeasibleBoxError(
                 "no candidate orientation keeps the box inside the frustum")
+        if prev_inv is not None:
+            used_axes.append(prev_inv.compose(best_pose).rotation_axis())
         cam_poses.append(best_pose)
-        if best_axis is not None:
-            used_axes.append(best_axis)
     return [p.compose(x_nom.invert()) for p in cam_poses]

@@ -253,7 +253,7 @@ class Scenario:
 def _to_json(value):
     """JSON form of a config value: its ``to_json_dict`` where it has one,
     a dict of its fields for the other dataclasses, a list for a tuple.
-    A value with no JSON form, such as a callable surface, is a TypeError."""
+    A value with no JSON form is a TypeError."""
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     if is_dataclass(value):

@@ -48,8 +48,11 @@ def _surface_params(surface: dict) -> tuple[str, dict[str, float]]:
     """Kind and parameters of a surface descriptor, defaults filled in.
 
     A key the kind does not have, a missing required key and a value that
-    is not an int or float (a bool or a string) are ValueErrors.
+    is not an int or float (a bool or a string) are ValueErrors; a surface
+    that is not a dict is a TypeError.
     """
+    if not isinstance(surface, dict):
+        raise TypeError(f"a surface is a descriptor dict, not {type(surface).__name__}")
     kind = surface.get("kind", "flat")
     if not isinstance(kind, str) or kind not in _SURFACE_KEYS:
         raise ValueError(f"unknown surface kind {kind!r}")
@@ -74,14 +77,10 @@ def _surface_params(surface: dict) -> tuple[str, dict[str, float]]:
 def _surface_function(surface, extent) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
                                                 tuple[float, float],
                                                 tuple[float, float] | None]:
-    """Height function of a surface, its height range (floor, ceiling) over
-    the patch and the plane gradient (gx, gy) of a planar kind.
-
-    The range is (-inf, inf) for a callable surface, whose extremes are
-    unknown.  The gradient is None for the curved kinds and for callables.
+    """Height function of a surface descriptor, its height range (floor,
+    ceiling) over the patch and the plane gradient (gx, gy) of a planar
+    kind; the gradient is None for the curved kinds.
     """
-    if callable(surface):
-        return surface, (-math.inf, math.inf), None
     kind, p = _surface_params(surface)
     if kind == "flat":
         return (lambda x, y: np.zeros_like(x)), (0.0, 0.0), (0.0, 0.0)
@@ -103,13 +102,13 @@ def _surface_function(surface, extent) -> tuple[Callable[[np.ndarray, np.ndarray
 class TorsoPhantom:
     """Breathing height-field phantom over a rectangular patch.
 
-    ``surface`` is either a JSON-friendly descriptor dict (kinds: flat,
-    slope, ripple, dome) or a vectorized callable f(x, y) -> height.
+    ``surface`` is a JSON-friendly descriptor dict (kinds: flat, slope,
+    ripple, dome).
     The breathing offset displaces the whole surface along the patch
     normal (+z of the phantom frame).
     """
 
-    surface: dict | Callable = field(default_factory=lambda: {"kind": "flat"})
+    surface: dict = field(default_factory=lambda: {"kind": "flat"})
     extent: tuple[float, float, float, float] = (-150.0, 150.0, -100.0, 100.0)
     breathing_amplitude_mm: float = 0.0
     breathing_period_s: float = 4.0
@@ -542,8 +541,8 @@ def render_cloud(phantom: TorsoPhantom,
     or crosses the surface's continuation off the patch, finds no skin
     there.  Flat and slope surfaces are planes, hit in closed form: the
     height above the plane is linear along a segment, so the crossing sits
-    at ``s = f0 / (f0 - f1)`` from the heights at its two ends.  Ripple,
-    dome and callable surfaces are scanned over substeps on the unclipped
+    at ``s = f0 / (f0 - f1)`` from the heights at its two ends.  Ripple
+    and dome surfaces are scanned over substeps on the unclipped
     height function and the bracketed crossing is bisected; a crossing that
     lands off the patch is dropped and the ray's next one is tried.
 
@@ -560,8 +559,7 @@ def render_cloud(phantom: TorsoPhantom,
     box.  All boxes are padded by 1e-6 mm, which covers the rounding of
     ``wa + s * dw``.  A skin hit lies on the patch and within the height
     range, so it lies in the phantom box; a segment wholly below the floor
-    finds no skin.  A callable surface's range is unknown, (-inf, inf), so
-    only the patch outline culls its segments.
+    finds no skin.
 
     Hits are perturbed along the line of sight with sigma_z(depth) and
     laterally with the lateral factor times sigma_z, both scaled by

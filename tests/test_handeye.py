@@ -7,7 +7,7 @@ import pytest
 
 from specklenav.camera import CameraModel, RangeClampWarning
 from specklenav import handeye
-from specklenav.geometry import Aabb, RigidTransform, pose_error
+from specklenav.geometry import Aabb, RigidTransform, line_angle_deg, pose_error
 from specklenav.handeye import (
     CalibrationSample,
     HandEyeResult,
@@ -20,6 +20,7 @@ from specklenav.handeye import (
     sample_from_board_observation,
     solve_ax_xb,
 )
+from specklenav.harness import default_scenario
 
 X_TRUE = RigidTransform.from_axis_angle((0.3, -0.5, 0.81), 11.0,
                                         translation=(35.0, -20.0, 80.0))
@@ -67,10 +68,13 @@ def test_three_samples_suffice():
 
 
 def test_sample_pairing_inverts_board_observation():
-    flange = RigidTransform.rot_x(12.0, translation=(0.0, 0.0, 400.0))
-    board_in_camera = RigidTransform.rot_y(4.0, translation=(10.0, 5.0, 300.0))
+    flange = RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 12.0, translation=(0.0, 0.0, 400.0))
+    board_in_camera = RigidTransform.from_axis_angle((0.0, 1.0, 0.0), 4.0,
+                                                     translation=(10.0, 5.0, 300.0))
     sample = sample_from_board_observation(flange, board_in_camera)
-    assert sample.target_in_camera.is_close(board_in_camera.invert(), tol=1e-12)
+    err = pose_error(sample.target_in_camera, board_in_camera.invert())
+    assert err.rotation_error_deg <= math.degrees(1e-12)
+    assert err.translation_error_mm <= 1e-12
 
 
 def test_noisy_solve_median_translation_error():
@@ -308,13 +312,16 @@ def test_result_json_keys():
 BOX = Aabb.from_center_extents((0.0, 0.0, 0.0), (90.0, 90.0, 24.0))
 
 
+def same_plan(a, b):
+    return len(a) == len(b) and all(np.array_equal(p.q, o.q) and np.array_equal(p.t, o.t)
+                                    for p, o in zip(a, b))
+
+
 def test_plan_is_deterministic():
     a = plan_poses(BOX, 10, 22.0)
     b = plan_poses(BOX, 10, 22.0)
-    assert len(a) == len(b) == 10
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.q, pb.q)
-        assert np.array_equal(pa.t, pb.t)
+    assert len(a) == 10
+    assert same_plan(a, b)
 
 
 def test_candidate_grid_is_cached_and_read_only():
@@ -322,14 +329,11 @@ def test_candidate_grid_is_cached_and_read_only():
     cold = plan_poses(BOX, 10, 22.0)
     grid = handeye._candidate_grid(22.0, 0)
     assert handeye._candidate_grid(22.0, 0) is grid
-    for column in (grid.q, grid.view, grid.rot_t, grid.rot_apply):
+    for column in (grid.q, grid.view, grid.rot_apply):
         assert not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = 0.0
-    warm = plan_poses(BOX, 10, 22.0)
-    for pa, pb in zip(cold, warm):
-        assert np.array_equal(pa.q, pb.q)
-        assert np.array_equal(pa.t, pb.t)
+    assert same_plan(cold, plan_poses(BOX, 10, 22.0))
 
 
 def test_planned_poses_keep_the_box_in_view():
@@ -408,94 +412,7 @@ def test_plan_rejects_an_oversized_box():
 
 
 # ---------------------------------------------------------------------------
-# The batched planner against the per-candidate loop it replaced.
-
-
-def _oracle_look_pose(target, distance, tilt_rad, azimuth_rad, roll_rad):
-    view = np.array([math.sin(tilt_rad) * math.cos(azimuth_rad),
-                     math.sin(tilt_rad) * math.sin(azimuth_rad),
-                     -math.cos(tilt_rad)])
-    position = target - distance * view
-    z_axis = view
-    up = np.array([0.0, 1.0, 0.0]) if abs(z_axis[1]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    x_axis = np.cross(up, z_axis)
-    x_axis /= np.linalg.norm(x_axis)
-    y_axis = np.cross(z_axis, x_axis)
-    x_roll = math.cos(roll_rad) * x_axis + math.sin(roll_rad) * y_axis
-    y_roll = np.cross(z_axis, x_roll)
-    rot = np.column_stack([x_roll, y_roll, z_axis])
-    return RigidTransform.from_matrix(rot, position)
-
-
-def oracle_plan_poses(observation_box, count, tilt_range_deg, camera=None,
-                      nominal_camera_in_flange=None, shrinks=None):
-    """The scalar planner, one RigidTransform per candidate.
-
-    ``shrinks``, when given, collects every shrink index the search
-    reaches; it is the only addition to the original loop.
-    """
-    if count < 3:
-        raise TooFewSamplesError(f"pose plan needs count >= 3, got {count}")
-    if not (0.0 < tilt_range_deg <= 60.0):
-        raise ValueError("tilt_range_deg must lie in (0, 60]")
-    camera = camera if camera is not None else CameraModel()
-    x_nom = (nominal_camera_in_flange if nominal_camera_in_flange is not None
-             else RigidTransform.identity())
-
-    d_lo, d_hi = handeye._feasible_standoffs(observation_box, camera)
-    center = observation_box.center
-    corners = observation_box.corners()
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-
-    candidates = []
-    for i_t in range(1, 5):
-        tilt = math.radians(tilt_range_deg) * i_t / 4.0
-        for i_a in range(10):
-            azimuth = (i_a * golden) % (2.0 * math.pi)
-            for roll_deg in (-25.0, -10.0, 0.0, 10.0, 25.0):
-                candidates.append((tilt, azimuth, math.radians(roll_deg)))
-
-    def line_angle_deg(u, w):
-        return math.degrees(math.acos(min(abs(float(u @ w)), 1.0)))
-
-    cam_poses = []
-    used_axes = []
-    for k in range(count):
-        distance = d_lo + (d_hi - d_lo) * (k + 0.5) / count
-        best_pose = None
-        best_axis = None
-        for shrink in range(12):
-            if shrinks is not None:
-                shrinks.append(shrink)
-            scale = 0.7 ** shrink
-            best_score = -1.0
-            for tilt, azimuth, roll in candidates:
-                pose = _oracle_look_pose(center, distance, tilt * scale,
-                                         azimuth, roll * scale)
-                if not bool(np.all(camera.contains(pose.invert().apply(corners)))):
-                    continue
-                if not cam_poses:
-                    best_pose = pose
-                    break
-                motion = cam_poses[-1].invert().compose(pose)
-                if motion.rotation_angle_deg() < 2.0 * scale:
-                    continue
-                axis = motion.rotation_axis()
-                score = min((line_angle_deg(axis, a) for a in used_axes),
-                            default=90.0)
-                if score > best_score:
-                    best_score = score
-                    best_pose = pose
-                    best_axis = axis
-            if best_pose is not None:
-                break
-        if best_pose is None:
-            raise InfeasibleBoxError(
-                "no candidate orientation keeps the box inside the frustum")
-        cam_poses.append(best_pose)
-        if best_axis is not None:
-            used_axes.append(best_axis)
-    return [p.compose(x_nom.invert()) for p in cam_poses]
+# Planner properties over a spread of problems.
 
 
 # (box extents mm, pose count, tilt range deg) of the calib_solve benchmark.
@@ -509,7 +426,7 @@ def _random_nominal(rng):
         translation=(rng.uniform(30, 50), rng.uniform(-30, -10), rng.uniform(80, 110)))
 
 
-def _oracle_problems():
+def _plan_problems():
     """(id, box, count, tilt, nominal camera-in-flange or None)."""
     problems = []
     for seed in range(5):
@@ -541,6 +458,10 @@ def _oracle_problems():
     # the best score is 0 deg, where acos rounding is at its worst.
     problems.append(("zero-score", Aabb.from_center_extents(
         (0.0, 0.0, 0.0), (693.43, 145.79, 26.47)), 8, 25.35, None))
+    # Every pose fits at full scale, yet the frustum leaves the last one only
+    # candidates that turn about the optical axis, already used.
+    problems.append(("full-scale-reuse", Aabb.from_center_extents(
+        (0.0, 0.0, 0.0), (200.0, 160.0, 40.0)), 10, 45.0, None))
     problems.append(("beyond-fov", Aabb.from_center_extents(
         (0.0, 0.0, 0.0), (1000.0, 1000.0, 24.0)), 5, 22.0, None))
     problems.append(("beyond-depth", Aabb.from_center_extents(
@@ -548,71 +469,148 @@ def _oracle_problems():
     return problems
 
 
-ORACLE_PROBLEMS = _oracle_problems()
+PLAN_PROBLEMS = _plan_problems()
+INFEASIBLE = ("beyond-depth", "beyond-fov", "wide732")
+POINT = Aabb.from_center_extents((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-def _plan_or_error(planner, box, count, tilt, nominal):
-    try:
-        with warnings.catch_warnings():
-            # Also catches a RuntimeWarning from an identity motion.
-            warnings.simplefilter("error")
-            return planner(box, count, tilt, nominal_camera_in_flange=nominal)
-    except InfeasibleBoxError as exc:
-        return (type(exc), str(exc))
+def _plan_and_shrink(box, count, tilt, nominal=None):
+    """The plan, or the InfeasibleBoxError's message, and the largest shrink
+    index the search reached (-1 when it built no grid)."""
+    shrinks = [-1]
+    grid = handeye._candidate_grid
+
+    def recording(tilt_range_deg, shrink):
+        shrinks.append(shrink)
+        return grid(tilt_range_deg, shrink)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(handeye, "_candidate_grid", recording)
+        # Also catches a RuntimeWarning from an identity motion.
+        warnings.simplefilter("error")
+        try:
+            plan = plan_poses(box, count, tilt, nominal_camera_in_flange=nominal)
+        except InfeasibleBoxError as exc:
+            plan = str(exc)
+    return plan, max(shrinks)
 
 
-def _assert_same_plan(got, want):
-    if isinstance(want, tuple):
-        assert got == want
-        return
-    assert not isinstance(got, tuple), got
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.q, w.q)
-        assert np.array_equal(g.t, w.t)
+def _motions(poses):
+    return [a.invert().compose(b) for a, b in zip(poses, poses[1:])]
+
+
+def _min_axis_separation_deg(poses):
+    axes = [m.rotation_axis() for m in _motions(poses)]
+    return min(line_angle_deg(u, w) for u, w in itertools.combinations(axes, 2))
+
+
+def _same_rotations(poses, others):
+    return all(np.array_equal(p.q, o.q) for p, o in zip(poses, others))
+
+
+def _frustum_decides_nothing(poses, count, tilt):
+    """Whether the plan turns as a point target's plan does: every candidate
+    keeps a point in view, so the frustum then ruled out no choice."""
+    return _same_rotations(poses, plan_poses(POINT, count, tilt))
 
 
 @pytest.fixture(scope="module")
-def oracle_plans():
-    return {pid: _plan_or_error(oracle_plan_poses, box, count, tilt, nominal)
-            for pid, box, count, tilt, nominal in ORACLE_PROBLEMS}
+def plans():
+    """Camera-pose plans of PLAN_PROBLEMS and the shrink each reached."""
+    return {pid: _plan_and_shrink(box, count, tilt)
+            for pid, box, count, tilt, _ in PLAN_PROBLEMS}
 
 
-@pytest.mark.parametrize("problem", ORACLE_PROBLEMS, ids=[p[0] for p in ORACLE_PROBLEMS])
-def test_plan_matches_the_scalar_oracle(problem, oracle_plans):
+@pytest.mark.parametrize("problem", PLAN_PROBLEMS, ids=[p[0] for p in PLAN_PROBLEMS])
+def test_plan_keeps_its_properties(problem, plans):
     pid, box, count, tilt, nominal = problem
-    _assert_same_plan(_plan_or_error(plan_poses, box, count, tilt, nominal),
-                      oracle_plans[pid])
+    poses, shrink = plans[pid]
+    if pid in INFEASIBLE:
+        assert isinstance(poses, str)
+        return
+    assert len(poses) == count
+    camera = CameraModel()
+    for pose in poses:
+        assert bool(np.all(camera.contains(pose.invert().apply(box.corners()))))
+    steps = [m.rotation_angle_deg() for m in _motions(poses)]
+    assert min(steps) > 2.0 * 0.7 ** 11   # 2 * scale at the last scale
+    if shrink == 0:
+        assert min(steps) >= 2.0
+    # The docstring's separation claim, where its condition holds.
+    if tilt >= 2.0 and count <= 12 and _frustum_decides_nothing(poses, count, tilt):
+        assert _min_axis_separation_deg(poses) >= 10.0
+    if nominal is not None:
+        flanges, _ = _plan_and_shrink(box, count, tilt, nominal)
+        for flange, cam in zip(flanges, poses):
+            err = pose_error(flange.compose(nominal), cam)
+            assert err.rotation_error_deg < 1e-9
+            assert err.translation_error_mm < 1e-9
+    # The plan does not depend on what the grid cache holds.
+    handeye._candidate_grid.cache_clear()
+    assert same_plan(_plan_and_shrink(box, count, tilt)[0], poses)
 
 
-def test_oracle_set_covers_every_planner_path(oracle_plans):
-    infeasible = [pid for pid, plan in oracle_plans.items() if isinstance(plan, tuple)]
-    assert sorted(infeasible) == ["beyond-depth", "beyond-fov", "wide732"]
-    messages = {oracle_plans[pid][1] for pid in infeasible}
+def test_plan_problems_reach_every_planner_path(plans):
+    infeasible = sorted(pid for pid, (plan, _) in plans.items() if isinstance(plan, str))
+    assert infeasible == sorted(INFEASIBLE)
+    messages = {plans[pid][0] for pid in infeasible}
     assert len(messages) == 3   # both standoff checks and the empty search
-    shrinks = []
-    box, count, tilt = next(p[1:4] for p in ORACLE_PROBLEMS if p[0] == "wide700")
-    oracle_plan_poses(box, count, tilt, shrinks=shrinks)
-    assert max(shrinks) > 0
-    assert any(p[4] is None for p in ORACLE_PROBLEMS)
-    assert any(p[4] is not None for p in ORACLE_PROBLEMS)
+    # wide700 needs a gentler grid, where less than 2 deg of motion passes.
+    poses, shrink = plans["wide700"]
+    assert shrink > 0
+    assert min(m.rotation_angle_deg() for m in _motions(poses)) < 2.0
+    # The separation claim needs its condition: in both problems the frustum
+    # leaves a pose only candidates that turn about an axis already used.
+    for pid, count, tilt in (("zero-score", 8, 25.35), ("full-scale-reuse", 10, 45.0)):
+        poses, _ = plans[pid]
+        assert not _frustum_decides_nothing(poses, count, tilt)
+        assert _min_axis_separation_deg(poses) < 10.0
+    assert plans["full-scale-reuse"][1] == 0
+    assert any(p[4] is None for p in PLAN_PROBLEMS)
+    assert any(p[4] is not None for p in PLAN_PROBLEMS)
 
 
-def test_plan_does_not_follow_rounding_of_the_batch_screen(monkeypatch, oracle_plans):
-    """A batch motion off by 1e-12 (far above float rounding, far below
-    the re-check windows) must not change a single decision.
+@pytest.mark.parametrize("tilt", np.arange(2.0, 60.5, 1.0).tolist())
+def test_unconstrained_plan_keeps_its_axes_apart(tilt):
+    # A plan's rotations do not depend on the standoffs, so with nothing
+    # out of view the 12-pose plan holds every shorter one as a prefix.
+    poses = plan_poses(POINT, 12, tilt)
+    assert _same_rotations(plan_poses(POINT, 3, tilt), poses)
+    assert _min_axis_separation_deg(poses) >= 10.0
 
-    The 8 deg problems have motion angles on the threshold, and the first
-    motion about the optical axis leaves later candidates tied on score.
-    """
-    exact = handeye._quat_multiply
-    skew = np.array([0.3, -0.5, 0.7, 0.4]) * 1e-12
 
-    def skewed(a, b):
-        return exact(a, b) + skew.reshape((4,) + (1,) * (np.ndim(b) - 1))
+# The default scenario's flange poses (q, t), recorded before the batched
+# screen became the planner's only decision path.
+DEFAULT_PLAN = (
+    ((0.02189483697748599, -0.27925937190325417, 0.9599576081505816, -0.0040261484999624215),
+     (-452.51112148649634, -298.89207421406996, 311.2024331478435)),
+    ((0.02467806633177518, -0.15187359977933768, 0.9880782572267173, 0.00517303856580991),
+     (-447.91270827934295, -308.06083654323, 354.4422390109173)),
+    ((0.0720557923514312, -0.1519468927984089, 0.9857563655136445, -0.0021195298645285635),
+     (-496.52442232819357, -308.06083654323, 394.18889924318364)),
+    ((0.08187861644124475, -0.16352778413552355, 0.9769242754916116, 0.11033365733348607),
+     (-496.5888624035306, -422.80513825422025, 430.2736960529417)),
+    ((0.057312739674797164, 0.2784783262756538, -0.958396461454822, 0.0253237899326995),
+     (-392.08398979552624, -252.38085713858098, 473.3436311955717)),
+    ((0.1866968083879664, 0.13546647364186315, -0.9669041686105951, -0.10903882327061007),
+     (-203.81525557028345, -392.83091275185336, 470.1002293040489)),
+    ((0.11675591052153511, 0.06430511021462533, -0.9910689793821181, -0.003897212472927628),
+     (-284.9134934738858, -294.25139725037917, 545.1004908913064)),
+    ((0.028040933208094882, 0.15160279630175788, -0.9862129741737095, -0.06011878067420643),
+     (-390.5378297400676, -370.7743611717101, 606.7716255206076)),
+    ((0.03346269898035238, 0.2774998084305456, -0.9594031153043469, 0.037679788246156594),
+     (-422.1330337679704, -230.43199257151298, 644.1701343712627)),
+    ((0.13655581371914527, 0.2693486566317331, -0.9482395567759939, -0.0982117807365771),
+     (-216.24604682118533, -381.6279572628853, 657.9646106200956)),
+)
 
-    monkeypatch.setattr(handeye, "_quat_multiply", skewed)
-    for pid, box, count, tilt, nominal in ORACLE_PROBLEMS:
-        if pid.startswith("calib") or tilt == 8.0:
-            _assert_same_plan(_plan_or_error(plan_poses, box, count, tilt, nominal),
-                              oracle_plans[pid])
+
+def test_default_scenario_plan_is_pinned():
+    sc = default_scenario()
+    poses = plan_poses(sc.observation_box, sc.calibration.count, sc.calibration.tilt_range_deg,
+                       camera=sc.camera, nominal_camera_in_flange=sc.hand_eye_true)
+    assert len(poses) == len(DEFAULT_PLAN)
+    for pose, (q, t) in zip(poses, DEFAULT_PLAN):
+        err = pose_error(pose, RigidTransform(q=np.array(q), t=t))
+        assert err.rotation_error_deg <= 1e-9
+        assert err.translation_error_mm <= 1e-9

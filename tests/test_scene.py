@@ -4,7 +4,6 @@ from scipy.optimize import brentq
 
 from specklenav.camera import CameraModel
 from specklenav.geometry import Box, RigidTransform, random_transform
-from specklenav.harness import Scenario
 from specklenav.scene import (
     EmptyCloudError,
     PointCloud,
@@ -102,10 +101,9 @@ def test_phantom_json_roundtrip():
     assert back.breathing_amplitude_mm == 2.0
 
 
-def test_callable_surface_not_serializable():
-    phantom = TorsoPhantom(surface=lambda x, y: np.zeros_like(x))
-    with pytest.raises(TypeError):
-        Scenario(master_seed=1, phantom=phantom).to_json_dict()
+def test_surface_must_be_a_descriptor():
+    with pytest.raises(TypeError, match="descriptor dict, not function"):
+        TorsoPhantom(surface=lambda x, y: np.zeros_like(x))
 
 
 # ---------------------------------------------------------------------------
@@ -533,30 +531,6 @@ def test_occluder_bounds_contain_the_box():
         assert np.allclose(corners.max(axis=0), hi, atol=1e-5)
 
 
-@pytest.mark.parametrize("kind", sorted(SKIP_SURFACES))
-def test_callable_surface_renders_the_same_cloud_as_its_descriptor(kind):
-    # A callable has no height bound, so only the patch outline culls its
-    # segments; the descriptor also skips segments above its bound.  A curved
-    # descriptor runs the same root finder as its callable and must give the
-    # same bits.  A slope descriptor is hit in closed form while its callable
-    # is bisected, so the two agree to the bisection's precision.
-    descriptor, fn = SKIP_SURFACES[kind]
-    cam = tilted_camera(420.0, 20.0, resolution=(96, 72))
-    lid = Box(pose=RigidTransform.from_axis_angle((0.0, 0.0, 1.0), 30.0,
-                                                  translation=(60.0, -20.0, 60.0)),
-              half_extents=(25.0, 15.0, 5.0))
-    marker = RingMarker(pose_on_surface=RigidTransform.translation(-20.0, 10.0, 0.0))
-    clouds = [render_cloud(TorsoPhantom(surface=surface, breathing_amplitude_mm=2.5),
-                           marker, cam, t=0.6, seed=4, occluders=(lid,))
-              for surface in (descriptor, fn)]
-    assert len(clouds[0]) > 1000
-    if kind == "slope":
-        assert len(clouds[0]) == len(clouds[1])
-        assert np.max(np.abs(clouds[0].points - clouds[1].points)) <= 1e-9
-    else:
-        assert np.array_equal(clouds[0].points, clouds[1].points)
-
-
 @pytest.mark.parametrize("surface, extent", [
     ({"kind": "flat"}, (-150.0, 150.0, -100.0, 100.0)),
     ({"kind": "slope", "gx": 0.2, "gy": -0.1}, (-150.0, 150.0, -100.0, 100.0)),
@@ -582,11 +556,6 @@ def test_height_bound_covers_the_surface(surface, extent):
     heights = phantom.height(x, y)
     assert floor <= float(np.min(heights))
     assert ceiling >= float(np.max(heights))
-
-
-def test_callable_surface_has_no_height_bound():
-    height_range = TorsoPhantom(surface=lambda x, y: np.zeros_like(x))._height_range
-    assert height_range == (-np.inf, np.inf)
 
 
 # ---------------------------------------------------------------------------
