@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,38 +581,37 @@ def test_unconstrained_plan_keeps_its_axes_apart(tilt):
     assert _min_axis_separation_deg(poses) >= 10.0
 
 
-# The default scenario's flange poses (q, t), recorded before the batched
-# screen became the planner's only decision path.
-DEFAULT_PLAN = (
-    ((0.02189483697748599, -0.27925937190325417, 0.9599576081505816, -0.0040261484999624215),
-     (-452.51112148649634, -298.89207421406996, 311.2024331478435)),
-    ((0.02467806633177518, -0.15187359977933768, 0.9880782572267173, 0.00517303856580991),
-     (-447.91270827934295, -308.06083654323, 354.4422390109173)),
-    ((0.0720557923514312, -0.1519468927984089, 0.9857563655136445, -0.0021195298645285635),
-     (-496.52442232819357, -308.06083654323, 394.18889924318364)),
-    ((0.08187861644124475, -0.16352778413552355, 0.9769242754916116, 0.11033365733348607),
-     (-496.5888624035306, -422.80513825422025, 430.2736960529417)),
-    ((0.057312739674797164, 0.2784783262756538, -0.958396461454822, 0.0253237899326995),
-     (-392.08398979552624, -252.38085713858098, 473.3436311955717)),
-    ((0.1866968083879664, 0.13546647364186315, -0.9669041686105951, -0.10903882327061007),
-     (-203.81525557028345, -392.83091275185336, 470.1002293040489)),
-    ((0.11675591052153511, 0.06430511021462533, -0.9910689793821181, -0.003897212472927628),
-     (-284.9134934738858, -294.25139725037917, 545.1004908913064)),
-    ((0.028040933208094882, 0.15160279630175788, -0.9862129741737095, -0.06011878067420643),
-     (-390.5378297400676, -370.7743611717101, 606.7716255206076)),
-    ((0.03346269898035238, 0.2774998084305456, -0.9594031153043469, 0.037679788246156594),
-     (-422.1330337679704, -230.43199257151298, 644.1701343712627)),
-    ((0.13655581371914527, 0.2693486566317331, -0.9482395567759939, -0.0982117807365771),
-     (-216.24604682118533, -381.6279572628853, 657.9646106200956)),
-)
+# Plans recorded before the batched screen became the planner's only
+# decision path, as (q, t) poses or an InfeasibleBoxError's message: the
+# retired candidate-by-candidate planner's (the scalar oracle's) for
+# PLAN_PROBLEMS, and the default scenario's flange poses.
+RECORDED_PLANS = json.loads((Path(__file__).parent / "recorded_plans.json").read_text())
+
+
+def _assert_plan_is(poses, recorded):
+    """Same decisions as a recorded plan, with no last-bit rounding pinned."""
+    assert len(poses) == len(recorded)
+    for pose, (q, t) in zip(poses, recorded):
+        err = pose_error(pose, RigidTransform(q=np.array(q), t=t))
+        assert err.rotation_error_deg <= 1e-9
+        assert err.translation_error_mm <= 1e-9
+
+
+@pytest.mark.parametrize("problem", PLAN_PROBLEMS, ids=[p[0] for p in PLAN_PROBLEMS])
+def test_plan_matches_the_scalar_oracle(problem):
+    pid, box, count, tilt, nominal = problem
+    want = RECORDED_PLANS[pid]
+    try:
+        poses = plan_poses(box, count, tilt, nominal_camera_in_flange=nominal)
+    except InfeasibleBoxError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    _assert_plan_is(poses, want)
 
 
 def test_default_scenario_plan_is_pinned():
     sc = default_scenario()
     poses = plan_poses(sc.observation_box, sc.calibration.count, sc.calibration.tilt_range_deg,
                        camera=sc.camera, nominal_camera_in_flange=sc.hand_eye_true)
-    assert len(poses) == len(DEFAULT_PLAN)
-    for pose, (q, t) in zip(poses, DEFAULT_PLAN):
-        err = pose_error(pose, RigidTransform(q=np.array(q), t=t))
-        assert err.rotation_error_deg <= 1e-9
-        assert err.translation_error_mm <= 1e-9
+    _assert_plan_is(poses, RECORDED_PLANS["default-scenario"])
