@@ -26,6 +26,7 @@ from .handeye import (
     sample_from_board_observation,
     solve_ax_xb,
 )
+from .harness import VERSION as __version__
 from .harness import (
     RunReport,
     Scenario,
@@ -42,8 +43,6 @@ from .respiration import (
     motion_alarm,
 )
 from .scene import PointCloud, RingMarker, TorsoPhantom, render_cloud
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Aabb",

@@ -212,11 +212,6 @@ class RigidTransform:
         out = v @ self.rotation_matrix.T
         return out[0] if single else out
 
-    def rotation_angle_deg(self) -> float:
-        w = abs(float(self.q[0]))
-        v = float(np.linalg.norm(self.q[1:]))
-        return math.degrees(2.0 * math.atan2(v, w))
-
     def rotation_axis(self) -> np.ndarray:
         """Unit rotation axis; arbitrary (+z) for the identity rotation."""
         v = self.q[1:]

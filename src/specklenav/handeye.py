@@ -89,15 +89,6 @@ class HandEyeResult:
         if self.rotation_residual_deg < 0 or self.translation_residual_mm < 0:
             raise ValueError("residuals must be non-negative")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "camera_in_flange": self.camera_in_flange.to_json_dict(),
-            "rotation_residual_deg": self.rotation_residual_deg,
-            "translation_residual_mm": self.translation_residual_mm,
-            "sample_count": self.sample_count,
-            "solver": self.solver,
-        }
-
 
 @dataclass(frozen=True)
 class ReprojectionStats:

@@ -509,7 +509,7 @@ def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
 def _stage_solve(sc: Scenario, samples) -> dict:
     result = solve_ax_xb(samples)
     vs_truth = pose_error(result.camera_in_flange, sc.hand_eye_true)
-    summary = result.to_json_dict()
+    summary = _to_json(result)
     summary["rotation_error_vs_truth_deg"] = vs_truth.rotation_error_deg
     summary["translation_error_vs_truth_mm"] = vs_truth.translation_error_mm
     return {"result": result, "summary": summary}
@@ -711,9 +711,9 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
             "period_error_s": float(period - cfg.period_s),
             "peak_to_peak_mm": float(values.max() - values.min()),
             "gate_count": len(gates),
-            "gates": [g.to_json_dict() for g in gates],
+            "gates": [_to_json(g) for g in gates],
             "alarm_count": len(alarms),
-            "alarms": [a.to_json_dict() for a in alarms],
+            "alarms": [_to_json(a) for a in alarms],
         },
     }
 

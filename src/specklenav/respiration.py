@@ -36,13 +36,9 @@ class BreathSignal:
     """Time series of (t_s, displacement_mm), strictly increasing in time.
 
     The samples live in two float arrays.  The constructor reads them once
-    and validates them in one batch, raising for the first bad sample what
-    ``append`` would have raised for it.  ``append`` copies both arrays, so
-    it is O(n) per call: build a long signal in one go, not sample by sample.
-
-    Not thread-safe: the pipeline builds and reads a signal on one thread,
-    and nothing appends to it concurrently.  Reads copy the underlying
-    storage, so a snapshot never changes under the caller.
+    and validates them in one batch, raising for the first bad sample.
+    Reads copy the underlying storage, so a snapshot never changes under
+    the caller.
     """
 
     def __init__(self, samples: Iterable[tuple[float, float]] = ()) -> None:
@@ -53,16 +49,9 @@ class BreathSignal:
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError("samples must be (t_s, displacement_mm) pairs")
         times, values = data.T.copy()
-        _check_samples(times, values, -math.inf)
+        _check_samples(times, values)
         self._times = times
         self._values = values
-
-    def append(self, t_s: float, displacement_mm: float) -> None:
-        times = np.array([float(t_s)])
-        values = np.array([float(displacement_mm)])
-        _check_samples(times, values, self._times[-1] if len(self._times) else -math.inf)
-        self._times = np.concatenate((self._times, times))
-        self._values = np.concatenate((self._values, values))
 
     def __len__(self) -> int:
         return len(self._times)
@@ -71,17 +60,10 @@ class BreathSignal:
         """Snapshot of (times, displacements) as fresh arrays."""
         return self._times.copy(), self._values.copy()
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self._times.tolist(), self._values.tolist()))
 
-
-def _check_samples(times: np.ndarray, values: np.ndarray, last_t: float) -> None:
-    """Raise for the first sample that is not finite or not after the one before.
-
-    ``last_t`` is the time of the sample before ``times[0]`` (-inf if none).
-    """
-    prev = np.concatenate(([last_t], times[:-1]))
+def _check_samples(times: np.ndarray, values: np.ndarray) -> None:
+    """Raise for the first sample that is not finite or not after the one before."""
+    prev = np.concatenate(([-math.inf], times[:-1]))
     finite = np.isfinite(times) & np.isfinite(values)
     bad = np.nonzero(~finite | (times <= prev))[0]
     if len(bad) == 0:
@@ -104,18 +86,11 @@ class GateInterval:
         if not self.end_s > self.start_s:
             raise ValueError("gate must have end > start")
 
-    def to_json_dict(self) -> dict:
-        return {"start_s": self.start_s, "end_s": self.end_s,
-                "mean_level_mm": self.mean_level_mm}
-
 
 @dataclass(frozen=True)
 class AlarmEvent:
     t_s: float
     displacement_mm: float
-
-    def to_json_dict(self) -> dict:
-        return {"t_s": self.t_s, "displacement_mm": self.displacement_mm}
 
 
 def extract_signal(poses: Sequence[MarkerPose],
@@ -357,13 +332,3 @@ def write_signal_csv(path, signal: BreathSignal) -> None:
         writer.writerow(["t_s", "displacement_mm"])
         for t, d in zip(times, values):
             writer.writerow([f"{t:.6f}", f"{d:.6f}"])
-
-
-def read_signal_csv(path) -> BreathSignal:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t_s", "displacement_mm"]:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        rows = [(float(row[0]), float(row[1])) for row in reader if row]
-    return BreathSignal(rows)

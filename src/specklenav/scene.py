@@ -264,18 +264,15 @@ def _meets_box(wa: np.ndarray, wb: np.ndarray, box_lo: np.ndarray,
 
 
 def _height_above(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
-                  dw: np.ndarray, s, out: np.ndarray) -> np.ndarray:
+                  dw: np.ndarray, s) -> np.ndarray:
     """Signed height of the segment points wa + s*dw above the breathing surface.
 
     The height is the unclipped ``_height_fn``, also off the patch.  ``wa``
     and ``dw`` are (3, N) rows of segment starts and spans in the scene
-    frame; ``s`` is the scalar or per-ray fraction along the span.  The
-    points are built in the (3, N) scratch ``out``; its last row is returned.
+    frame; ``s`` is the scalar or per-ray fraction along the span.
     """
-    np.multiply(s, dw, out=out)
-    out += wa
-    np.subtract(out[2], phantom._height_fn(out[0], out[1]) + breath, out=out[2])
-    return out[2]
+    p = s * dw + wa
+    return p[2] - (phantom._height_fn(p[0], p[1]) + breath)
 
 
 def _crossing(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -285,21 +282,6 @@ def _crossing(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     only rows with both ends on the surface are skipped.
     """
     return (f0 >= 0) & (f1 <= 0) & ((f0 > 0) | (f1 < 0))
-
-
-def _bisect_update(blo: np.ndarray, bhi: np.ndarray, mid: np.ndarray,
-                   above: np.ndarray) -> None:
-    """blo = where(above, mid, blo) and bhi = where(above, bhi, mid), in place.
-
-    The bits are copied through an all-ones or all-zeros integer mask.  The
-    mask of a bisection step is random, and a branching select such as
-    ``np.copyto(..., where=)`` is several times slower on it.
-    """
-    take = -above.view(np.int8).astype(np.int64)
-    m = mid.view(np.int64)
-    for dst, sel in ((blo, take), (bhi, ~take)):
-        d = dst.view(np.int64)
-        d ^= (d ^ m) & sel
 
 
 def _plane_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
@@ -336,22 +318,17 @@ def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
     bisected in depth; a crossing that lands off the patch is dropped and
     the ray's next bracket, if any, is bisected instead.  ``wa`` and ``dw``
     are (N, 3) segment starts and spans; they are transposed to (3, N) so
-    that each coordinate the inner loops read is contiguous.  The loops work
-    in preallocated buffers; each step computes the same values, in the same
-    order, as the plain expressions in the comments.
+    that each coordinate the inner loops read is contiguous.
     """
     wa = np.ascontiguousarray(wa.T)
     dw = np.ascontiguousarray(dw.T)
     n = wa.shape[1]
     span = zb - za
     zs = np.linspace(za, zb, _SUBSTEPS_PER_SEGMENT + 1)
-    work = np.empty((3, n))
-    spare = np.empty((3, n))
-    prev = _height_above(phantom, breath, wa, dw, (float(zs[0]) - za) / span, work)
+    prev = _height_above(phantom, breath, wa, dw, (float(zs[0]) - za) / span)
     brackets = np.empty((_SUBSTEPS_PER_SEGMENT, n), dtype=bool)
     for j, z_next in enumerate(zs[1:]):
-        work, spare = spare, work
-        cur = _height_above(phantom, breath, wa, dw, (float(z_next) - za) / span, work)
+        cur = _height_above(phantom, breath, wa, dw, (float(z_next) - za) / span)
         brackets[j] = _crossing(prev, cur)
         prev = cur
     depth = np.full(n, np.inf)
@@ -362,21 +339,14 @@ def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
         bd = dw[:, rays]
         blo = zs[first]
         bhi = zs[first + 1]
-        mid = np.empty_like(blo)
-        s = np.empty_like(blo)
-        above = np.empty(len(blo), dtype=bool)
-        out = work[:, :len(blo)]
         for _ in range(_BISECT_ITERS):
-            np.add(blo, bhi, out=mid)
-            mid *= 0.5                                   # mid = 0.5 * (blo + bhi)
-            np.subtract(mid, za, out=s)
-            s /= span                                    # s = (mid - za) / (zb - za)
-            np.greater(_height_above(phantom, breath, ba, bd, s, out), 0, out=above)
-            _bisect_update(blo, bhi, mid, above)
+            mid = 0.5 * (blo + bhi)
+            above = _height_above(phantom, breath, ba, bd, (mid - za) / span) > 0
+            blo = np.where(above, mid, blo)
+            bhi = np.where(above, bhi, mid)
         hit = 0.5 * (blo + bhi)
-        np.multiply((hit - za) / span, bd, out=out)
-        out += ba
-        inside = phantom._on_patch(out[0], out[1])
+        p = (hit - za) / span * bd + ba
+        inside = phantom._on_patch(p[0], p[1])
         depth[rays[inside]] = hit[inside]
         rays = rays[~inside]
         brackets[first[~inside], rays] = False

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from specklenav.geometry import RigidTransform, pose_error
 from specklenav.harness import Scenario, default_scenario, run_scenario
 
 
@@ -35,6 +36,11 @@ def scenario_json_round_trip(**fields) -> Scenario:
     """``Scenario(master_seed=1, **fields)`` written to JSON text and read back."""
     doc = Scenario(master_seed=1, **fields).to_json_dict()
     return Scenario.from_json_dict(json.loads(json.dumps(doc)))
+
+
+def rotation_angle_deg(tr: RigidTransform) -> float:
+    """Rotation angle of ``tr``, in degrees."""
+    return pose_error(RigidTransform.identity(), tr).rotation_error_deg
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from specklenav.geometry import (
     random_transform,
 )
 
+from conftest import rotation_angle_deg
+
 
 def test_identity_leaves_points_alone():
     eye = RigidTransform.identity()
@@ -90,7 +92,7 @@ def test_axis_angle_roundtrip():
         axis /= np.linalg.norm(axis)
         angle = float(rng.uniform(1.0, 179.0))
         tr = RigidTransform.from_axis_angle(axis, angle)
-        assert tr.rotation_angle_deg() == pytest.approx(angle, abs=1e-9)
+        assert rotation_angle_deg(tr) == pytest.approx(angle, abs=1e-9)
         got = tr.rotation_axis()
         assert abs(float(got @ axis)) == pytest.approx(1.0, abs=1e-9)
 
@@ -145,7 +147,7 @@ def test_random_transform_is_seeded_and_bounded():
     assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
     for _ in range(50):
         tr = random_transform(np.random.default_rng(_), 30.0, 50.0)
-        assert tr.rotation_angle_deg() <= 30.0 + 1e-9
+        assert rotation_angle_deg(tr) <= 30.0 + 1e-9
         assert np.linalg.norm(tr.t) <= 50.0 * math.sqrt(3) + 1e-9
 
 

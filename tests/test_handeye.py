@@ -22,7 +22,9 @@ from specklenav.handeye import (
     sample_from_board_observation,
     solve_ax_xb,
 )
-from specklenav.harness import default_scenario
+from specklenav.harness import _to_json, default_scenario
+
+from conftest import rotation_angle_deg
 
 X_TRUE = RigidTransform.from_axis_angle((0.3, -0.5, 0.81), 11.0,
                                         translation=(35.0, -20.0, 80.0))
@@ -161,7 +163,7 @@ def test_reprojection_length_mismatch():
 
 def _reference_axis_spread(a_motions, min_separation_deg):
     """The full pairwise scan the early-exit check replaced."""
-    axes = [m.rotation_axis() for m in a_motions if m.rotation_angle_deg() > 0.1]
+    axes = [m.rotation_axis() for m in a_motions if rotation_angle_deg(m) > 0.1]
     if len(axes) < 2:
         raise InsufficientMotionError("need at least two rotating relative motions")
     best = 0.0
@@ -214,7 +216,7 @@ def reference_solve_ax_xb(samples):
     _reference_axis_spread([a for a, _ in motions], 5.0)
 
     def log_vector(m):
-        return m.rotation_axis() * math.radians(m.rotation_angle_deg())
+        return m.rotation_axis() * math.radians(rotation_angle_deg(m))
 
     scatter = np.zeros((3, 3))
     for a, b in motions:
@@ -306,7 +308,7 @@ def test_result_validation():
 
 
 def test_result_json_keys():
-    doc = solve_ax_xb(make_samples(5)).to_json_dict()
+    doc = _to_json(solve_ax_xb(make_samples(5)))
     assert set(doc) == {"camera_in_flange", "rotation_residual_deg",
                         "translation_residual_mm", "sample_count", "solver"}
 
@@ -358,7 +360,7 @@ def test_planned_motion_axes_are_well_separated():
     axes = []
     for prev, cur in zip(poses, poses[1:]):
         motion = prev.invert().compose(cur)
-        assert motion.rotation_angle_deg() > 0.5
+        assert rotation_angle_deg(motion) > 0.5
         axes.append(motion.rotation_axis())
     worst = min(
         math.degrees(math.acos(min(abs(float(u @ w)), 1.0)))
@@ -534,7 +536,7 @@ def test_plan_keeps_its_properties(problem, plans):
     camera = CameraModel()
     for pose in poses:
         assert bool(np.all(camera.contains(pose.invert().apply(box.corners()))))
-    steps = [m.rotation_angle_deg() for m in _motions(poses)]
+    steps = [rotation_angle_deg(m) for m in _motions(poses)]
     assert min(steps) > 2.0 * 0.7 ** 11   # 2 * scale at the last scale
     if shrink == 0:
         assert min(steps) >= 2.0
@@ -560,7 +562,7 @@ def test_plan_problems_reach_every_planner_path(plans):
     # wide700 needs a gentler grid, where less than 2 deg of motion passes.
     poses, shrink = plans["wide700"]
     assert shrink > 0
-    assert min(m.rotation_angle_deg() for m in _motions(poses)) < 2.0
+    assert min(rotation_angle_deg(m) for m in _motions(poses)) < 2.0
     # The separation claim needs its condition: in both problems the frustum
     # leaves a pose only candidates that turn about an axis already used.
     for pid, count, tilt in (("zero-score", 8, 25.35), ("full-scale-reuse", 10, 45.0)):
