@@ -9,7 +9,9 @@ the skin.  Detection proceeds in four steps:
    BLAS product), and the winner's inliers get a PCA refit from their
    3x3 scatter,
 2. a band-pass on plane residuals keeps points riding above it,
-3. surviving points are clustered by Euclidean linkage,
+3. surviving points are clustered by single Euclidean linkage, found by
+   hashing them into a grid of link-sized cells and joining the pairs in
+   neighbouring cells by hook-and-compress,
 4. each cluster gets a 3D circle fit and the ring diameter gate picks
    the winner with the lowest geometric residual.
 
@@ -26,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.spatial import cKDTree
 
 from .geometry import Point3
 from .scene import PointCloud, RingMarker
@@ -51,6 +51,18 @@ _BAND_HIGH_MM = 4.0
 _CLUSTER_LINK_MM = 8.0
 _MIN_INLIERS = 15
 _DIAMETER_TOLERANCE_MM = 2.0
+# Linkage grid: the cell edge is the link widened by a part per million, so
+# that rounding in the cell index never puts a linked pair two cells apart.
+# Candidate pairs are screened in chunks of at most _PAIR_CHUNK, which bounds
+# the memory a dense band can take.
+_CELL_SLACK = 1.0 + 1e-6
+_PAIR_CHUNK = 1 << 20
+# The cell itself, then the 13 neighbour cells that come after it in
+# x-major order; every other neighbour sees the cell as one of its own 13.
+_FORWARD_CELLS = np.array([(0, 0, 0)] + [(dx, dy, dz)
+                                         for dx in (0, 1) for dy in (-1, 0, 1)
+                                         for dz in (-1, 0, 1)
+                                         if (dx, dy, dz) > (0, 0, 0)])
 
 
 class TooFewPointsError(ValueError):
@@ -305,26 +317,93 @@ def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
     return centroid, _orient_toward_origin(axes[:, 0], centroid)
 
 
+def _cell_keys(points: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer key of each point's grid cell, and the key steps to _FORWARD_CELLS.
+
+    Cells are counted from the points' lower corner, so a linked pair lands
+    in neighbouring cells while the points span fewer than about 1e9 cells.
+    Along each axis every gap wider than one cell is shrunk to two, which
+    keeps adjacency and keeps the keys small however far apart points lie.
+    """
+    cells = np.floor((points - points.min(axis=0)) / edge)
+    order = np.argsort(cells, axis=0)
+    gaps = np.minimum(np.diff(np.take_along_axis(cells, order, axis=0), axis=0), 2.0)
+    # Counted from 1, with an empty cell on each side, so no step wraps.
+    ranks = np.cumsum(np.vstack([np.ones((1, 3)), gaps]), axis=0).astype(np.int64)
+    ranked = np.empty(points.shape, dtype=np.int64)
+    np.put_along_axis(ranked, order, ranks, axis=0)
+    span = ranks[-1] + 2
+    stride = np.array([span[1] * span[2], span[2], 1])
+    return ranked @ stride, _FORWARD_CELLS @ stride
+
+
+def _hook_and_compress(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the components of edges ``a[k]``-``b[k]`` (Shiloach & Vishkin 1982).
+
+    ``labels`` maps each point to its component's root, the component's
+    smallest index; every root hooks onto the smallest root it shares an
+    edge with, and pointer jumping flattens the trees again, until no edge
+    joins two roots.
+    """
+    while True:
+        ra, rb = labels[a], labels[b]
+        split = ra != rb
+        if not split.any():
+            return labels
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 def _cluster_indices(points: np.ndarray, link_mm: float) -> list[np.ndarray]:
     """Single-linkage Euclidean clusters.
 
+    A pair links when its squared distance is at most ``link_mm**2``.
     Clusters come in order of their smallest point index, and each lists
     its members in ascending order.
     """
-    # Imported here: loading csgraph adds about 4 MB of resident memory,
-    # which callers that only need MarkerPose, such as respiration, skip.
-    from scipy.sparse.csgraph import connected_components
-
+    points = np.asarray(points, dtype=float)
     n = len(points)
     if n == 0:
         return []
-    pairs = cKDTree(points).query_pairs(link_mm, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
-                       shape=(n, n))
-    n_comp, labels = connected_components(graph, directed=False)
+    keys, steps = _cell_keys(points, link_mm * _CELL_SLACK)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    x, y, z = points[order].T.copy()
+    # Run r = (point i, cell c) is the span of sorted points in cell c of
+    # point i, where in its own cell only the points after it count.
+    wanted = sorted_keys[:, None] + steps
+    first = np.searchsorted(sorted_keys, wanted, side="left")
+    first[:, 0] = np.arange(1, n + 1)
+    counts = (np.searchsorted(sorted_keys, wanted, side="right") - first).ravel()
+    ends = np.cumsum(counts)
+    # Candidate k belongs to the run r whose end first passes k; it pairs
+    # sorted points r // 14 and k + shift[r].
+    shift = first.ravel() - (ends - counts)
+    total = int(ends[-1])
+    link_sq = link_mm * link_mm
+    labels = np.arange(n)
+    for start in range(0, total, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, total)
+        # Runs r0..r1 hold candidates start..stop-1; the end runs are cut.
+        r0, r1 = np.searchsorted(ends, [start, stop - 1], side="right")
+        take = counts[r0:r1 + 1].copy()
+        take[0] = ends[r0] - start
+        take[-1] -= ends[r1] - stop
+        run = np.repeat(np.arange(r0, r1 + 1), take)
+        i = run // len(steps)
+        j = shift[run] + np.arange(start, stop)
+        dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+        # The same sum, in the same order, as a k-d tree's squared distance.
+        near = dx * dx + dy * dy + dz * dz <= link_sq
+        labels = _hook_and_compress(labels, order[i[near]], order[j[near]])
     members = np.argsort(labels, kind="stable")
-    clusters = np.split(members, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
-    return sorted(clusters, key=lambda c: c[0])
+    cuts = [0, *(np.flatnonzero(np.diff(labels[members])) + 1).tolist(), n]
+    return [members[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def detect_ring(cloud: PointCloud, marker: RingMarker = RingMarker()) -> MarkerPose:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
+import specklenav.detect
 from specklenav.camera import CameraModel
 from specklenav.detect import (
     AmbiguousMarkerError,
@@ -226,6 +230,74 @@ def test_clusters_partition_the_points_in_order():
     a, b = np.nonzero(np.linalg.norm(points[:, None] - points[None], axis=2) <= 2.5)
     assert np.all(label[a] == label[b])
     assert 1 < len(clusters) < len(points)
+
+
+def scipy_clusters(points, link_mm):
+    """Reference single linkage: k-d tree pairs and sparse-graph components."""
+    n = len(points)
+    if n == 0:
+        return []
+    pairs = cKDTree(points).query_pairs(link_mm, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=False)
+    members = np.argsort(labels, kind="stable")
+    clusters = np.split(members, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
+    return [c.tolist() for c in sorted(clusters, key=lambda c: c[0])]
+
+
+def _on_a_plane(x, y, z=400.0):
+    return np.column_stack([x, y, np.full(len(x), z)])
+
+
+def _blobs(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-120.0, 120.0, (12, 3))
+    sizes = rng.integers(1, 60, len(centres))
+    points = np.concatenate([c + rng.normal(0.0, 6.0, (k, 3)) for c, k in zip(centres, sizes)])
+    return points[rng.permutation(len(points))]
+
+
+_DIAGONAL = np.array([3.0, 4.0, np.sqrt(39.0)])  # 3-4-sqrt(39) has length 8
+_PARITY_CASES = {
+    "empty": (np.empty((0, 3)), 8.0),
+    "one point": (np.array([[1.0, 2.0, 400.0]]), 8.0),
+    "duplicates": (np.array([[0.0, 0.0, 400.0], [20.0, 0.0, 400.0], [0.0, 0.0, 400.0],
+                             [20.0, 0.0, 400.0], [0.0, 0.0, 400.0]]), 8.0),
+    "at the link": (_on_a_plane([0.0, 8.0, 0.0, -8.0], [0.0, 0.0, 8.0, 0.0]), 8.0),
+    "diagonal at the link": (np.array([[0.0, 0.0, 400.0], [0.0, 0.0, 400.0] + _DIAGONAL]), 8.0),
+    "link just under the gap": (_on_a_plane([0.0, 8.0, 0.0, -8.0], [0.0, 0.0, 8.0, 0.0]),
+                                8.0 - 1e-9),
+    "gaps of link +- 1e-9": (_on_a_plane([0.0, 8.0 - 1e-9, 30.0, 38.0 + 1e-9],
+                                         [0.0, 0.0, 0.0, 0.0]), 8.0),
+    "60-hop chain": (_on_a_plane(7.9 * np.random.default_rng(2).permutation(61),
+                                 np.zeros(61)), 8.0),
+    "blobs 1": (_blobs(1), 8.0),
+    "blobs 2": (_blobs(2), 8.0),
+    "far apart": (np.array([[1e12, 0.0, 0.0], [0.0, 0.0, 0.0], [1e12 + 8.0, 0.0, 0.0],
+                            [-1e15, 5.0, 5.0], [4.0, 3.0, 0.0]]), 8.0),
+    "dense slab": (np.random.default_rng(4).random((20_000, 3)) * [400.0, 400.0, 3.0], 8.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARITY_CASES))
+def test_clusters_match_scipy_single_linkage(name):
+    points, link_mm = _PARITY_CASES[name]
+    clusters = _cluster_indices(points, link_mm)
+    assert [c.tolist() for c in clusters] == scipy_clusters(points, link_mm)
+
+
+def test_chain_joins_across_60_hops():
+    points, link_mm = _PARITY_CASES["60-hop chain"]
+    assert [c.tolist() for c in _cluster_indices(points, link_mm)] == [list(range(61))]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_clusters_do_not_depend_on_the_pair_chunk(monkeypatch, chunk):
+    points, link_mm = _PARITY_CASES["blobs 1"]
+    whole = [c.tolist() for c in _cluster_indices(points, link_mm)]
+    monkeypatch.setattr(specklenav.detect, "_PAIR_CHUNK", chunk)
+    assert [c.tolist() for c in _cluster_indices(points, link_mm)] == whole
 
 
 def reference_ransac_plane(points, threshold, iterations, seed):
