@@ -198,11 +198,11 @@ class RigidTransform:
 
     def apply(self, points) -> np.ndarray:
         """Transform one point (3,) or many points (N, 3)."""
-        p = np.asarray(points, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
-        out = p @ self.rotation_matrix.T + self.t
-        return out[0] if single else out
+        out = self.rotate(points)
+        # In place: on (N, 3) points a new array for ``+ t`` takes longer
+        # than the rotation itself.  The sums are the same.
+        out += self.t
+        return out
 
     def rotate(self, vectors) -> np.ndarray:
         """Rotate direction vectors without translating them."""

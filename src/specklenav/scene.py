@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .camera import CameraModel, FovRow
+from .camera import CameraModel
 from .geometry import Box, RigidTransform
 
 # Height that ``TorsoPhantom.height`` reports outside the phantom patch; it
@@ -230,20 +230,28 @@ def marker_rim_in_view(camera: CameraModel, phantom: TorsoPhantom,
 
 
 def _ray_points_cam(u: np.ndarray, v: np.ndarray, z, fx, fy) -> np.ndarray:
-    """Camera-frame ray positions at depth z for normalized grid coords,
-    given the field of view (fx, fy) at z."""
-    return np.stack([u * fx / 2.0, v * fy / 2.0,
-                     np.broadcast_to(np.asarray(z, dtype=float), u.shape)], axis=-1)
+    """Camera-frame ray positions (3, N) at depth z for grid coords (u, v) and the
+    field of view (fx, fy) at z; halving is exact, so ``u * (fx / 2)`` is ``u * fx / 2``."""
+    p = np.empty((3, len(u)))
+    np.multiply(u, fx / 2.0, out=p[0])
+    np.multiply(v, fy / 2.0, out=p[1])
+    p[2] = z
+    return p
 
 
-def _knot_points_world(camera: CameraModel, u: np.ndarray, v: np.ndarray,
-                       row: FovRow) -> np.ndarray:
-    """Scene-frame ray positions (N, 3) at the depth of one table knot.
+def _knot_points(camera: CameraModel, u: np.ndarray, v: np.ndarray, z, fx, fy) -> np.ndarray:
+    """Scene-frame ray positions (3, N) at depth z with field of view (fx, fy).
 
-    The field of view is the row's own, which is what the interpolant
-    returns at a knot, bit for bit."""
-    pc = _ray_points_cam(u, v, float(row.distance_mm), row.fov_x_mm, row.fov_y_mm)
-    return pc @ camera.mount_pose.rotation_matrix.T + camera.mount_pose.t
+    ``R @ pc`` plus ``t`` added in place has the bits of the (N, 3) layout's
+    ``pc @ R.T + t`` without its broadcast over a last axis of 3."""
+    w = camera.mount_pose.rotation_matrix @ _ray_points_cam(u, v, z, fx, fy)
+    w += camera.mount_pose.t[:, None]
+    return w
+
+
+def _row_norm(p: np.ndarray) -> np.ndarray:
+    """Norm of each point of (3, N) rows, summed as ``np.linalg.norm`` sums (N, 3)."""
+    return np.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
 
 
 def _box_bounds(box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -254,12 +262,12 @@ def _box_bounds(box: Box) -> tuple[np.ndarray, np.ndarray]:
 
 def _meets_box(wa: np.ndarray, wb: np.ndarray, box_lo: np.ndarray,
                box_hi: np.ndarray) -> np.ndarray:
-    """Rows whose segment from ``wa`` to ``wb`` (N, 3) has a bounding box that
-    meets [box_lo, box_hi]."""
-    meets = np.ones(len(wa), dtype=bool)
-    for k in range(3):
-        meets &= np.minimum(wa[:, k], wb[:, k]) <= box_hi[k]
-        meets &= np.maximum(wa[:, k], wb[:, k]) >= box_lo[k]
+    """Rays whose segment from ``wa`` to ``wb`` ((3, N) rows) has a bounding
+    box that meets [box_lo, box_hi]."""
+    meets = np.ones(wa.shape[1], dtype=bool)
+    for a, b, lo, hi in zip(wa, wb, box_lo, box_hi):
+        meets &= np.minimum(a, b) <= hi
+        meets &= np.maximum(a, b) >= lo
     return meets
 
 
@@ -289,21 +297,22 @@ def _plane_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
     """Depth of the skin hit on each segment of a planar surface, inf when none.
 
     The height above the plane z = gx*x + gy*y + breath is linear along a
-    segment: f0 at ``wa`` and f1 at ``wb`` ((N, 3) segment ends).  A
+    segment: f0 at ``wa`` and f1 at ``wb`` ((3, N) segment ends).  A
     crossing by the rule of ``_crossing`` lies at s = f0 / (f0 - f1), and it
     is a hit only when that point is on the patch.  A segment's f1 has the
     same bits as the next segment's f0, so a ray whose skin lies exactly on
     a knot is hit in one of the two.
     """
     gx, gy = phantom._plane
-    f0, f1 = (w[:, 2] - (gx * w[:, 0] + gy * w[:, 1] + breath) for w in (wa, wb))
-    rows = np.nonzero(_crossing(f0, f1))[0]
-    s = f0[rows] / (f0[rows] - f1[rows])
-    x = wa[rows, 0] + s * (wb[rows, 0] - wa[rows, 0])
-    y = wa[rows, 1] + s * (wb[rows, 1] - wa[rows, 1])
+    f0, f1 = (w[2] - (gx * w[0] + gy * w[1] + breath) for w in (wa, wb))
+    rays = np.flatnonzero(_crossing(f0, f1))
+    f0 = f0[rays]
+    s = f0 / (f0 - f1[rays])
+    x = wa[0, rays] + s * (wb[0, rays] - wa[0, rays])
+    y = wa[1, rays] + s * (wb[1, rays] - wa[1, rays])
     inside = phantom._on_patch(x, y)
-    depth = np.full(len(wa), np.inf)
-    depth[rows[inside]] = za + s[inside] * (zb - za)
+    depth = np.full(wa.shape[1], np.inf)
+    depth[rays.compress(inside)] = za + s.compress(inside) * (zb - za)
     return depth
 
 
@@ -317,11 +326,8 @@ def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
     the rule of ``_crossing`` brackets a crossing.  A ray's first bracket is
     bisected in depth; a crossing that lands off the patch is dropped and
     the ray's next bracket, if any, is bisected instead.  ``wa`` and ``dw``
-    are (N, 3) segment starts and spans; they are transposed to (3, N) so
-    that each coordinate the inner loops read is contiguous.
+    are (3, N) rows of segment starts and spans.
     """
-    wa = np.ascontiguousarray(wa.T)
-    dw = np.ascontiguousarray(dw.T)
     n = wa.shape[1]
     span = zb - za
     zs = np.linspace(za, zb, _SUBSTEPS_PER_SEGMENT + 1)
@@ -335,10 +341,8 @@ def _surface_depths(phantom: TorsoPhantom, breath: float, wa: np.ndarray,
     rays = np.nonzero(brackets.any(axis=0))[0]
     while len(rays):
         first = np.argmax(brackets[:, rays], axis=0)
-        ba = wa[:, rays]
-        bd = dw[:, rays]
-        blo = zs[first]
-        bhi = zs[first + 1]
+        ba, bd = wa[:, rays], dw[:, rays]
+        blo, bhi = zs[first], zs[first + 1]
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (blo + bhi)
             above = _height_above(phantom, breath, ba, bd, (mid - za) / span) > 0
@@ -373,41 +377,46 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
     # bound meets no target is skipped without placing any ray.
     cu = np.array([uu.min(), uu.max(), uu.min(), uu.max()])
     cv = np.array([vv.min(), vv.min(), vv.max(), vv.max()])
-    corners = np.stack([_knot_points_world(camera, cu, cv, row) for row in table])
-    slab_lo = np.minimum(corners[:-1], corners[1:]).min(axis=1)[:, None]
-    slab_hi = np.maximum(corners[:-1], corners[1:]).max(axis=1)[:, None]
-    t_lo = np.array([lo for lo, _ in targets])
-    t_hi = np.array([hi for _, hi in targets])
+    # A ray at a knot takes the row's own field of view, which is what the
+    # interpolant returns there, bit for bit.
+    knots = np.array([(row.distance_mm, row.fov_x_mm, row.fov_y_mm) for row in table])
+    corners = _knot_points(camera, np.tile(cu, len(table)), np.tile(cv, len(table)),
+                           *np.repeat(knots.T, 4, axis=1)).reshape(3, len(table), 4)
+    slab_lo = np.minimum(corners[:, :-1], corners[:, 1:]).min(axis=2).T[:, None]
+    slab_hi = np.maximum(corners[:, :-1], corners[:, 1:]).max(axis=2).T[:, None]
+    t_lo, t_hi = np.moveaxis(np.array(targets), 1, 0)
     live = np.all((slab_lo <= t_hi) & (slab_hi >= t_lo), axis=2).any(axis=1)
 
     hit_depth = np.full(uu.size, np.inf)
-    # Rays still in flight; wa holds their scene-frame positions at the start
-    # of the segment, carried over from the previous segment when it ran.
-    idx = np.arange(uu.size)
-    for k in np.nonzero(live)[0]:
+    # Rays still in flight, as (3, n) scene-frame rows; wa holds their
+    # positions at the start of the segment, carried over from the previous
+    # segment when it ran.
+    idx, u, v = np.arange(uu.size), uu, vv
+    for k in np.flatnonzero(live):
         if len(idx) == 0:
             break
-        za, zb = table[k].distance_mm, table[k + 1].distance_mm
+        za, zb = knots[k, 0], knots[k + 1, 0]
         if k == 0 or not live[k - 1]:
-            wa = _knot_points_world(camera, uu[idx], vv[idx], table[k])
-        wb = _knot_points_world(camera, uu[idx], vv[idx], table[k + 1])
-        dw = wb - wa
+            wa = _knot_points(camera, u, v, *knots[k])
+        wb = _knot_points(camera, u, v, *knots[k + 1])
 
         near = _meets_box(wa, wb, skin_lo, skin_hi)
         seg_hit = np.full(len(idx), np.inf)
         if near.any():
+            a, b = wa.compress(near, axis=1), wb.compress(near, axis=1)
             if phantom._plane is None:
-                seg_hit[near] = _surface_depths(phantom, breath, wa[near], dw[near], za, zb)
+                seg_hit[near] = _surface_depths(phantom, breath, a, b - a, za, zb)
             else:
-                seg_hit[near] = _plane_depths(phantom, breath, wa[near], wb[near], za, zb)
+                seg_hit[near] = _plane_depths(phantom, breath, a, b, za, zb)
 
-        # Marker top annuli: exact segment-plane intersection per linear piece.
+        # Marker top annuli: exact segment-plane intersection per linear piece,
+        # in the (n, 3) layout, whose matrix-vector products give the bits.
         for origin, normal, r_in, r_out, top_inv, box_lo, box_hi in marker_planes:
-            rows = np.nonzero(_meets_box(wa, wb, box_lo, box_hi))[0]
-            if len(rows) == 0:
+            rays = np.flatnonzero(_meets_box(wa, wb, box_lo, box_hi))
+            if len(rays) == 0:
                 continue
-            a = wa[rows]
-            d = dw[rows]
+            a = wa.T[rays]
+            d = wb.T[rays] - a
             denom = d @ normal
             numer = (origin - a) @ normal
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -415,27 +424,49 @@ def _march_rays(phantom: TorsoPhantom, breath: float, marker_planes, occluders,
             valid = (np.abs(denom) > 1e-15) & (s >= 0.0) & (s <= 1.0)
             if not np.any(valid):
                 continue
-            pts = a[valid] + s[valid, None] * d[valid]
-            local = top_inv.apply(pts)
+            s = s[valid]
+            local = top_inv.apply(a[valid] + s[:, None] * d[valid])
             radial = np.hypot(local[:, 0], local[:, 1])
-            ring = (radial >= r_in) & (radial <= r_out)
-            depth = za + s[valid] * (zb - za)
-            depth[~ring] = np.inf
-            rows = rows[valid]
-            seg_hit[rows] = np.minimum(seg_hit[rows], depth)
+            depth = np.where((radial >= r_in) & (radial <= r_out), za + s * (zb - za), np.inf)
+            rays = rays[valid]
+            seg_hit[rays] = np.minimum(seg_hit[rays], depth)
 
         # Occluder boxes: slab test on the world-frame segment.
         for box in occluders:
-            ok, frac = box.segment_intersections(wa, wb)
-            depth = np.where(ok, za + frac * (zb - za), np.inf)
-            seg_hit = np.minimum(seg_hit, depth)
+            ok, frac = box.segment_intersections(wa.T, wb.T)
+            seg_hit = np.minimum(seg_hit, np.where(ok, za + frac * (zb - za), np.inf))
 
-        landed = np.isfinite(seg_hit)
-        hit_depth[idx[landed]] = seg_hit[landed]
-        flying = ~landed
-        idx = idx[flying]
-        wa = wb[flying]
+        # Rays in flight have no depth yet, so all of them can take theirs.
+        hit_depth[idx] = seg_hit
+        flying = ~np.isfinite(seg_hit)
+        idx, u, v = idx.compress(flying), u.compress(flying), v.compress(flying)
+        wa = wb.compress(flying, axis=1)
     return hit_depth
+
+
+def _add_noise(p: np.ndarray, draws: np.ndarray, sigma_axial: np.ndarray,
+               sigma_lateral: np.ndarray) -> None:
+    """Move the camera-frame points ``p`` ((3, N) rows, in place) by their
+    draws (N, 3) times sigma along the ray and two directions across it.
+    The norms and cross products are np.linalg.norm's and np.cross's written
+    out by component, with the same products and sums in the same order."""
+    ray = p / _row_norm(p)
+    # The perpendicular basis is seeded by +x for a ray near +z, else by +z.
+    seed_x = (np.abs(ray[2]) > 0.9).astype(float)
+    seed_z = 1.0 - seed_x
+    lat1 = np.empty_like(p)
+    np.subtract(ray[1] * seed_z, ray[2] * 0.0, out=lat1[0])
+    np.subtract(ray[2] * seed_x, ray[0] * seed_z, out=lat1[1])
+    np.subtract(ray[0] * 0.0, ray[1] * seed_x, out=lat1[2])
+    lat1 /= _row_norm(lat1)
+    lat2 = np.empty_like(p)
+    np.subtract(ray[1] * lat1[2], ray[2] * lat1[1], out=lat2[0])
+    np.subtract(ray[2] * lat1[0], ray[0] * lat1[2], out=lat2[1])
+    np.subtract(ray[0] * lat1[1], ray[1] * lat1[0], out=lat2[2])
+    for axis, draw, sigma in ((ray, draws[:, 0], sigma_axial), (lat1, draws[:, 1], sigma_lateral),
+                              (lat2, draws[:, 2], sigma_lateral)):
+        axis *= draw * sigma
+        p += axis
 
 
 def _window_rays(camera: CameraModel, uu: np.ndarray, vv: np.ndarray, draws: np.ndarray,
@@ -531,6 +562,12 @@ def render_cloud(phantom: TorsoPhantom,
     range, so it lies in the phantom box; a segment wholly below the floor
     finds no skin.
 
+    Rays are carried as contiguous (3, N) coordinate rows, one row per axis:
+    knot points are ``R @ pc`` plus ``t`` in place, the box tests, plane
+    crossings and in-flight bookkeeping select rays with ``compress``, and the
+    noise tail writes np.linalg.norm and np.cross out by component.  Every
+    output bit is that of the (N, 3) layout.
+
     Hits are perturbed along the line of sight with sigma_z(depth) and
     laterally with the lateral factor times sigma_z, both scaled by
     ``noise_scale`` (0 disables noise), then clipped back to the frustum.
@@ -552,20 +589,13 @@ def render_cloud(phantom: TorsoPhantom,
     """
     if noise_scale < 0:
         raise ValueError("noise_scale must be non-negative")
-    markers: tuple[RingMarker, ...]
-    if marker is None:
-        markers = ()
-    elif isinstance(marker, RingMarker):
-        markers = (marker,)
-    else:
-        markers = tuple(marker)
+    markers = (() if marker is None else (marker,) if isinstance(marker, RingMarker)
+               else tuple(marker))
 
     nx, ny = camera.resolution
     u = (-1.0 + 2.0 * (np.arange(nx) + 0.5) / nx)
     v = (-1.0 + 2.0 * (np.arange(ny) + 0.5) / ny)
-    uu, vv = np.meshgrid(u, v, indexing="xy")
-    uu = uu.ravel()
-    vv = vv.ravel()
+    uu, vv = (w.ravel() for w in np.meshgrid(u, v, indexing="xy"))
 
     breath = breathing_offset(phantom, t)
 
@@ -598,33 +628,21 @@ def render_cloud(phantom: TorsoPhantom,
     if not np.any(hits):
         raise EmptyCloudError("no ray intersected the scene inside the frustum")
 
-    sel = np.nonzero(hits)[0]
-    points_cam = _ray_points_cam(uu[sel], vv[sel], hit_depth[sel],
-                                 *camera.field_of_view(hit_depth[sel]))
-    if pixels is None:
-        draws = np.random.default_rng(seed).standard_normal((nx * ny, 3))[sel]
-    else:
-        draws = draws[pixels[sel]]
+    # The noise tail works on (3, N) coordinate rows.
+    sel = np.flatnonzero(hits)
+    depth = hit_depth[sel]
+    p = _ray_points_cam(uu[sel], vv[sel], depth, *camera.field_of_view(depth))
     if noise_scale > 0.0:
-        sigma_axial = np.asarray(camera.sigma_z(points_cam[:, 2])) * noise_scale
-        sigma_lateral = sigma_axial * camera.lateral_sigma_factor
-        ray_dir = points_cam / np.linalg.norm(points_cam, axis=1, keepdims=True)
-        # Perpendicular basis: seed axis switches when the ray is near +z.
-        seed_axis = np.where(np.abs(ray_dir[:, 2:3]) > 0.9,
-                             np.array([[1.0, 0.0, 0.0]]),
-                             np.array([[0.0, 0.0, 1.0]]))
-        lat1 = np.cross(ray_dir, seed_axis)
-        lat1 /= np.linalg.norm(lat1, axis=1, keepdims=True)
-        lat2 = np.cross(ray_dir, lat1)
-        points_cam = (points_cam
-                      + draws[:, 0:1] * sigma_axial[:, None] * ray_dir
-                      + draws[:, 1:2] * sigma_lateral[:, None] * lat1
-                      + draws[:, 2:3] * sigma_lateral[:, None] * lat2)
+        if pixels is None:
+            draws = np.random.default_rng(seed).standard_normal((nx * ny, 3))
+        sigma_axial = np.asarray(camera.sigma_z(depth)) * noise_scale
+        _add_noise(p, np.take(draws, sel if pixels is None else pixels[sel], axis=0),
+                   sigma_axial, sigma_axial * camera.lateral_sigma_factor)
 
-    keep = camera.contains(points_cam)
+    keep = camera.contains(p.T)
     if window is not None:
-        keep &= np.linalg.norm(points_cam - center, axis=1) <= radius
-    points_cam = points_cam[keep]
+        keep &= _row_norm(p - np.asarray(center, dtype=float)[:, None]) <= radius
+    points_cam = np.stack([c.compress(keep) for c in p], axis=1)
     if len(points_cam) == 0:
         raise EmptyCloudError("all points fell outside the frustum after noise"
                               if window is None else "no point landed in the window")

@@ -104,6 +104,24 @@ def test_rotate_ignores_translation():
     assert np.allclose(tr.apply(v), [5.0, 7.0, 7.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3), (4096, 3), "rows"])
+def test_apply_and_rotate_keep_the_broadcast_bits(shape):
+    # The (N, 3) product plus a broadcast t, bit for bit; "rows" is the
+    # (N, 3) view of (3, N) coordinate rows that the renderer passes.
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        tr = random_transform(rng)
+        pts = rng.normal(0.0, 300.0, (3, 500)).T if shape == "rows" else \
+            rng.normal(0.0, 300.0, shape)
+        rotated = np.atleast_2d(pts) @ tr.rotation_matrix.T
+        moved = rotated + tr.t
+        if pts.ndim == 1:
+            rotated, moved = rotated[0], moved[0]
+        for got, want in ((tr.rotate(pts), rotated), (tr.apply(pts), moved)):
+            assert got.shape == pts.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_pose_error_zero_for_identical_poses():
     rng = np.random.default_rng(7)
     for _ in range(20):

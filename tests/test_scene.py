@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -578,8 +582,8 @@ WINDOW_LID = Box(pose=RigidTransform.from_axis_angle((0.0, 0.0, 1.0), 30.0,
 
 def window_at(where: str, phantom: TorsoPhantom, cam: CameraModel,
               full: np.ndarray) -> tuple[np.ndarray, float]:
-    """A camera-frame (centre, radius) window at one of four places; the
-    frustum ones are placed from the rightmost point of the full render."""
+    """A camera-frame (centre, radius) window at a named place; the frustum
+    ones are placed from the rightmost point of the full render."""
     to_cam = cam.mount_pose.invert()
     edge = full[np.argmax(full[:, 0])]
     if where == "marker":
@@ -591,6 +595,11 @@ def window_at(where: str, phantom: TorsoPhantom, cam: CameraModel,
         on_ring = to_cam.apply(marker_top_center_world(phantom, WINDOW_MARKERS[0], 0.6)
                                + [10.0, 0.0, 0.0])
         return full[np.argmin(np.linalg.norm(full - on_ring, axis=1))], 0.1
+    if where == "rim":
+        # The point nearest the optical axis, 0.5 mm inside the sphere.  Its
+        # ray runs almost along z, so the box of the ray over the window's
+        # depth range hugs the ray, and a reach cut by 1 mm drops the pixel.
+        return full[np.argmin(np.hypot(full[:, 0], full[:, 1]))] + [39.5, 0.0, 0.0], 40.0
     if where == "patch_edge":
         return to_cam.apply([WINDOW_EXTENT[0], -30.0, 0.0]), 40.0
     if where == "frustum_edge":
@@ -598,7 +607,7 @@ def window_at(where: str, phantom: TorsoPhantom, cam: CameraModel,
     return edge + [300.0, 0.0, 0.0], 40.0
 
 
-@pytest.mark.parametrize("where", ["marker", "small", "patch_edge", "frustum_edge",
+@pytest.mark.parametrize("where", ["marker", "small", "rim", "patch_edge", "frustum_edge",
                                    "off_frustum"])
 @pytest.mark.parametrize("noise_scale", [0.0, 1.0, 2.0])
 @pytest.mark.parametrize("tilt", [0.0, 20.0])
@@ -621,3 +630,37 @@ def test_window_render_is_the_full_render_cropped(kind, tilt, noise_scale, where
     assert 0 < len(want) < len(full)
     got = render_cloud(phantom, WINDOW_MARKERS, cam, window=(center, radius), **kwargs)
     assert np.array_equal(got.points, want)
+
+
+# ---------------------------------------------------------------------------
+# pinned render bits
+
+# SHA-256 of ``points.tobytes()`` for each case of PINNED_RENDERS, recorded
+# from the renderer before its march and noise tail moved to (3, N) rows.
+RECORDED_RENDERS = json.loads((Path(__file__).parent / "recorded_renders.json").read_text())
+PINNED_RENDERS = [(f"{kind}-tilt{tilt:g}-noise{noise:g}", kind, tilt, noise, False)
+                  for kind in sorted(WINDOW_SURFACES) for tilt in (0.0, 20.0)
+                  for noise in (0.0, 1.0)]
+PINNED_RENDERS += [(f"{kind}-window", kind, 20.0, 1.0, True) for kind in sorted(WINDOW_SURFACES)]
+
+
+def pinned_render(kind: str, tilt: float, noise_scale: float, windowed: bool) -> np.ndarray:
+    """One marker and one occluder over a skin that ends inside the frustum;
+    a window render crops to 40 mm around the marker's top centre."""
+    phantom = TorsoPhantom(surface=WINDOW_SURFACES[kind], extent=WINDOW_EXTENT,
+                           breathing_amplitude_mm=2.5)
+    cam = tilted_camera(420.0, tilt, resolution=(96, 72))
+    window = None
+    if windowed:
+        top = marker_top_center_world(phantom, WINDOW_MARKERS[0], 0.6)
+        window = (cam.mount_pose.invert().apply(top), 40.0)
+    return render_cloud(phantom, WINDOW_MARKERS[0], cam, t=0.6, seed=11,
+                        occluders=(WINDOW_LID,), noise_scale=noise_scale,
+                        window=window).points
+
+
+@pytest.mark.parametrize("case", PINNED_RENDERS, ids=[c[0] for c in PINNED_RENDERS])
+def test_render_keeps_its_recorded_bits(case):
+    name, *args = case
+    points = pinned_render(*args)
+    assert hashlib.sha256(points.tobytes()).hexdigest() == RECORDED_RENDERS[name]
