@@ -20,9 +20,7 @@ from .fov import accuracy_estimate, blind_spot_check, observation_rectangle_fit
 from .geometry import Point3
 from .harness import (
     ConfigError,
-    MissingSectionError,
     Scenario,
-    StageError,
     breathing_summary,
     default_scenario,
     emit_table,
@@ -257,12 +255,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingSectionError as exc:
-        print(f"config error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StageError as exc:
-        print(f"stage error: {exc}", file=sys.stderr)
-        return EXIT_STAGE
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return EXIT_STAGE

@@ -174,10 +174,6 @@ class RigidTransform:
         return cls(q=q, t=np.asarray(translation, dtype=float))
 
     @classmethod
-    def rot_z(cls, angle_deg: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        return cls.from_axis_angle((0.0, 0.0, 1.0), angle_deg, translation)
-
-    @classmethod
     def translation(cls, x: float, y: float, z: float) -> "RigidTransform":
         return cls(q=np.array([1.0, 0.0, 0.0, 0.0]), t=np.array([x, y, z], dtype=float))
 
@@ -263,17 +259,6 @@ def pose_error(a: RigidTransform, b: RigidTransform) -> PoseError:
     rot_deg = math.degrees(2.0 * math.atan2(v, w))
     trans = float(np.linalg.norm(a.t - b.t))
     return PoseError(rotation_error_deg=rot_deg, translation_error_mm=trans)
-
-
-def random_transform(rng: np.random.Generator,
-                     max_rotation_deg: float = 180.0,
-                     max_translation_mm: float = 500.0) -> RigidTransform:
-    """Uniform random rotation axis, uniform angle and box-uniform translation."""
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
-    t = rng.uniform(-max_translation_mm, max_translation_mm, size=3)
-    return RigidTransform.from_axis_angle(axis, angle, t)
 
 
 @dataclass(frozen=True)

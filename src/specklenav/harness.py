@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,16 +62,7 @@ class ConfigError(ValueError):
     """Raised when a scenario document is malformed."""
 
 
-class StageError(RuntimeError):
-    """Wraps an exception raised inside a pipeline stage."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
-class MissingSectionError(KeyError):
+class MissingSectionError(ConfigError):
     """Raised when emit_table asks for a section the report does not have."""
 
 
@@ -512,7 +503,7 @@ def _stage_solve(sc: Scenario, samples) -> dict:
     summary = _to_json(result)
     summary["rotation_error_vs_truth_deg"] = vs_truth.rotation_error_deg
     summary["translation_error_vs_truth_mm"] = vs_truth.translation_error_mm
-    return {"result": result, "summary": summary}
+    return {"hand_eye": result.camera_in_flange, "summary": summary}
 
 
 def _stage_gate(sc: Scenario, flange_poses, boards_obs, hand_eye_hat) -> dict:
@@ -548,37 +539,20 @@ def _stage_gate(sc: Scenario, flange_poses, boards_obs, hand_eye_hat) -> dict:
     }
 
 
-def _tracked_pose(previous: MarkerPose, frame,
-                  marker: RingMarker) -> tuple[MarkerPose, bool]:
-    """``track(previous, cloud, marker)`` on the frame that ``frame()``
-    renders, and whether the full frame had to be rendered.
-
-    ``frame(window=...)`` renders only the frame's points in ``track``'s
-    window, bit for bit the crop ``track`` takes, so the crop gives the same
-    pose.  When the crop fails (the window is empty or ``detect_in_crop``
-    finds no single ring in it), the full frame is rendered under the same
-    label and seed and searched whole, as ``track`` falls back to do.
-    """
-    try:
-        with frame(window=track_window(previous, marker)) as crop:
-            pose = detect_in_crop(crop, marker)
-    except EmptyCloudError:
-        pose = None
-    if pose is not None:
-        return pose, False
-    with frame() as cloud:
-        return detect_ring(cloud, marker), True
-
-
 def _detect_then_track(frames, marker: RingMarker,
                        first_ply: Path | None = None) -> tuple[list[MarkerPose], int]:
     """The marker's pose in each of a sequence of frames, and the count of
     frames that fell back to a full render.
 
-    Frame 0 is rendered whole and searched with ``detect_ring`` (its cloud
-    is written to ``first_ply`` when one is given); every later frame goes
-    through ``_tracked_pose`` from the pose before it.  Each item of
-    ``frames`` is a ``Scenario.render`` call waiting for its ``window``.
+    Each item of ``frames`` is a ``Scenario.render`` call waiting for its
+    ``window``.  Frame 0 is rendered whole and searched with ``detect_ring``
+    (its cloud is written to ``first_ply`` when one is given).  Every later
+    frame gets ``track(previous, cloud, marker)`` from the pose before it:
+    ``frame(window=...)`` renders only the frame's points in ``track``'s
+    window, bit for bit the crop ``track`` takes, so the crop gives the same
+    pose.  When the crop fails (the window is empty or ``detect_in_crop``
+    finds no single ring in it), the full frame is rendered under the same
+    label and seed and searched whole, as ``track`` falls back to do.
     """
     with frames[0]() as cloud:
         if first_ply is not None:
@@ -586,9 +560,16 @@ def _detect_then_track(frames, marker: RingMarker,
         poses = [detect_ring(cloud, marker)]
     fallbacks = 0
     for frame in frames[1:]:
-        pose, fell_back = _tracked_pose(poses[-1], frame, marker)
+        try:
+            with frame(window=track_window(poses[-1], marker)) as crop:
+                pose = detect_in_crop(crop, marker)
+        except EmptyCloudError:
+            pose = None
+        if pose is None:
+            fallbacks += 1
+            with frame() as cloud:
+                pose = detect_ring(cloud, marker)
         poses.append(pose)
-        fallbacks += fell_back
     return poses, fallbacks
 
 
@@ -762,80 +743,59 @@ def run_scenario(scenario: Scenario, *,
                  last_stage: str | None = None) -> RunReport:
     """Execute the stages in order and assemble the report.
 
-    Stage exceptions are captured (verdict FAILED-STAGE:<name>); when a
-    frame's render or detection raised, the error also names the frame's
-    seed label and seed.  A failed reprojection gate stops the pipeline
-    with verdict FAILED-GATE.  The
-    report is always written under the scenario's out_dir.  ``last_stage``
-    truncates the pipeline after the named stage (e.g. "gate" runs just
-    the calibration half).
+    Each stage reads only what earlier stages produced.  A stage exception
+    ends the run with verdict FAILED-STAGE:<name>; when a frame's render or
+    detection raised, the error also names the frame's seed label and seed.
+    A failed reprojection gate ends it with verdict FAILED-GATE, and a
+    disabled sweep ends it before the sweep.  The report is always written
+    under the scenario's out_dir.  ``last_stage`` truncates the pipeline
+    after the named stage (e.g. "gate" runs just the calibration half).
     """
     if last_stage is not None and last_stage not in STAGE_ORDER:
         raise ConfigError(f"unknown stage {last_stage!r}")
-    cutoff = (len(STAGE_ORDER) - 1 if last_stage is None
-              else STAGE_ORDER.index(last_stage))
-
-    def wanted(name: str) -> bool:
-        return STAGE_ORDER.index(name) <= cutoff
-
-    out = Path(scenario.out_dir)
+    sc = scenario
+    out = Path(sc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    stages: dict = {}
+    done: dict = {}
+    stage_fns = {
+        "plan": lambda: _stage_plan(sc),
+        "calibration": lambda: _stage_calibration(sc, done["plan"]["poses"], out),
+        "solve": lambda: _stage_solve(sc, done["calibration"]["samples"]),
+        "gate": lambda: _stage_gate(sc, done["plan"]["poses"],
+                                    done["calibration"]["boards_obs"],
+                                    done["solve"]["hand_eye"]),
+        "scene": lambda: _stage_scene(sc, out),
+        "fusion": lambda: _stage_fusion(sc, done["solve"]["hand_eye"], out),
+        "breathing": lambda: _stage_breathing(sc, out),
+        "sweep": lambda: _stage_sweep(sc),
+    }
     timings: list[tuple[str, float]] = []
-    verdict = "PASSED"
-    error = None
-
-    def run_stage(name: str, fn: Callable[[], dict]) -> dict:
+    verdict, error = "PASSED", None
+    end = None if last_stage is None else STAGE_ORDER.index(last_stage) + 1
+    for name in STAGE_ORDER[:end]:
+        if name == "sweep" and not sc.sweep.enabled:
+            break
         start = time.perf_counter()
         try:
-            result = fn()
+            done[name] = stage_fns[name]()
         except Exception as exc:
+            verdict = f"FAILED-STAGE:{name}"
+            error = {"stage": name, "type": type(exc).__name__, "message": str(exc)}
+            replay = getattr(exc, "replay_frame", None)
+            if replay is not None:
+                error["frame"], error["seed"] = replay
+            break
+        finally:
             timings.append((name, time.perf_counter() - start))
-            raise StageError(name, exc) from exc
-        timings.append((name, time.perf_counter() - start))
-        stages[name] = result["summary"]
-        return result
-
-    try:
-        plan = run_stage("plan", lambda: _stage_plan(scenario))
-        if wanted("calibration"):
-            calib = run_stage("calibration", lambda: _stage_calibration(
-                scenario, plan["poses"], out))
-        if wanted("solve"):
-            solved = run_stage("solve", lambda: _stage_solve(
-                scenario, calib["samples"]))
-            hand_eye_hat = solved["result"].camera_in_flange
-        if wanted("gate"):
-            gate = run_stage("gate", lambda: _stage_gate(
-                scenario, plan["poses"], calib["boards_obs"], hand_eye_hat))
-            if not gate["passed"]:
-                verdict = "FAILED-GATE"
-        if verdict == "PASSED":
-            if wanted("scene"):
-                run_stage("scene", lambda: _stage_scene(scenario, out))
-            if wanted("fusion"):
-                run_stage("fusion", lambda: _stage_fusion(
-                    scenario, hand_eye_hat, out))
-            if wanted("breathing"):
-                run_stage("breathing", lambda: _stage_breathing(scenario, out))
-            if wanted("sweep") and scenario.sweep.enabled:
-                run_stage("sweep", lambda: _stage_sweep(scenario))
-    except StageError as exc:
-        verdict = f"FAILED-STAGE:{exc.stage}"
-        error = {
-            "stage": exc.stage,
-            "type": type(exc.cause).__name__,
-            "message": str(exc.cause),
-        }
-        replay = getattr(exc.cause, "replay_frame", None)
-        if replay is not None:
-            error["frame"], error["seed"] = replay
+        if name == "gate" and not done[name]["passed"]:
+            verdict = "FAILED-GATE"
+            break
 
     report = RunReport(
         version=VERSION,
-        config=scenario.to_json_dict(),
-        stages=stages,
+        config=sc.to_json_dict(),
+        stages={name: result["summary"] for name, result in done.items()},
         verdict=verdict,
         error=error,
         timings=timings,
@@ -844,13 +804,14 @@ def run_scenario(scenario: Scenario, *,
     return report
 
 
-def simulate_clouds(scenario: Scenario, out_dir=None) -> list[Path]:
-    """Render the scripted scene frames and write one PLY file per frame.
+def simulate_clouds(scenario: Scenario) -> list[Path]:
+    """Render the scripted scene frames and write one PLY file per frame
+    under the scenario's out_dir.
 
     Frame j is the scene stage's frame j, so frame 0 matches the cloud a
     full run writes as cloud_scene_0000.ply.
     """
-    out = Path(out_dir if out_dir is not None else scenario.out_dir)
+    out = Path(scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for j in range(scenario.scene_frames):
@@ -859,9 +820,10 @@ def simulate_clouds(scenario: Scenario, out_dir=None) -> list[Path]:
     return paths
 
 
-def breathing_summary(scenario: Scenario, out_dir=None) -> dict:
-    """Run only the breathing stage; writes signal.csv, returns the summary."""
-    out = Path(out_dir if out_dir is not None else scenario.out_dir)
+def breathing_summary(scenario: Scenario) -> dict:
+    """Run only the breathing stage; writes signal.csv under the scenario's
+    out_dir and returns the summary."""
+    out = Path(scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _stage_breathing(scenario, out)["summary"]
 
@@ -875,6 +837,8 @@ def load_report(path) -> RunReport:
         raise ConfigError(f"cannot read report: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("report must be a JSON object")
     try:
         report = RunReport(
             version=doc["version"],
@@ -885,12 +849,20 @@ def load_report(path) -> RunReport:
         )
     except KeyError as exc:
         raise ConfigError(f"report is missing key {exc}") from exc
+    for key in ("config", "stages"):
+        if not isinstance(getattr(report, key), dict):
+            raise ConfigError(f"report {key} must be a JSON object")
     timing_path = p.parent / "timing.csv"
     if timing_path.exists():
         with open(timing_path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader, None)
-            report.timings = [(row[0], float(row[1])) for row in reader if row]
+            try:
+                report.timings = [(name, float(seconds)) for name, seconds in
+                                  filter(None, reader)]
+            except ValueError as exc:
+                raise ConfigError(f"{timing_path} rows must be stage,seconds: "
+                                  f"{exc}") from exc
     return report
 
 

@@ -78,6 +78,9 @@ def read_cloud(path) -> PointCloud:
         if props[:3] != ["x", "y", "z"]:
             raise ValueError(f"unexpected vertex properties {props}")
         data = np.loadtxt(f, dtype=float, max_rows=count, ndmin=2)
+    if len(data) != count or (count and data.shape[1] < len(props)):
+        raise ValueError(f"{path} has {len(data)} vertex rows of {data.shape[1]} values; "
+                         f"its header declares {count} rows of {len(props)}")
     meta_file = sidecar_path(path)
     if not meta_file.exists():
         raise FileNotFoundError(f"missing sidecar {meta_file}")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from specklenav.geometry import RigidTransform, pose_error
@@ -36,6 +37,22 @@ def scenario_json_round_trip(**fields) -> Scenario:
     """``Scenario(master_seed=1, **fields)`` written to JSON text and read back."""
     doc = Scenario(master_seed=1, **fields).to_json_dict()
     return Scenario.from_json_dict(json.loads(json.dumps(doc)))
+
+
+def random_transform(rng: np.random.Generator,
+                     max_rotation_deg: float = 180.0,
+                     max_translation_mm: float = 500.0) -> RigidTransform:
+    """Uniform random rotation axis, uniform angle and box-uniform translation."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
+    t = rng.uniform(-max_translation_mm, max_translation_mm, size=3)
+    return RigidTransform.from_axis_angle(axis, angle, t)
+
+
+def rot_z(angle_deg: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform:
+    """A rotation of ``angle_deg`` about z, then ``translation``."""
+    return RigidTransform.from_axis_angle((0.0, 0.0, 1.0), angle_deg, translation)
 
 
 def rotation_angle_deg(tr: RigidTransform) -> float:

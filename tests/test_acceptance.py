@@ -19,7 +19,6 @@ from specklenav.geometry import (
     Point3,
     RigidTransform,
     pose_error,
-    random_transform,
 )
 from specklenav.handeye import plan_poses, reprojection_error, solve_ax_xb
 from specklenav.respiration import (
@@ -30,6 +29,7 @@ from specklenav.respiration import (
 )
 from specklenav.scene import PointCloud, RingMarker, TorsoPhantom, render_cloud
 
+from conftest import random_transform, rot_z
 from test_handeye import BOARD_IN_BASE, X_TRUE, make_samples
 
 
@@ -258,7 +258,7 @@ def test_criterion_8_throughput_is_reported(announce):
     camera = down_camera()
     hand_eye = RigidTransform.from_axis_angle((0.2, -0.3, 0.9), 8.0,
                                               translation=(42.0, -18.5, 96.0))
-    flange = RigidTransform.rot_z(15.0, translation=(100.0, -50.0, 400.0))
+    flange = rot_z(15.0, translation=(100.0, -50.0, 400.0))
 
     clouds = [render_cloud(wide, marker, camera, seed=seed) for seed in range(10)]
     point_count = len(clouds[0])

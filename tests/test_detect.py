@@ -24,8 +24,10 @@ from specklenav.detect import (
     track,
     track_window,
 )
-from specklenav.geometry import Point3, RigidTransform, random_transform
+from specklenav.geometry import Point3, RigidTransform
 from specklenav.scene import PointCloud, RingMarker, TorsoPhantom, render_cloud
+
+from conftest import random_transform
 
 TOP_TRUTH = np.array([0.0, 0.0, 398.0])  # ring top face, camera frame
 DOWN_NORMAL = np.array([0.0, 0.0, -1.0])

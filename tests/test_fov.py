@@ -9,7 +9,9 @@ from specklenav.fov import (
     blind_spot_check,
     observation_rectangle_fit,
 )
-from specklenav.geometry import Box, Point3, RigidTransform, random_transform
+from specklenav.geometry import Box, Point3, RigidTransform
+
+from conftest import random_transform
 
 CAMERA = CameraModel()
 

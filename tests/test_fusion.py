@@ -17,6 +17,8 @@ from specklenav.fusion import (
 )
 from specklenav.geometry import Point3, RigidTransform
 
+from conftest import rot_z
+
 IDENTITY = TcpCorrection(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, fit_pair_count=0, fit_rms=0.0)
 
 
@@ -128,7 +130,7 @@ def test_csv_round_trip(tmp_path):
 def test_marker_in_base_chains_hand_eye_and_flange():
     hand_eye = RigidTransform.from_axis_angle((0.2, -0.3, 0.9), 8.0,
                                               translation=(42.0, -18.5, 96.0))
-    flange = RigidTransform.rot_z(30.0, translation=(100.0, -50.0, 400.0))
+    flange = rot_z(30.0, translation=(100.0, -50.0, 400.0))
     pose = MarkerPose(center=Point3(2.0, -1.0, 398.0),
                       normal=np.array([0.0, 0.0, -1.0]),
                       radius_mm=10.0, rms_residual_mm=0.2,

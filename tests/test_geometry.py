@@ -9,10 +9,9 @@ from specklenav.geometry import (
     Point3,
     RigidTransform,
     pose_error,
-    random_transform,
 )
 
-from conftest import rotation_angle_deg
+from conftest import random_transform, rotation_angle_deg
 
 
 def test_identity_leaves_points_alone():

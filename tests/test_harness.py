@@ -18,7 +18,6 @@ from specklenav.harness import (
     MissingSectionError,
     RunReport,
     Scenario,
-    StageError,
     SweepConfig,
     breathing_summary,
     default_scenario,
@@ -449,7 +448,7 @@ def test_last_stage_truncates_the_pipeline(tmp_path):
 
 def test_simulated_clouds_match_the_scene_stage(reduced_double_run, tmp_path):
     sc, *_ = reduced_double_run
-    paths = simulate_clouds(sc, out_dir=str(tmp_path))
+    paths = simulate_clouds(dataclasses.replace(sc, out_dir=str(tmp_path)))
     assert [p.name for p in paths] == ["cloud_scene_0000.ply", "cloud_scene_0001.ply"]
     run_cloud = Path(sc.out_dir) / "cloud_scene_0000.ply"
     assert paths[0].read_bytes() == run_cloud.read_bytes()
@@ -457,7 +456,7 @@ def test_simulated_clouds_match_the_scene_stage(reduced_double_run, tmp_path):
 
 def test_breathing_summary_matches_the_report(reduced_double_run, tmp_path):
     sc, report_1, *_ = reduced_double_run
-    summary = breathing_summary(sc, out_dir=str(tmp_path))
+    summary = breathing_summary(dataclasses.replace(sc, out_dir=str(tmp_path)))
     assert summary == report_1.stages["breathing"]
     assert (tmp_path / "signal.csv").exists()
 
@@ -483,6 +482,24 @@ def test_load_report_errors(tmp_path):
     partial.write_text(json.dumps({"version": "0.1.0"}))
     with pytest.raises(ConfigError, match="missing key"):
         load_report(partial)
+    listed = tmp_path / "listed.json"
+    listed.write_text("[]")
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_report(listed)
+    whole = {"version": "0.1.0", "config": {}, "stages": {}, "verdict": "PASSED"}
+    for key in ("config", "stages"):
+        bad = tmp_path / f"bad-{key}" / "report.json"
+        bad.parent.mkdir()
+        bad.write_text(json.dumps({**whole, key: []}))
+        with pytest.raises(ConfigError, match=f"report {key} must be a JSON object"):
+            load_report(bad)
+    for rows in ("plan\n", "plan,0.5,1\n", "plan,fast\n"):
+        timed = tmp_path / "timed"
+        timed.mkdir(exist_ok=True)
+        (timed / "report.json").write_text(json.dumps(whole))
+        (timed / "timing.csv").write_text("stage,seconds\n" + rows)
+        with pytest.raises(ConfigError, match="rows must be stage,seconds"):
+            load_report(timed / "report.json")
 
 
 def test_emit_accuracy_table(default_run):
@@ -527,14 +544,6 @@ def test_emit_table_error_paths(reduced_double_run):
         emit_table(bare, "timing")
     with pytest.raises(MissingSectionError):
         emit_table(bare, "execution-error")
-
-
-def test_stage_error_carries_its_cause():
-    cause = ValueError("boom")
-    err = StageError("scene", cause)
-    assert err.stage == "scene"
-    assert err.cause is cause
-    assert "scene" in str(err) and "boom" in str(err)
 
 
 # -- command line -----------------------------------------------------------
@@ -597,7 +606,8 @@ def test_cli_detect_renders_scene_frame_0_without_a_cloud(tmp_path, capsys):
     assert cli.main(["detect", "--config", config]) == cli.EXIT_OK
     doc = json.loads((tmp_path / "out" / "detection.json").read_text())
     assert json.loads(capsys.readouterr().out) == doc
-    [first, *_] = simulate_clouds(sc, out_dir=str(tmp_path / "clouds"))
+    clouds = dataclasses.replace(sc, out_dir=str(tmp_path / "clouds"))
+    [first, *_] = simulate_clouds(clouds)
     assert first.name == "cloud_scene_0000.ply"
     assert doc == detect_ring(read_cloud(first)).to_json_dict()
 
@@ -665,4 +675,19 @@ def test_cli_emit_table_missing_section_exits_3(reduced_double_run, capsys):
     report_path = str(Path(sc.out_dir) / "report.json")
     rc = cli.main(["emit-table", "accuracy-vs-distance", "--report", report_path])
     assert rc == cli.EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: report has no sweep section\n"
+
+
+def test_cli_emit_table_malformed_report_exits_3(tmp_path, capsys):
+    (tmp_path / "listed").mkdir()
+    listed = tmp_path / "listed" / "report.json"
+    listed.write_text("[]")
+    assert cli.main(["emit-table", "timing", "--report", str(listed)]) == cli.EXIT_CONFIG
+    short_row = tmp_path / "report.json"
+    short_row.write_text(json.dumps(
+        {"version": "0.1.0", "config": {}, "stages": {}, "verdict": "PASSED"}))
+    (tmp_path / "timing.csv").write_text("stage,seconds\nplan\n")
+    rc = cli.main(["emit-table", "timing", "--report", str(short_row)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and "rows must be stage,seconds" in err

@@ -111,3 +111,18 @@ def test_single_point_roundtrip(tmp_path):
                        timestamp_s=0.5, seed=7)
     back = read_cloud(write_cloud(tmp_path / "one.ply", cloud))
     assert np.array_equal(back.points, cloud.points)
+
+
+@pytest.mark.parametrize("count, body, found", [
+    (3, "1 2\n3 4\n5 6\n", "3 vertex rows of 2 values"),
+    (5, "1 2 3\n4 5 6\n", "2 vertex rows of 3 values"),
+])
+def test_read_rejects_a_body_short_of_its_header(tmp_path, count, body, found):
+    path = tmp_path / "c.ply"
+    path.write_text("ply\nformat ascii 1.0\n"
+                    f"element vertex {count}\n"
+                    "property double x\nproperty double y\nproperty double z\n"
+                    "end_header\n" + body)
+    sidecar_path(path).write_text('{"timestamp_s": 0.0, "seed": 1}')
+    with pytest.raises(ValueError, match=found):
+        read_cloud(path)

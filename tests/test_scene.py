@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from specklenav.camera import CameraModel
-from specklenav.geometry import Box, RigidTransform, random_transform
+from specklenav.geometry import Box, RigidTransform
 from specklenav.scene import (
     EmptyCloudError,
     PointCloud,
@@ -21,7 +21,7 @@ from specklenav.scene import (
     render_cloud,
 )
 
-from conftest import scenario_json_round_trip
+from conftest import random_transform, scenario_json_round_trip
 
 
 def down_camera(distance_mm: float, **kwargs) -> CameraModel:
