@@ -11,7 +11,6 @@ from .camera import CameraModel, FovRow, RangeClampWarning
 from .detect import MarkerPose, NoMarkerFoundError, detect_ring, track
 from .fov import accuracy_estimate, blind_spot_check, observation_rectangle_fit
 from .fusion import (
-    ExecutionRecord,
     TcpCorrection,
     apply_correction,
     fit_tcp_correction,
@@ -50,7 +49,6 @@ __all__ = [
     "BreathSignal",
     "CalibrationSample",
     "CameraModel",
-    "ExecutionRecord",
     "FovRow",
     "HandEyeResult",
     "MarkerPose",

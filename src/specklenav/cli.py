@@ -3,7 +3,8 @@
 Every subcommand accepts --config (scenario JSON; the bundled default
 scenario when omitted), --seed (master seed override) and --out (output
 directory override).  Exit codes: 0 success, 2 reprojection gate failure,
-3 config error, 4 stage error.
+3 config error (a bad command line, scenario, report or input cloud),
+4 stage error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .detect import detect_ring
 from .fov import accuracy_estimate, blind_spot_check, observation_rectangle_fit
 from .geometry import Point3
 from .harness import (
+    TABLE_IDS,
     ConfigError,
     Scenario,
     breathing_summary,
@@ -35,8 +37,6 @@ EXIT_OK = 0
 EXIT_GATE = 2
 EXIT_CONFIG = 3
 EXIT_STAGE = 4
-
-TABLE_IDS = ("accuracy-vs-distance", "execution-error", "timing")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -118,7 +118,11 @@ def cmd_calibrate(args) -> int:
 def cmd_detect(args) -> int:
     scenario = _scenario_from_args(args)
     if args.cloud:
-        pose = detect_ring(read_cloud(args.cloud), scenario.marker)
+        try:
+            cloud = read_cloud(args.cloud)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read cloud: {exc}") from exc
+        pose = detect_ring(cloud, scenario.marker)
     else:
         with scenario.render_scene_frame(0) as cloud:
             pose = detect_ring(cloud, scenario.marker)

@@ -9,10 +9,8 @@ from executed probe motions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,17 +23,6 @@ class EmptyRecordsError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExecutionRecord:
-    """One probe motion: where the camera said the target was, where the robot ended up.
-
-    Both points are expressed in the robot base frame, millimetres.
-    """
-
-    camera_observed: Point3
-    robot_executed: Point3
-
-
-@dataclass(frozen=True)
 class TcpCorrection:
     """Per-axis affine map from camera-observed coordinates to robot commands.
 
@@ -45,32 +32,19 @@ class TcpCorrection:
     something upstream is broken.
     """
 
-    scale_x: float
-    scale_y: float
-    scale_z: float
-    offset_x: float
-    offset_y: float
-    offset_z: float
+    scale: tuple[float, float, float]
+    offset: tuple[float, float, float]
     fit_pair_count: int
     fit_rms: float
 
     def __post_init__(self) -> None:
-        for name in ("scale_x", "scale_y", "scale_z"):
-            s = getattr(self, name)
+        for axis, s in zip("xyz", self.scale):
             if not (0.9 <= s <= 1.1):
-                raise ValueError(f"{name}={s!r} outside sanity band [0.9, 1.1]")
+                raise ValueError(f"scale_{axis}={s!r} outside sanity band [0.9, 1.1]")
         if self.fit_rms < 0.0:
             raise ValueError("fit_rms must be non-negative")
         if self.fit_pair_count < 0:
             raise ValueError("fit_pair_count must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scale": [self.scale_x, self.scale_y, self.scale_z],
-            "offset": [self.offset_x, self.offset_y, self.offset_z],
-            "fit_pair_count": self.fit_pair_count,
-            "fit_rms": self.fit_rms,
-        }
 
 
 def marker_in_base(
@@ -90,47 +64,44 @@ def marker_in_base(
     return Point3.from_array(center), normal
 
 
-def apply_correction(correction: TcpCorrection, observed: Point3) -> Point3:
-    return Point3(
-        correction.scale_x * observed.x + correction.offset_x,
-        correction.scale_y * observed.y + correction.offset_y,
-        correction.scale_z * observed.z + correction.offset_z,
-    )
+def apply_correction(correction: TcpCorrection, observed: np.ndarray) -> np.ndarray:
+    """The corrected point of a (3,) observation, or the rows of an (n, 3) one."""
+    return np.asarray(correction.scale) * observed + np.asarray(correction.offset)
 
 
-def correction_rms(correction: TcpCorrection,
-                   records: Sequence[ExecutionRecord]) -> float:
-    """RMS of the per-record 3-D error after applying the correction."""
-    if not records:
+def correction_rms(correction: TcpCorrection, observed: np.ndarray,
+                   executed: np.ndarray) -> float:
+    """RMS of the per-record 3-D error after applying the correction.
+
+    ``observed`` and ``executed`` are (n, 3): row k is where the camera put
+    probe k's target and where the robot ended up, both in the base frame.
+    """
+    if len(observed) == 0:
         raise EmptyRecordsError("no execution records")
     total = 0.0
-    for rec in records:
-        corrected = apply_correction(correction, rec.camera_observed)
-        total += corrected.distance_to(rec.robot_executed) ** 2
-    return math.sqrt(total / len(records))
+    for err in apply_correction(correction, observed) - executed:
+        total += float(np.linalg.norm(err)) ** 2
+    return math.sqrt(total / len(observed))
 
 
-def fit_tcp_correction(records: Sequence[ExecutionRecord]) -> TcpCorrection:
+def fit_tcp_correction(observed: np.ndarray, executed: np.ndarray) -> TcpCorrection:
     """Fit the per-axis affine correction from executed probe motions.
 
-    With four or more records each axis gets an independent least-squares
-    line executed = scale * observed + offset.  Fewer records cannot pin
-    down a slope, so the scale stays at 1 and the offset is the mean of the
+    ``observed`` and ``executed`` are (n, 3) as in ``correction_rms``.  With
+    four or more records each axis gets an independent least-squares line
+    executed = scale * observed + offset.  Fewer records cannot pin down a
+    slope, so the scale stays at 1 and the offset is the mean of the
     observed-to-executed differences.
     """
-    records = list(records)
-    if not records:
+    if len(observed) == 0:
         raise EmptyRecordsError("no execution records")
 
-    obs = np.array([rec.camera_observed.as_array() for rec in records])
-    exe = np.array([rec.robot_executed.as_array() for rec in records])
-
-    if len(records) >= 4:
+    if len(observed) >= 4:
         scales = []
         offsets = []
-        for axis in range(3):
-            x = obs[:, axis]
-            y = exe[:, axis]
+        # Each column is summed on its own: mean(axis=0) of an (n, 3) array
+        # adds in another order once n >= 8, and moves the fitted bits.
+        for x, y in zip(observed.T, executed.T):
             x_mean = float(x.mean())
             y_mean = float(y.mean())
             var = float(((x - x_mean) ** 2).sum())
@@ -144,29 +115,17 @@ def fit_tcp_correction(records: Sequence[ExecutionRecord]) -> TcpCorrection:
             offsets.append(y_mean - scale * x_mean)
     else:
         scales = [1.0, 1.0, 1.0]
-        mean_diff = (exe - obs).mean(axis=0)
-        offsets = [float(v) for v in mean_diff]
+        offsets = (executed - observed).mean(axis=0).tolist()
 
-    correction = TcpCorrection(
-        scales[0], scales[1], scales[2],
-        offsets[0], offsets[1], offsets[2],
-        fit_pair_count=len(records),
-        fit_rms=0.0,
-    )
+    correction = TcpCorrection(tuple(scales), tuple(offsets),
+                               fit_pair_count=len(observed), fit_rms=0.0)
     # Recompute through the public application path so the stored figure is
     # bitwise what a caller would measure on the training set.
-    return replace(correction, fit_rms=correction_rms(correction, records))
+    return replace(correction, fit_rms=correction_rms(correction, observed, executed))
 
 
-_CSV_HEADER = ["obs_x", "obs_y", "obs_z", "exec_x", "exec_y", "exec_z"]
-
-
-def write_records(path, records: Iterable[ExecutionRecord]) -> None:
-    """Write execution records as CSV, millimetres at six decimal places."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for rec in records:
-            row = [*rec.camera_observed.as_array(), *rec.robot_executed.as_array()]
-            writer.writerow([f"{v:.6f}" for v in row])
-
+def write_records(path, observed: np.ndarray, executed: np.ndarray) -> None:
+    """Write the records as CSV rows obs_x..exec_z, millimetres at six
+    decimal places, with the CRLF line ends of Python's csv writer."""
+    np.savetxt(path, np.hstack([observed, executed]), fmt="%.6f", delimiter=",",
+               newline="\r\n", header="obs_x,obs_y,obs_z,exec_x,exec_y,exec_z", comments="")

@@ -31,12 +31,11 @@ from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import fusion as fusion_mod
 from . import respiration as resp_mod
 from .camera import CameraModel
 from .detect import MarkerPose, detect_in_crop, detect_ring, track_window
-from .fusion import ExecutionRecord, apply_correction, fit_tcp_correction, marker_in_base
-from .geometry import Aabb, Point3, RigidTransform, line_angle_deg, pose_error
+from .fusion import apply_correction, fit_tcp_correction, marker_in_base, write_records
+from .geometry import Aabb, RigidTransform, line_angle_deg, pose_error
 from .handeye import (
     GATE_THRESHOLD_PX,
     plan_poses,
@@ -156,25 +155,33 @@ class Scenario:
             raise ConfigError("execution.probe_count must be >= 2")
         if not (1 <= self.execution.fit_count < self.execution.probe_count):
             raise ConfigError("execution.fit_count must leave validation probes")
+        # The breathing stage renders round(duration_s * frame_rate_hz) frames.
+        breathing = self.breathing
+        if not breathing.frame_rate_hz > 0:
+            raise ConfigError("breathing.frame_rate_hz must be positive")
+        if not breathing.duration_s > 0:
+            raise ConfigError("breathing.duration_s must be positive")
+        if not breathing.duration_s * breathing.frame_rate_hz > 0.5:
+            raise ConfigError("breathing.duration_s must span at least one frame")
+        if not 0 < self.sweep.patch_fraction <= 1:
+            raise ConfigError("sweep.patch_fraction must lie in (0, 1]")
         script = tuple(self.robot_script) or (self._default_scene_flange(),)
         object.__setattr__(self, "robot_script", script)
         if self.observation_box is None:
-            top = self.marker_top_in_base(0.0)
             object.__setattr__(self, "observation_box", Aabb.from_center_extents(
-                top.as_array(), (90.0, 90.0, 24.0)))
+                self.marker_top_in_base(0.0), (90.0, 90.0, 24.0)))
 
     # -- synthesizer-side helpers ------------------------------------------
 
-    def marker_top_in_base(self, t: float) -> Point3:
+    def marker_top_in_base(self, t: float) -> np.ndarray:
         top_phantom = marker_top_center_world(self.phantom, self.marker, t)
-        return Point3.from_array(self.phantom_in_base.apply(top_phantom))
+        return self.phantom_in_base.apply(top_phantom)
 
     def _default_scene_flange(self) -> RigidTransform:
         """Camera parked 400 mm straight above the marker, looking down."""
-        top = self.marker_top_in_base(0.0)
+        x, y, z = self.marker_top_in_base(0.0)
         cam_in_base = RigidTransform.from_axis_angle(
-            (1.0, 0.0, 0.0), 180.0,
-            translation=(top.x, top.y, top.z + 400.0))
+            (1.0, 0.0, 0.0), 180.0, translation=(x, y, z + 400.0))
         return cam_in_base.compose(self.hand_eye_true.invert())
 
     def camera_in_phantom(self, flange_in_base: RigidTransform) -> RigidTransform:
@@ -613,52 +620,37 @@ def _probe_offsets(cfg: ExecutionConfig) -> list[np.ndarray]:
 
 
 def _stage_fusion(sc: Scenario, hand_eye_hat: RigidTransform, out: Path) -> dict:
-    truth_base = sc.marker_top_in_base(0.0).as_array()
     offsets = _probe_offsets(sc.execution)
-    frame_rate = sc.camera.frame_rate
-
-    records = []
+    observed = []
     for k, offset in enumerate(offsets):
         flange_k = RigidTransform.translation(*offset).compose(sc.robot_script[0])
-        t = (sc.scene_frames + k) / frame_rate
+        t = (sc.scene_frames + k) / sc.camera.frame_rate
         with sc.render(f"fusion:probe:{k}", sc.camera_in_phantom(flange_k),
                        marker=sc.include_marker, t=t) as cloud:
             pose_k = detect_ring(cloud, sc.marker)
         fused, _ = marker_in_base(hand_eye_hat, flange_k, pose_k)
-        observed_cmd = fused.as_array() + offset
-        executed = truth_base + offset
-        records.append(ExecutionRecord(
-            camera_observed=Point3.from_array(observed_cmd),
-            robot_executed=Point3.from_array(executed)))
+        observed.append(fused.as_array() + offset)
+    # Row k of each: probe k's target as the camera saw it and as the robot
+    # reached it, in the base frame.
+    observed = np.array(observed)
+    executed = sc.marker_top_in_base(0.0) + np.array(offsets)
 
-    fit_records = records[:sc.execution.fit_count]
-    val_records = records[sc.execution.fit_count:]
-    correction = fit_tcp_correction(fit_records)
-
-    def per_axis_abs(recs, corrected: bool):
-        errs = []
-        for rec in recs:
-            pt = (apply_correction(correction, rec.camera_observed)
-                  if corrected else rec.camera_observed)
-            errs.append(rec.robot_executed.as_array() - pt.as_array())
-        return [float(v) for v in np.mean(np.abs(np.array(errs)), axis=0)]
-
-    fusion_mod.write_records(out / "execution.csv", records)
+    fit = sc.execution.fit_count
+    correction = fit_tcp_correction(observed[:fit], executed[:fit])
+    write_records(out / "execution.csv", observed, executed)
+    val_obs, val_exe = observed[fit:], executed[fit:]
+    pre = np.mean(np.abs(val_exe - val_obs), axis=0).tolist()
+    post = np.mean(np.abs(val_exe - apply_correction(correction, val_obs)), axis=0).tolist()
     return {
         "summary": {
-            "probe_count": len(records),
-            "fit_count": len(fit_records),
-            "validation_count": len(val_records),
-            "correction": correction.to_json_dict(),
-            "pre_correction_mean_abs_mm": per_axis_abs(val_records, corrected=False),
-            "post_correction_mean_abs_mm": per_axis_abs(val_records, corrected=True),
-            "records": [
-                {"obs": [r.camera_observed.x, r.camera_observed.y,
-                         r.camera_observed.z],
-                 "exec": [r.robot_executed.x, r.robot_executed.y,
-                          r.robot_executed.z]}
-                for r in records
-            ],
+            "probe_count": len(observed),
+            "fit_count": fit,
+            "validation_count": len(val_obs),
+            "correction": _to_json(correction),
+            "pre_correction_mean_abs_mm": pre,
+            "post_correction_mean_abs_mm": post,
+            "records": [{"obs": o, "exec": e}
+                        for o, e in zip(observed.tolist(), executed.tolist())],
         },
     }
 
@@ -869,11 +861,28 @@ def load_report(path) -> RunReport:
 # ---------------------------------------------------------------------------
 # Tables
 
+TABLE_IDS = ("accuracy-vs-distance", "execution-error", "timing")
+
 
 def emit_table(report: RunReport, table_id: str) -> str:
-    """Render one report section as CSV text."""
+    """Render one report section as CSV text.  A section of the wrong shape
+    (a row that is not an object of the table's keys, a value of the wrong
+    type) is a ConfigError, as a malformed report is."""
+    if table_id not in TABLE_IDS:
+        raise ValueError(f"unknown table id: {table_id!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # terminal-friendly output
+    try:
+        _write_table(writer, report, table_id)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"report has a malformed {table_id} section: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    return buf.getvalue()
+
+
+def _write_table(writer, report: RunReport, table_id: str) -> None:
     if table_id == "accuracy-vs-distance":
         sweep = report.stages.get("sweep")
         if not sweep or "rows" not in sweep:
@@ -899,12 +908,9 @@ def emit_table(report: RunReport, table_id: str) -> str:
             exe = rec["exec"]
             diff = [e - o for o, e in zip(obs, exe)]
             writer.writerow([f"{v:.6f}" for v in (*obs, *exe, *diff)])
-    elif table_id == "timing":
+    else:
         if not report.timings:
             raise MissingSectionError("report has no timing data")
         writer.writerow(["stage", "seconds"])
         for name, seconds in report.timings:
             writer.writerow([name, f"{seconds:.6f}"])
-    else:
-        raise ValueError(f"unknown table id: {table_id!r}")
-    return buf.getvalue()

@@ -85,5 +85,9 @@ def read_cloud(path) -> PointCloud:
     if not meta_file.exists():
         raise FileNotFoundError(f"missing sidecar {meta_file}")
     meta = json.loads(meta_file.read_text())
-    return PointCloud(points=data[:, :3], timestamp_s=float(meta["timestamp_s"]),
-                      seed=int(meta["seed"]))
+    try:
+        timestamp_s, seed = float(meta["timestamp_s"]), int(meta["seed"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"sidecar {meta_file} needs a numeric timestamp_s and "
+                         f"seed: {exc!r}") from exc
+    return PointCloud(points=data[:, :3], timestamp_s=timestamp_s, seed=seed)

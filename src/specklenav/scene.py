@@ -18,11 +18,6 @@ import numpy as np
 from .camera import CameraModel
 from .geometry import Box, RigidTransform
 
-# Height that ``TorsoPhantom.height`` reports outside the phantom patch; it
-# marks a marker anchor off the patch.  The renderer does not read it: it
-# evaluates the unclipped height and keeps only crossings inside the patch.
-_OUTSIDE_PATCH = -1.0e9
-
 _BISECT_ITERS = 48
 _SUBSTEPS_PER_SEGMENT = 8
 _RIM_SAMPLES = 64
@@ -128,12 +123,6 @@ class TorsoPhantom:
         object.__setattr__(self, "_height_range", height_range)
         object.__setattr__(self, "_plane", plane)
 
-    def height(self, x, y) -> np.ndarray:
-        """Base surface height (mm) at patch coordinates, patch-clipped."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.where(self._on_patch(x, y), self._height_fn(x, y), _OUTSIDE_PATCH)
-
     def _on_patch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Points whose (x, y) lies on the closed patch rectangle."""
         xmin, xmax, ymin, ymax = self.extent
@@ -199,11 +188,12 @@ class PointCloud:
 
 def marker_pose_world(phantom: TorsoPhantom, marker: RingMarker, t: float) -> RigidTransform:
     """Marker frame in the phantom frame at time t, riding the breathing surface."""
-    anchor_x, anchor_y = marker.pose_on_surface.t[0], marker.pose_on_surface.t[1]
-    base = float(phantom.height(anchor_x, anchor_y))
-    if base <= _OUTSIDE_PATCH / 2:
+    # 0-d arrays, not float64 scalars: numpy squares an array as x * x but a
+    # scalar through pow, and the dome height squares x and y.
+    x, y = (np.asarray(v) for v in marker.pose_on_surface.t[:2])
+    if not phantom._on_patch(x, y):
         raise ValueError("marker anchor lies outside the phantom patch")
-    lift = base + breathing_offset(phantom, t)
+    lift = float(phantom._height_fn(x, y)) + breathing_offset(phantom, t)
     return RigidTransform.translation(0.0, 0.0, lift).compose(marker.pose_on_surface)
 
 

@@ -16,7 +16,6 @@ from specklenav.detect import NoMarkerFoundError, detect_ring, track
 from specklenav.fusion import TcpCorrection, apply_correction, marker_in_base
 from specklenav.geometry import (
     Aabb,
-    Point3,
     RigidTransform,
     pose_error,
 )
@@ -143,10 +142,10 @@ def test_criterion_5_integrated_run_accuracy_and_replay(announce, default_run):
     post = report.stages["fusion"]["post_correction_mean_abs_mm"]
     accuracy_ok = all(v <= 0.563 for v in post)
 
-    correction = TcpCorrection(1.0, 1.0, 1.0, -0.56, -0.02, -0.44,
+    correction = TcpCorrection((1.0, 1.0, 1.0), (-0.56, -0.02, -0.44),
                                fit_pair_count=8, fit_rms=0.0)
-    replayed = apply_correction(correction, Point3(-446.08, -336.61, -67.12))
-    replay_ok = (replayed.x, replayed.y, replayed.z) == (-446.64, -336.63, -67.56)
+    replayed = apply_correction(correction, np.array([-446.08, -336.61, -67.12]))
+    replay_ok = tuple(replayed.tolist()) == (-446.64, -336.63, -67.56)
 
     ok = (report.verdict == "PASSED" and accuracy_ok and replay_ok
           and run_seconds < 120.0)

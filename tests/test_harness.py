@@ -28,7 +28,7 @@ from specklenav.harness import (
     simulate_clouds,
     stage_seed,
 )
-from specklenav.ply import read_cloud
+from specklenav.ply import read_cloud, sidecar_path
 from specklenav.scene import RingMarker, TorsoPhantom, render_cloud
 
 from conftest import reduced_scenario
@@ -243,6 +243,27 @@ def test_json_hooks_take_only_numbers(case, tmp_path):
     with pytest.raises(ConfigError, match=rf"^{where}: .*must be a list of \d numbers"):
         Scenario.from_json_dict(doc)
     assert exits_with_config_error(tmp_path, doc)
+
+
+# Values that used to load and then crash their stage with an unrelated
+# error: no breathing frame ("list index out of range") and an empty or
+# inverted sweep patch ("extent must satisfy xmin < xmax ...").
+OUT_OF_RANGE = {"breathing.frame_rate_hz": {"breathing": {"frame_rate_hz": 0}},
+                "breathing.frame_rate_hz-negative": {"breathing": {"frame_rate_hz": -8.0}},
+                "breathing.duration_s": {"breathing": {"duration_s": 0}},
+                "breathing.duration_s-under-a-frame": {"breathing": {"duration_s": 0.05}},
+                "sweep.patch_fraction": {"sweep": {"patch_fraction": 0}},
+                "sweep.patch_fraction-over-one": {"sweep": {"patch_fraction": 1.5}}}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_section_values_are_config_errors(case, tmp_path):
+    doc = {"master_seed": 1, **OUT_OF_RANGE[case]}
+    field = case.split("-")[0]
+    with pytest.raises(ConfigError, match=rf"^{field} must"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+    assert not (tmp_path / "out").exists()  # rejected before any stage ran
 
 
 def test_camera_still_ignores_the_dropped_blur_key():
@@ -600,6 +621,28 @@ def test_cli_detect_from_a_cloud_file(reduced_double_run, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == doc
 
 
+def test_cli_detect_exits_3_for_a_malformed_cloud(tmp_path, capsys):
+    # No stage runs on a cloud file, so a bad one is an input error, not a
+    # stage error: rows short of the header, a sidecar without the seed, and
+    # a file that is not there.
+    header = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+              "property double y\nproperty double z\nend_header\n")
+    short = tmp_path / "short.ply"
+    short.write_text(header + "1 2\n3 4\n")
+    sidecar_path(short).write_text('{"timestamp_s": 0.0, "seed": 1}')
+    unseeded = tmp_path / "unseeded.ply"
+    unseeded.write_text(header + "1 2 3\n4 5 6\n")
+    sidecar_path(unseeded).write_text('{"timestamp_s": 0.0}')
+    for cloud, message in ((short, "2 vertex rows of 2 values"),
+                           (unseeded, "seed"),
+                           (tmp_path / "absent.ply", "No such file")):
+        rc = cli.main(["detect", "--cloud", str(cloud), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read cloud") and message in err
+    assert not (tmp_path / "out" / "detection.json").exists()
+
+
 def test_cli_detect_renders_scene_frame_0_without_a_cloud(tmp_path, capsys):
     sc = reduced_scenario(str(tmp_path / "out"))
     config = write_config(tmp_path, sc)
@@ -691,3 +734,16 @@ def test_cli_emit_table_malformed_report_exits_3(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "must be a JSON object" in err and "rows must be stage,seconds" in err
+    # Sections of the wrong shape: a fusion record without "exec", and sweep
+    # rows that are a number.
+    whole = {"version": "0.1.0", "config": {}, "verdict": "PASSED"}
+    for table, stages in (
+            ("execution-error", {"fusion": {"records": [{"obs": [1.0, 2.0, 3.0]}]}}),
+            ("accuracy-vs-distance", {"sweep": {"rows": 5}})):
+        path = tmp_path / table / "report.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({**whole, "stages": stages}))
+        with pytest.raises(ConfigError, match=f"malformed {table} section"):
+            emit_table(load_report(path), table)
+        assert cli.main(["emit-table", table, "--report", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: report has a malformed {table}")

@@ -99,6 +99,15 @@ def test_missing_sidecar_is_an_error(tmp_path):
         read_cloud(path)
 
 
+@pytest.mark.parametrize("sidecar", ['{"timestamp_s": 0.5}', '{"seed": 7}',
+                                     '{"timestamp_s": 0.5, "seed": null}', "[0.5, 7]"])
+def test_a_sidecar_without_its_keys_is_a_value_error(tmp_path, sidecar):
+    path = write_cloud(tmp_path / "c.ply", random_cloud(5, n=3))
+    sidecar_path(path).write_text(sidecar)
+    with pytest.raises(ValueError, match="timestamp_s and seed"):
+        read_cloud(path)
+
+
 def test_unterminated_header_is_an_error(tmp_path):
     bad = tmp_path / "x.ply"
     bad.write_text("ply\nformat ascii 1.0\nelement vertex 3\n")
@@ -116,6 +125,7 @@ def test_single_point_roundtrip(tmp_path):
 @pytest.mark.parametrize("count, body, found", [
     (3, "1 2\n3 4\n5 6\n", "3 vertex rows of 2 values"),
     (5, "1 2 3\n4 5 6\n", "2 vertex rows of 3 values"),
+    (1, "0.5 -0.25\n", "1 vertex rows of 2 values"),
 ])
 def test_read_rejects_a_body_short_of_its_header(tmp_path, count, body, found):
     path = tmp_path / "c.ply"

@@ -44,20 +44,20 @@ def tilted_camera(distance_mm: float, tilt_deg: float, **kwargs) -> CameraModel:
 
 def test_flat_surface_height_zero():
     phantom = TorsoPhantom()
-    assert np.all(phantom.height([0.0, 10.0], [0.0, -20.0]) == 0.0)
+    assert np.all(phantom._height_fn(np.array([0.0, 10.0]), np.array([0.0, -20.0])) == 0.0)
 
 
 def test_slope_and_ripple_and_dome_surfaces():
     slope = TorsoPhantom(surface={"kind": "slope", "gx": 0.1, "gy": -0.2})
-    assert slope.height(10.0, 10.0) == pytest.approx(-1.0)
+    assert slope._height_fn(10.0, 10.0) == pytest.approx(-1.0)
     ripple = TorsoPhantom(surface={"kind": "ripple", "amplitude_mm": 2.0,
                                    "wavelength_x_mm": 80.0,
                                    "wavelength_y_mm": 60.0})
-    assert ripple.height(0.0, 0.0) == pytest.approx(2.0)
+    assert ripple._height_fn(0.0, 0.0) == pytest.approx(2.0)
     dome = TorsoPhantom(surface={"kind": "dome", "height_mm": 30.0,
                                  "rx_mm": 100.0, "ry_mm": 80.0})
-    assert dome.height(0.0, 0.0) == pytest.approx(30.0)
-    assert dome.height(100.0, 0.0) == pytest.approx(0.0)
+    assert dome._height_fn(0.0, 0.0) == pytest.approx(30.0)
+    assert dome._height_fn(100.0, 0.0) == pytest.approx(0.0)
 
 
 def test_unknown_surface_kind_rejected():
@@ -65,12 +65,11 @@ def test_unknown_surface_kind_rejected():
         TorsoPhantom(surface={"kind": "waves"})
 
 
-def test_height_outside_patch_is_sentinel():
+def test_on_patch_is_the_closed_extent():
     phantom = TorsoPhantom(extent=(-50.0, 50.0, -40.0, 40.0))
-    inside = float(phantom.height(0.0, 0.0))
-    outside = float(phantom.height(60.0, 0.0))
-    assert inside == 0.0
-    assert outside < -1e6
+    x = np.array([0.0, -50.0, 50.0, 60.0, 0.0, np.nextafter(50.0, 51.0)])
+    y = np.array([0.0, 40.0, -40.0, 0.0, -40.5, 0.0])
+    assert phantom._on_patch(x, y).tolist() == [True, True, True, False, False, False]
 
 
 def test_extent_and_breathing_validation():
@@ -257,7 +256,7 @@ def test_tilted_noise_free_render_lies_on_the_surface(surface):
     cloud = render_cloud(phantom, None, cam, t=t, noise_scale=0.0)
     assert len(cloud) == 96 * 72
     pts = cam.mount_pose.apply(cloud.points)
-    skin = phantom.height(pts[:, 0], pts[:, 1]) + breathing_offset(phantom, t)
+    skin = phantom._height_fn(pts[:, 0], pts[:, 1]) + breathing_offset(phantom, t)
     assert np.max(np.abs(pts[:, 2] - skin)) <= 1e-9
 
 
@@ -557,7 +556,7 @@ def test_height_bound_covers_the_surface(surface, extent):
     x, y = np.meshgrid(np.linspace(extent[0], extent[1], 601),
                        np.linspace(extent[2], extent[3], 401))
     floor, ceiling = phantom._height_range
-    heights = phantom.height(x, y)
+    heights = phantom._height_fn(x, y)
     assert floor <= float(np.min(heights))
     assert ceiling >= float(np.max(heights))
 
