@@ -163,8 +163,14 @@ class Scenario:
             raise ConfigError("breathing.duration_s must be positive")
         if not breathing.duration_s * breathing.frame_rate_hz > 0.5:
             raise ConfigError("breathing.duration_s must span at least one frame")
+        if not breathing.period_s > 0:
+            raise ConfigError("breathing.period_s must be positive")
         if not 0 < self.sweep.patch_fraction <= 1:
             raise ConfigError("sweep.patch_fraction must lie in (0, 1]")
+        for name in ("calibration", "breathing", "sweep"):
+            nx, ny = getattr(self, name).resolution
+            if nx < 2 or ny < 2:
+                raise ConfigError(f"{name}.resolution must be at least 2x2")
         script = tuple(self.robot_script) or (self._default_scene_flange(),)
         object.__setattr__(self, "robot_script", script)
         if self.observation_box is None:

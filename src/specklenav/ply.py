@@ -8,6 +8,7 @@ seed used to synthesize the cloud.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +78,19 @@ def read_cloud(path) -> PointCloud:
             raise ValueError("PLY header lacks a vertex element")
         if props[:3] != ["x", "y", "z"]:
             raise ValueError(f"unexpected vertex properties {props}")
-        data = np.loadtxt(f, dtype=float, max_rows=count, ndmin=2)
+        body = f.tell()
+        try:
+            with warnings.catch_warnings():
+                # An empty body is reported below, as rows short of the header.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(f, dtype=float, max_rows=count, ndmin=2)
+        except ValueError:
+            f.seek(body)
+            _raise_for_a_ragged_row(path, f, count)
+            raise
     if len(data) != count or (count and data.shape[1] < len(props)):
-        raise ValueError(f"{path} has {len(data)} vertex rows of {data.shape[1]} values; "
+        found = f" of {data.shape[1]} values" if len(data) else ""
+        raise ValueError(f"{path} has {len(data)} vertex rows{found}; "
                          f"its header declares {count} rows of {len(props)}")
     meta_file = sidecar_path(path)
     if not meta_file.exists():
@@ -91,3 +102,25 @@ def read_cloud(path) -> PointCloud:
         raise ValueError(f"sidecar {meta_file} needs a numeric timestamp_s and "
                          f"seed: {exc!r}") from exc
     return PointCloud(points=data[:, :3], timestamp_s=timestamp_s, seed=seed)
+
+
+def _raise_for_a_ragged_row(path, body, count: int) -> None:
+    """Raise if a vertex row of ``body`` has another count of values than the first.
+
+    Rows are counted as ``np.loadtxt`` counts them: blank lines and ``#``
+    comments are skipped.
+    """
+    width = None
+    row = 0
+    for line in body:
+        values = line.split("#")[0].split()
+        if not values:
+            continue
+        row += 1
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ValueError(f"{path}: vertex row {row} has {len(values)} values, "
+                             f"vertex row 1 has {width}")
+        if row == count:
+            return

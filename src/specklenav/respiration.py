@@ -234,10 +234,34 @@ def _window_blocks(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     for length in np.unique(lengths):
         positions = np.nonzero(lengths == length)[0]
         view = sliding_window_view(values, int(length))
-        step = max(1, _BLOCK // max(int(length), 1))
+        step = max(1, _BLOCK // int(length))
         for b in range(0, len(positions), step):
             block = positions[b:b + step]
             yield block, view[starts[block]]
+
+
+def _window_extremes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(min, max) of each values[lo[k]:hi[k]], and values[lo[k]] where lo[k] == hi[k].
+
+    lo and hi are nondecreasing and hi[-1] < len(values).  One reduceat
+    each over the interleaved bounds (lo0, hi0, lo1, hi1, ...) reads every
+    window in place: the even segments are the windows, the odd ones the
+    gaps between them, which are dropped.  reduceat gives values[lo[k]] for
+    an empty segment.
+    """
+    if len(lo) == 0:
+        return np.zeros(0), np.zeros(0)
+    view = values[lo[0]:hi[-1] + 1]
+    bounds = np.empty(2 * len(lo), dtype=np.intp)
+    bounds[0::2] = lo - lo[0]
+    bounds[1::2] = hi - lo[0]
+    return (np.minimum.reduceat(view, bounds)[0::2],
+            np.maximum.reduceat(view, bounds)[0::2])
+
+
+# detect_breath_hold's margin covers the rounding of window means up to this
+# many samples; longer windows always take the exact test.
+_MARGIN_MAX_LEN = 10 ** 6
 
 
 def detect_breath_hold(signal: BreathSignal, amplitude_tol_mm: float,
@@ -249,6 +273,14 @@ def detect_breath_hold(signal: BreathSignal, amplitude_tol_mm: float,
     sample are not formed.  A window is flat when no sample strays more
     than amplitude_tol_mm from the window mean.  Overlapping flat windows
     merge into one gate, whose level is the mean over the merged span.
+
+    Each window's range r = fl(max - min) decides it where it can, with
+    margin = 1e-9 * (1 + max(|min|, |max|)) for the rounding of the mean:
+    a window is flat when r + margin <= amplitude_tol_mm, since no sample
+    lies more than r from a mean between min and max, and not flat when
+    0.5 * r - margin > amplitude_tol_mm, since some sample lies at least
+    r / 2 from any mean.  Only the windows in between take the exact
+    spread about the window mean, so every answer is the exact test's.
     """
     if amplitude_tol_mm <= 0.0:
         raise ValueError("amplitude_tol_mm must be positive")
@@ -273,10 +305,28 @@ def detect_breath_hold(signal: BreathSignal, amplitude_tol_mm: float,
         formed = last < n
         first = first[formed]
         last = last[formed]
-        flat = np.zeros(len(first), dtype=bool)
-        for block, rows in _window_blocks(values, first, last - first + 1):
+        # The window is values[first:last + 1]; reduceat takes no end index
+        # of n, so it reads values[first:last] and values[last] joins after.
+        low, high = _window_extremes(values, first, last)
+        low = np.minimum(low, values[last])
+        high = np.maximum(high, values[last])
+        r = high - low
+        # The margin, with u = 2**-53 and M = max(|min|, |max|): a float sum
+        # of L samples errs by at most (L - 1) * u * L * M in any order
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        # eq. 4.4), so the window mean lies within e = (L + 1) * u * M of
+        # [min, max], and each rounded deviation is at most (r + e)(1 + u).
+        # For L <= 10**6, e <= 1.2e-10 * M; with the rounding of r, of
+        # the deviations and of r + margin, each a few u * M, it stays well
+        # under 1e-9 * M.  The "not flat" side holds for any mean, so it
+        # needs only those roundings.  The 1 covers values near zero.
+        margin = 1e-9 * (1.0 + np.maximum(np.abs(low), np.abs(high)))
+        flat = r + margin <= amplitude_tol_mm
+        exact = np.nonzero((~flat & (0.5 * r - margin <= amplitude_tol_mm))
+                           | (last - first >= _MARGIN_MAX_LEN))[0]
+        for block, rows in _window_blocks(values, first[exact], (last - first + 1)[exact]):
             spread = np.max(np.abs(rows - rows.mean(axis=1, keepdims=True)), axis=1)
-            flat[block] = spread <= amplitude_tol_mm
+            flat[exact[block]] = spread <= amplitude_tol_mm
         firsts.append(first[flat])
         lasts.append(last[flat])
     first = np.concatenate(firsts)
@@ -302,6 +352,13 @@ def motion_alarm(signal: BreathSignal, threshold_mm: float,
     sample falls in the window).  An alarm fires on the first sample whose
     deviation from baseline exceeds the threshold, then stays quiet until
     the signal comes back within the threshold.
+
+    The median lies between the window's min and max, and the rounded
+    deviation v - m can only fall as m rises.  So a sample is within the
+    threshold when v - min <= threshold and v - max >= -threshold, and
+    exceeds it when v - max > threshold or v - min < -threshold.  Only the
+    samples in between take the exact median, so every answer is the
+    median's, with no margin.
     """
     if threshold_mm <= 0.0:
         raise ValueError("threshold_mm must be positive")
@@ -311,13 +368,18 @@ def motion_alarm(signal: BreathSignal, threshold_mm: float,
     exceed = np.zeros(len(times), dtype=bool)
     for i in _index_blocks(len(times)):
         # The window of sample i is values[lo:i], lo the first sample with
-        # t[lo] >= t[i] - baseline_window_s.
+        # t[lo] >= t[i] - baseline_window_s.  An empty one (lo == i) gives
+        # values[i] as its min and max, the sample's own baseline.
         lo = np.searchsorted(times, times[i] - baseline_window_s)
-        baseline = values[i]
-        for block, rows in _window_blocks(values, lo, i - lo):
-            if rows.shape[1]:
-                baseline[block] = np.median(rows, axis=1)
-        exceed[i] = np.abs(values[i] - baseline) > threshold_mm
+        low, high = _window_extremes(values, lo, i)
+        above_low = values[i] - low
+        above_high = values[i] - high
+        exceed[i] = (above_high > threshold_mm) | (above_low < -threshold_mm)
+        exact = np.nonzero(~exceed[i] & ((above_low > threshold_mm)
+                                         | (above_high < -threshold_mm)))[0]
+        for block, rows in _window_blocks(values, lo[exact], (i - lo)[exact]):
+            at = i[exact[block]]
+            exceed[at] = np.abs(values[at] - np.median(rows, axis=1)) > threshold_mm
     # Sample 0 is armed; every later sample is armed exactly when the one
     # before it was within the threshold.
     fires = exceed.copy()

@@ -253,7 +253,14 @@ OUT_OF_RANGE = {"breathing.frame_rate_hz": {"breathing": {"frame_rate_hz": 0}},
                 "breathing.duration_s": {"breathing": {"duration_s": 0}},
                 "breathing.duration_s-under-a-frame": {"breathing": {"duration_s": 0.05}},
                 "sweep.patch_fraction": {"sweep": {"patch_fraction": 0}},
-                "sweep.patch_fraction-over-one": {"sweep": {"patch_fraction": 1.5}}}
+                "sweep.patch_fraction-over-one": {"sweep": {"patch_fraction": 1.5}},
+                "breathing.period_s": {"breathing": {"period_s": 0}},
+                "breathing.period_s-negative": {"breathing": {"period_s": -4.0}},
+                "calibration.resolution": {"calibration": {"resolution": [1, 1]}},
+                "breathing.resolution": {"breathing": {"resolution": [1, 1]}},
+                "breathing.resolution-one-row": {"breathing": {"resolution": [160, 1]}},
+                "sweep.resolution": {"sweep": {"resolution": [0, 0]}},
+                "sweep.resolution-one-column": {"sweep": {"resolution": [1, 180]}}}
 
 
 @pytest.mark.parametrize("case", list(OUT_OF_RANGE))

@@ -136,3 +136,47 @@ def test_read_rejects_a_body_short_of_its_header(tmp_path, count, body, found):
     sidecar_path(path).write_text('{"timestamp_s": 0.0, "seed": 1}')
     with pytest.raises(ValueError, match=found):
         read_cloud(path)
+
+
+def write_body(path, count: int, body: str) -> None:
+    path.write_text("ply\nformat ascii 1.0\n"
+                    f"element vertex {count}\n"
+                    "property double x\nproperty double y\nproperty double z\n"
+                    "end_header\n" + body)
+    sidecar_path(path).write_text('{"timestamp_s": 0.0, "seed": 1}')
+
+
+@pytest.mark.parametrize("count, body, row", [
+    (2, "1 2 3\n4 5\n", "vertex row 2 has 2 values, vertex row 1 has 3"),
+    (3, "1 2 3\n4 5 6\n7 8 9 10\n", "vertex row 3 has 4 values, vertex row 1 has 3"),
+    (3, "1 2\n3 4 5\n6 7 8\n", "vertex row 2 has 3 values, vertex row 1 has 2"),
+])
+def test_a_row_that_changes_length_is_named(tmp_path, count, body, row):
+    path = tmp_path / "c.ply"
+    write_body(path, count, body)
+    with pytest.raises(ValueError) as info:
+        read_cloud(path)
+    assert str(info.value) == f"{path}: {row}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_empty_body_raises_without_a_warning(tmp_path):
+    path = tmp_path / "c.ply"
+    write_body(path, 2, "")
+    with pytest.raises(ValueError, match="has 0 vertex rows; its header declares 2 rows of 3$"):
+        read_cloud(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_empty_cloud_roundtrips_without_a_warning(tmp_path):
+    cloud = PointCloud(points=np.zeros((0, 3)), timestamp_s=1.5, seed=3)
+    back = read_cloud(write_cloud(tmp_path / "empty.ply", cloud))
+    assert back.points.shape == (0, 3)
+    assert (back.timestamp_s, back.seed) == (1.5, 3)
+
+
+def test_an_unparsable_value_keeps_the_loader_message(tmp_path):
+    path = tmp_path / "c.ply"
+    write_body(path, 2, "1 2 x\n4 5 6\n")
+    with pytest.raises(ValueError, match="could not convert string 'x'"):
+        read_cloud(path)

@@ -576,3 +576,127 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block):
     got = (detect_breath_hold(signal, 0.5, 2.5), motion_alarm(signal, 4.0),
            detect_breath_hold(signal, 0.3, 0.05), motion_alarm(signal, 2.5, 0.05))
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the min/max bound at its edges: every answer must be the exact test's
+
+
+def counted_fallback_windows(monkeypatch) -> list[int]:
+    """Patch _window_blocks to record how many windows take the exact test."""
+    counted = []
+    window_blocks = respiration._window_blocks
+
+    def counting(values, starts, lengths):
+        for block, rows in window_blocks(values, starts, lengths):
+            counted.append(len(block))
+            yield block, rows
+
+    monkeypatch.setattr(respiration, "_window_blocks", counting)
+    return counted
+
+
+def binary_grid_signal(seed: int, n: int = 600) -> BreathSignal:
+    """Irregular times, values on a 1/8 mm grid, so window sums are exact."""
+    rng = np.random.default_rng(seed)
+    tt = np.cumsum(rng.choice([0.125, 0.25, 0.375], size=n))
+    dd = np.cumsum(rng.integers(-3, 4, size=n)) / 8.0
+    return BreathSignal(zip(tt, dd))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_alarm_deviations_of_exactly_the_threshold_from_min_or_max(seed):
+    signal = binary_grid_signal(seed)
+    times, values = signal.arrays()
+    for threshold, window in ((0.25, 0.5), (0.5, 1.0), (0.875, 2.0), (1.5, 2.0)):
+        ties = 0
+        for i in range(len(times)):
+            prior = values[(times >= times[i] - window) & (times < times[i])]
+            if len(prior):
+                ties += np.count_nonzero(
+                    np.abs(values[i] - np.array([prior.min(), prior.max()])) == threshold)
+        assert ties > 0
+        assert motion_alarm(signal, threshold, window) \
+            == loop_motion_alarm(signal, threshold, window)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hold_ranges_of_exactly_the_tolerance_or_twice_it(seed):
+    signal = binary_grid_signal(seed)
+    for tol in (0.125, 0.25, 0.375, 0.5, 0.75):
+        for duration in (0.5, 1.0, 2.0):
+            assert detect_breath_hold(signal, tol, duration) \
+                == loop_breath_hold(signal, tol, duration)
+
+
+def test_a_hold_window_whose_spread_is_exactly_the_tolerance():
+    # Every 4-sample window holds one 1 among three 0s: mean 0.25, and the
+    # 1 strays exactly 0.75 from it.
+    tt = 0.25 * np.arange(40)
+    signal = BreathSignal(zip(tt, (np.arange(40) % 4 == 3).astype(float)))
+    gates = detect_breath_hold(signal, 0.75, 0.75)
+    assert gates == loop_breath_hold(signal, 0.75, 0.75)
+    assert [(g.start_s, g.end_s) for g in gates] == [(0.0, 9.75)]
+    below = float(np.nextafter(0.75, 0.0))
+    assert detect_breath_hold(signal, below, 0.75) == loop_breath_hold(signal, below, 0.75) == []
+
+
+def test_hold_ranges_inside_the_margin_far_from_zero():
+    # At 1e4 mm the margin is about 1e-5 mm, 1 % of the tolerance.  Ranges
+    # within it of tol (or of 2 tol) are left to the exact test.
+    tol = 1e-3
+    rng = np.random.default_rng(5)
+    n = 3000
+    tt = np.cumsum(rng.uniform(0.05, 0.15, size=n))
+    steps = rng.choice([0.0, 1.0, 2.0], size=n) * rng.choice(
+        [tol, tol - 4e-6, tol + 4e-6, 2 * tol - 4e-6, 2 * tol + 4e-6], size=n)
+    dd = 1e4 + np.where(rng.random(n) < 0.5, steps, 0.0)
+    signal = BreathSignal(zip(tt, dd))
+    margin = 1e-9 * (1.0 + 1e4 + 3 * tol)
+    for duration in (0.3, 1.0):
+        ranges = []
+        for i in range(n):
+            j = np.searchsorted(tt, tt[i] + duration)
+            if j < n:
+                ranges.append(np.ptp(dd[i:j + 1]))
+        ranges = np.array(ranges)
+        assert np.any((ranges > tol - margin) & (ranges <= tol))
+        assert np.any((ranges > 2 * tol) & (ranges <= 2 * tol + 2 * margin))
+        assert detect_breath_hold(signal, tol, duration) \
+            == loop_breath_hold(signal, tol, duration)
+
+
+def test_an_outlier_just_past_the_tolerance_breaks_the_hold_far_from_zero():
+    # 200-sample windows at 1e4 mm, one sample 1.008e-3 mm high: its range is
+    # within the margin of tol 1e-3, but the mean sits next to the base, so
+    # the outlier strays 1.003e-3 mm from it and no window holding it is flat.
+    tol = 1e-3
+    dd = np.full(600, 1e4)
+    dd[300] += 1.008e-3
+    signal = BreathSignal(zip(0.01 * np.arange(600), dd))
+    gates = detect_breath_hold(signal, tol, 1.99)
+    assert gates == loop_breath_hold(signal, tol, 1.99)
+    assert len(gates) == 2
+    assert gates[0].end_s < 3.0 < gates[1].start_s
+
+
+def test_every_window_undecided_takes_the_exact_test(monkeypatch):
+    # Alternating 0 and 1 mm: every window's range is 1, too wide for
+    # "flat" at tol 0.6 and too narrow for "not flat".  As an alarm signal
+    # at threshold 0.6, every sample sees both values in its window, so the
+    # min and max cannot place its median either.
+    rng = np.random.default_rng(11)
+    n = 500
+    tt = np.cumsum(rng.uniform(0.1, 0.3, size=n))
+    signal = BreathSignal(zip(tt, (np.arange(n) % 2).astype(float)))
+    counted = counted_fallback_windows(monkeypatch)
+    gates = detect_breath_hold(signal, 0.6, 1.0)
+    assert gates == loop_breath_hold(signal, 0.6, 1.0)
+    formed = np.count_nonzero(tt[-1] - tt >= 1.0)
+    assert sum(counted) == formed
+    counted.clear()
+    events = motion_alarm(signal, 0.6, 2.0)
+    assert events == loop_motion_alarm(signal, 0.6, 2.0)
+    assert events
+    # Sample 0 has no window and sample 1 sees only sample 0.
+    assert sum(counted) == n - 2
