@@ -7,7 +7,11 @@ the skin.  Detection proceeds in four steps:
    is counted on an evenly strided subset of at most 2048 points, the
    8 best are counted again on the whole cloud (each count an exact
    BLAS product), and the winner's inliers get a PCA refit from their
-   3x3 scatter,
+   3x3 scatter.  A tracked crop (``detect_in_crop``) seeds it with the
+   previous pose instead: a PCA fit to the points within 3 mm of the
+   fullest 2 mm bin of heights along its normal, refit twice to the points
+   within 1 mm; RANSAC takes over when a fit holds under 50 points or
+   under half of the crop,
 2. a band-pass on plane residuals keeps points riding above it,
 3. surviving points are clustered by single Euclidean linkage, found by
    hashing them into a grid of link-sized cells and joining the pairs in
@@ -42,6 +46,12 @@ _VERIFY_TOP = 8
 _RANSAC_ITERATIONS = 300
 _RANSAC_SEED = 0
 _PLANE_INLIER_MM = 1.0
+# A tracked crop's skin plane from the previous pose (``_prior_plane``): the
+# seed bin and band, the refits, and the fewest inliers it may fit to.
+_SKIN_BIN_MM = 2.0
+_SKIN_BAND_MM = 3.0
+_PRIOR_REFITS = 2
+_PRIOR_MIN_INLIERS = 50
 # The proud band above the skin plane, the cluster linkage distance (mm),
 # the smallest cluster that counts (at least the circle fit's 6 points),
 # and how far a cluster's fitted diameter may sit from the marker's mid
@@ -301,20 +311,49 @@ def _ransac_inliers(points: np.ndarray, threshold: float, iterations: int,
 
 def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid and unit normal of the ``_ransac_inliers`` plane, refit.
-
-    The refit is a PCA of the inliers: the normal is the eigenvector of
-    the smallest eigenvalue of their 3x3 scatter about the centroid,
-    oriented toward the camera origin.
-    """
+    """The ``_scatter_plane`` refit of the ``_ransac_inliers`` plane."""
     # np.compress picks the same rows as boolean indexing, several times
     # faster on (n, 3) points.
-    inliers = np.compress(_ransac_inliers(points, threshold, iterations, seed),
-                          points, axis=0)
+    return _scatter_plane(np.compress(_ransac_inliers(points, threshold, iterations, seed),
+                                      points, axis=0))
+
+
+def _scatter_plane(inliers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCA plane of ``inliers``: their centroid, and the smallest-eigenvalue
+    axis of their 3x3 scatter oriented toward the camera origin."""
     centroid = inliers.mean(axis=0)
     centered = inliers - centroid
     _, axes = np.linalg.eigh(centered.T @ centered)
     return centroid, _orient_toward_origin(axes[:, 0], centroid)
+
+
+def _prior_plane(points: np.ndarray,
+                 normal: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The skin plane of a tracked crop from the previous pose's ``normal``,
+    as the module docstring says, or None when a fitted set is too small.
+    The refits are the local optimisation of LO-RANSAC (Chum, Matas &
+    Kittler 2003), seeded by the prior instead of a sample."""
+    heights = points @ normal
+    low = heights.min()
+    fullest = np.argmax(np.bincount(((heights - low) / _SKIN_BIN_MM).astype(np.int64)))
+    near = np.abs(heights - (low + (fullest + 0.5) * _SKIN_BIN_MM)) <= _SKIN_BAND_MM
+    for _ in range(1 + _PRIOR_REFITS):
+        inliers = np.compress(near, points, axis=0)
+        if len(inliers) < max(_PRIOR_MIN_INLIERS, len(points) / 2):
+            return None
+        centroid, normal = _scatter_plane(inliers)
+        near = np.abs((points - centroid) @ normal) <= _PLANE_INLIER_MM
+    return centroid, normal
+
+
+def _skin_plane(points: np.ndarray,
+                prior_normal: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_prior_plane`` when a prior normal is given and its fit holds, else
+    ``_ransac_plane``."""
+    if len(points) < _MIN_INLIERS:
+        raise NoMarkerFoundError(f"cloud has only {len(points)} points")
+    plane = None if prior_normal is None else _prior_plane(points, prior_normal)
+    return plane or _ransac_plane(points, _PLANE_INLIER_MM, _RANSAC_ITERATIONS, _RANSAC_SEED)
 
 
 def _cell_keys(points: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
@@ -414,11 +453,13 @@ def detect_ring(cloud: PointCloud, marker: RingMarker = RingMarker()) -> MarkerP
     residuals within 10 percent of each other (both candidate poses are
     attached to the error).
     """
+    return _ring_above_plane(cloud, marker, *_skin_plane(cloud.points))
+
+
+def _ring_above_plane(cloud: PointCloud, marker: RingMarker, centroid: np.ndarray,
+                      normal: np.ndarray) -> MarkerPose:
+    """Steps 2-4 of the module docstring, above the given skin plane."""
     pts = cloud.points
-    if len(pts) < _MIN_INLIERS:
-        raise NoMarkerFoundError(f"cloud has only {len(pts)} points")
-    centroid, normal = _ransac_plane(pts, _PLANE_INLIER_MM, _RANSAC_ITERATIONS,
-                                     _RANSAC_SEED)
     heights = (pts - centroid) @ normal
     band = (heights >= _BAND_LOW_MM) & (heights <= _BAND_HIGH_MM)
     candidates_pts = np.compress(band, pts, axis=0)
@@ -461,13 +502,13 @@ def track_window(previous: MarkerPose,
     return previous.center.as_array(), 3.0 * marker.outer_diameter_mm
 
 
-def detect_in_crop(crop: PointCloud,
-                   marker: RingMarker = RingMarker()) -> MarkerPose | None:
-    """``detect_ring`` on a cloud cropped to ``track_window``, or None when
-    the crop fails: it holds no ring (too few points included), several
-    rings or degenerate geometry."""
+def detect_in_crop(crop: PointCloud, marker: RingMarker,
+                   previous: MarkerPose) -> MarkerPose | None:
+    """``detect_ring`` on a cloud cropped to ``track_window``, with the skin
+    plane seeded by ``previous``; None when the crop fails: it holds no ring
+    (too few points included), several rings or degenerate geometry."""
     try:
-        return detect_ring(crop, marker)
+        return _ring_above_plane(crop, marker, *_skin_plane(crop.points, previous.normal))
     except (NoMarkerFoundError, AmbiguousMarkerError, DegenerateGeometryError):
         return None
 
@@ -483,5 +524,5 @@ def track(previous: MarkerPose, cloud: PointCloud,
     mask = np.linalg.norm(cloud.points - center, axis=1) <= radius
     crop = PointCloud(points=np.compress(mask, cloud.points, axis=0),
                       timestamp_s=cloud.timestamp_s, seed=cloud.seed)
-    pose = detect_in_crop(crop, marker)
+    pose = detect_in_crop(crop, marker, previous)
     return detect_ring(cloud, marker) if pose is None else pose

@@ -575,7 +575,7 @@ def _detect_then_track(frames, marker: RingMarker,
     for frame in frames[1:]:
         try:
             with frame(window=track_window(poses[-1], marker)) as crop:
-                pose = detect_in_crop(crop, marker)
+                pose = detect_in_crop(crop, marker, poses[-1])
         except EmptyCloudError:
             pose = None
         if pose is None:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import specklenav.detect
 from specklenav.geometry import RigidTransform, pose_error
 from specklenav.harness import Scenario, default_scenario, run_scenario
 
@@ -15,6 +16,25 @@ def default_run(tmp_path_factory):
     scenario = default_scenario(out_dir=str(out))
     report = run_scenario(scenario)
     return scenario, report
+
+
+@pytest.fixture
+def plane_calls(monkeypatch):
+    """Calls of ``_ransac_plane``, and the results of ``_prior_plane``."""
+    calls = {"ransac": 0, "prior": []}
+    ransac, prior = specklenav.detect._ransac_plane, specklenav.detect._prior_plane
+
+    def counted_ransac(*args):
+        calls["ransac"] += 1
+        return ransac(*args)
+
+    def recorded_prior(*args):
+        calls["prior"].append(prior(*args))
+        return calls["prior"][-1]
+
+    monkeypatch.setattr(specklenav.detect, "_ransac_plane", counted_ransac)
+    monkeypatch.setattr(specklenav.detect, "_prior_plane", recorded_prior)
+    return calls
 
 
 def reduced_scenario(out_dir: str, **overrides):

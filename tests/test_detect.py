@@ -19,6 +19,7 @@ from specklenav.detect import (
     _plane_support,
     _ransac_inliers,
     _ransac_plane,
+    detect_in_crop,
     detect_ring,
     fit_circle_3d,
     track,
@@ -162,6 +163,76 @@ def test_track_falls_back_to_full_search():
     got = track(stale, scene_cloud(10, marker=far_marker))
     expect = TOP_TRUTH + np.array([-90.0, -55.0, 0.0])
     assert np.linalg.norm(got.center.as_array() - expect) < 0.3
+
+
+def crop_around(pose: MarkerPose, cloud: PointCloud) -> PointCloud:
+    """``cloud`` cropped to ``pose``'s ``track_window``, as ``track`` crops it."""
+    center, radius = track_window(pose)
+    keep = np.linalg.norm(cloud.points - center, axis=1) <= radius
+    return PointCloud(points=cloud.points[keep], timestamp_s=cloud.timestamp_s,
+                      seed=cloud.seed)
+
+
+@pytest.fixture(scope="module")
+def previous():
+    """The pose that the crops below are tracked from."""
+    return detect_ring(scene_cloud(7))
+
+
+@pytest.fixture(scope="module")
+def crop(previous):
+    return crop_around(previous, scene_cloud(8))
+
+
+def assert_same_pose(got: MarkerPose, want: MarkerPose) -> None:
+    assert got.to_json_dict() == want.to_json_dict()
+    assert np.array_equal(got.normal, want.normal)
+
+
+def test_a_tracked_crop_takes_its_plane_from_the_prior(plane_calls, previous, crop):
+    got = detect_in_crop(crop, RingMarker(), previous)
+    assert plane_calls["ransac"] == 0
+    assert len(plane_calls["prior"]) == 1 and plane_calls["prior"][0] is not None
+    assert np.linalg.norm(got.center.as_array() - TOP_TRUTH) < 0.3
+    # The prior's plane keeps the same band as RANSAC's, so the pose is the same.
+    assert_same_pose(got, detect_ring(crop))
+
+
+def test_a_prior_tilted_30_degrees_falls_back_to_ransac(plane_calls, previous, crop):
+    tilted = MarkerPose(center=previous.center,
+                        normal=RigidTransform.from_axis_angle((0.0, 1.0, 0.0), 30.0)
+                        .rotate(previous.normal),
+                        radius_mm=previous.radius_mm,
+                        rms_residual_mm=previous.rms_residual_mm,
+                        inlier_count=previous.inlier_count,
+                        timestamp_s=previous.timestamp_s)
+    assert normal_angle_deg(tilted.normal, previous.normal) == pytest.approx(30.0)
+    got = detect_in_crop(crop, RingMarker(), tilted)
+    assert plane_calls["prior"] == [None]
+    assert plane_calls["ransac"] == 1
+    assert_same_pose(got, detect_ring(crop))
+
+
+def test_a_crop_mostly_off_the_skin_falls_back_to_ransac(plane_calls, previous, crop):
+    # Twice as many points again, 10-60 mm above the skin: the skin plane
+    # holds under half of the crop, and nothing reaches the ring's band.
+    rng = np.random.default_rng(3)
+    n = 2 * len(crop)
+    clutter = np.column_stack([rng.uniform(-30.0, 30.0, (n, 2)),
+                               rng.uniform(340.0, 390.0, n)])
+    cluttered = PointCloud(points=np.vstack([crop.points, clutter]),
+                           timestamp_s=crop.timestamp_s, seed=crop.seed)
+    got = detect_in_crop(cluttered, RingMarker(), previous)
+    assert plane_calls["prior"] == [None]
+    assert_same_pose(got, detect_ring(cluttered))
+    assert np.linalg.norm(got.center.as_array() - TOP_TRUTH) < 0.3
+
+
+def test_a_crop_holding_no_ring_is_none(plane_calls, previous):
+    bare = crop_around(previous, scene_cloud(8, marker=None))
+    assert len(bare) > 1000
+    assert detect_in_crop(bare, RingMarker(), previous) is None
+    assert plane_calls["prior"][0] is not None
 
 
 def test_expected_mid_diameter():

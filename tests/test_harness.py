@@ -374,6 +374,17 @@ def test_default_run_stage_content(default_run):
     assert breathing["track_fallbacks"] == 0
 
 
+def test_only_full_clouds_search_for_the_skin_plane(tmp_path, plane_calls):
+    # Seed 1 detects 24 full clouds: 10 calibration views, scene frame 0, 12
+    # fusion probes and breathing frame 0.  Its 130 tracked crops all take
+    # their skin plane from the pose before.
+    report = run_scenario(default_scenario(out_dir=str(tmp_path), master_seed=1))
+    assert report.verdict == "PASSED"
+    assert plane_calls["ransac"] == 24
+    assert len(plane_calls["prior"]) == 130
+    assert all(plane is not None for plane in plane_calls["prior"])
+
+
 def test_a_jump_past_the_crop_renders_the_full_frame(tmp_path):
     # The second scene pose moves the camera 100 mm sideways, more than the
     # 72 mm crop radius, so frame 1's window misses the ring.
@@ -630,17 +641,21 @@ def test_cli_detect_from_a_cloud_file(reduced_double_run, tmp_path, capsys):
 
 def test_cli_detect_exits_3_for_a_malformed_cloud(tmp_path, capsys):
     # No stage runs on a cloud file, so a bad one is an input error, not a
-    # stage error: rows short of the header, a sidecar without the seed, and
-    # a file that is not there.
-    header = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
-              "property double y\nproperty double z\nend_header\n")
+    # stage error: a binary body 8 bytes short of its header, an ASCII PLY,
+    # a sidecar without the seed, and a file that is not there.
+    header = ("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+              "property double x\nproperty double y\nproperty double z\nend_header\n")
     short = tmp_path / "short.ply"
-    short.write_text(header + "1 2\n3 4\n")
+    short.write_bytes(header.encode() + bytes(40))
     sidecar_path(short).write_text('{"timestamp_s": 0.0, "seed": 1}')
+    ascii_ply = tmp_path / "ascii.ply"
+    ascii_ply.write_text(header.replace("binary_little_endian", "ascii") + "1 2 3\n4 5 6\n")
+    sidecar_path(ascii_ply).write_text('{"timestamp_s": 0.0, "seed": 1}')
     unseeded = tmp_path / "unseeded.ply"
-    unseeded.write_text(header + "1 2 3\n4 5 6\n")
+    unseeded.write_bytes(header.encode() + bytes(48))
     sidecar_path(unseeded).write_text('{"timestamp_s": 0.0}')
-    for cloud, message in ((short, "2 vertex rows of 2 values"),
+    for cloud, message in ((short, "40-byte body"),
+                           (ascii_ply, "PLY format ascii 1.0"),
                            (unseeded, "seed"),
                            (tmp_path / "absent.ply", "No such file")):
         rc = cli.main(["detect", "--cloud", str(cloud), "--out", str(tmp_path / "out")])
