@@ -101,7 +101,9 @@ class CameraModel:
     def far_mm(self) -> float:
         return self.fov_table[-1].distance_mm
 
-    def _interp(self, distance_mm, name: str):
+    def lookup(self, distance_mm, names: tuple[str, ...]) -> tuple:
+        """The ``FovRow`` columns ``names`` interpolated at a standoff distance,
+        one value or array per name, after one range check and one clamp."""
         d = np.asarray(distance_mm, dtype=float)
         below = d < self.near_mm
         above = d > self.far_mm
@@ -113,21 +115,20 @@ class CameraModel:
                 stacklevel=3,
             )
         d = np.clip(d, self.near_mm, self.far_mm)
-        out = np.interp(d, self._knots_mm, self._columns[name])
-        return float(out) if out.ndim == 0 else out
+        out = [np.interp(d, self._knots_mm, self._columns[name]) for name in names]
+        return tuple(float(o) if o.ndim == 0 else o for o in out)
 
     def sigma_z(self, distance_mm):
         """Axial depth repeatability (mm, one sigma) at a standoff distance."""
-        return self._interp(distance_mm, "sigma_z_mm")
+        return self.lookup(distance_mm, ("sigma_z_mm",))[0]
 
     def field_of_view(self, distance_mm):
         """Image footprint (fov_x, fov_y) in mm at a standoff distance."""
-        return (self._interp(distance_mm, "fov_x_mm"),
-                self._interp(distance_mm, "fov_y_mm"))
+        return self.lookup(distance_mm, ("fov_x_mm", "fov_y_mm"))
 
     def pixel_size(self, distance_mm):
         """Lateral size of one pixel (mm) at a standoff distance."""
-        return self._interp(distance_mm, "pixel_size_mm")
+        return self.lookup(distance_mm, ("pixel_size_mm",))[0]
 
     def contains(self, points_cam: np.ndarray) -> np.ndarray:
         """Frustum membership of camera-frame points (N, 3), vectorized:

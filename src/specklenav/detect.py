@@ -194,13 +194,17 @@ def fit_circle_3d(points) -> CircleFit:
     (cx, cy, k), *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     r = math.sqrt(max(k + cx * cx + cy * cy, 1e-300))
 
+    # One Jacobian, filled in place each iteration; its last column is -1.
+    jac = np.empty((len(x), 3))
+    jac[:, 2] = -1.0
     for _ in range(_GN_ITERS):
         dx = x - cx
         dy = y - cy
         dist = np.hypot(dx, dy)
         dist = np.maximum(dist, 1e-12)
         res = dist - r
-        jac = np.column_stack([-dx / dist, -dy / dist, -np.ones_like(dist)])
+        np.divide(-dx, dist, out=jac[:, 0])
+        np.divide(-dy, dist, out=jac[:, 1])
         try:
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         except np.linalg.LinAlgError:
@@ -320,8 +324,10 @@ def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
 
 def _scatter_plane(inliers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """PCA plane of ``inliers``: their centroid, and the smallest-eigenvalue
-    axis of their 3x3 scatter oriented toward the camera origin."""
-    centroid = inliers.mean(axis=0)
+    axis of their 3x3 scatter oriented toward the camera origin.  The
+    centroid is ``inliers.mean(axis=0)`` bit for bit: both add the rows in
+    order, and the einsum sum skips the mean's slower reduction."""
+    centroid = np.einsum("ij->j", inliers) / len(inliers)
     centered = inliers - centroid
     _, axes = np.linalg.eigh(centered.T @ centered)
     return centroid, _orient_toward_origin(axes[:, 0], centroid)

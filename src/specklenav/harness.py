@@ -35,7 +35,7 @@ from . import respiration as resp_mod
 from .camera import CameraModel
 from .detect import MarkerPose, detect_in_crop, detect_ring, track_window
 from .fusion import apply_correction, fit_tcp_correction, marker_in_base, write_records
-from .geometry import Aabb, RigidTransform, line_angle_deg, pose_error
+from .geometry import Aabb, Point3, RigidTransform, line_angle_deg, pose_error
 from .handeye import (
     GATE_THRESHOLD_PX,
     plan_poses,
@@ -430,9 +430,10 @@ def _project_px(camera: CameraModel, points_cam: np.ndarray) -> np.ndarray:
 
 
 def _stage_plan(sc: Scenario) -> dict:
+    nominal = sc.hand_eye_true
     poses = plan_poses(sc.observation_box, sc.calibration.count,
                        sc.calibration.tilt_range_deg, camera=sc.camera,
-                       nominal_camera_in_flange=sc.hand_eye_true)
+                       nominal_camera_in_flange=nominal)
     center = sc.observation_box.center
     standoffs = []
     for p in poses:
@@ -448,6 +449,7 @@ def _stage_plan(sc: Scenario) -> dict:
         default=90.0)
     return {
         "poses": poses,
+        "camera_in_flange": nominal,
         "summary": {
             "pose_count": len(poses),
             "standoff_min_mm": min(standoffs),
@@ -458,38 +460,37 @@ def _stage_plan(sc: Scenario) -> dict:
 
 
 def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
-                       out: Path) -> dict:
+                       camera_in_flange: RigidTransform, out: Path) -> dict:
     """Hand-eye samples from synthetic board observations at the planned poses.
 
     The solve uses only the board poses, with noise drawn from the
     "calibration" seed.  Each pose is also rendered at the calibration
     resolution, with the marker in view whatever ``include_marker`` says,
-    and the ring detected.  Those renders feed only ``ring_visible_in_all_views``
-    and ``ring_center_error_*``; they are kept because they are the run's
-    only detection check on tilted views.
+    and the ring detected then tracked from view to view through the
+    commanded camera motion: view i's camera is ``flange_i`` composed with
+    ``camera_in_flange``, the nominal camera-in-flange the plan used.  Those
+    detections are the run's detection check on tilted views; they feed
+    ``ring_visible_in_all_views``, ``ring_center_error_*`` and
+    ``track_fallbacks``, and not the solve.
     """
-    rng = np.random.default_rng(stage_seed(sc.master_seed, "calibration"))
     cam_base = replace(sc.camera, resolution=sc.calibration.resolution)
-    board_in_base = RigidTransform.translation(*sc.marker_top_in_base(0.0))
+    mounts = [sc.camera_in_phantom(flange) for flange in flange_poses]
+    poses, fallbacks = _detect_then_track(
+        [partial(sc.render, f"calibration:render:{i}", mount, marker=True,
+                 resolution=sc.calibration.resolution) for i, mount in enumerate(mounts)],
+        [flange.compose(camera_in_flange) for flange in flange_poses],
+        sc.marker, out / "cloud_calib_0000.ply")
+    top = marker_top_center_world(sc.phantom, sc.marker, 0.0)
+    center_errors = [float(np.linalg.norm(pose.center.as_array() - mount.invert().apply(top)))
+                     for pose, mount in zip(poses, mounts)]
+    rim_in_view = [marker_rim_in_view(replace(cam_base, mount_pose=mount),
+                                      sc.phantom, sc.marker, 0.0) for mount in mounts]
 
+    rng = np.random.default_rng(stage_seed(sc.master_seed, "calibration"))
+    board_in_base = RigidTransform.translation(*sc.marker_top_in_base(0.0))
     samples = []
     boards_obs = []
-    center_errors = []
-    rim_in_view = []
-    for i, flange in enumerate(flange_poses):
-        cam_in_phantom = sc.camera_in_phantom(flange)
-        rim_in_view.append(marker_rim_in_view(
-            replace(cam_base, mount_pose=cam_in_phantom), sc.phantom, sc.marker, 0.0))
-        with sc.render(f"calibration:render:{i}", cam_in_phantom, marker=True,
-                       resolution=sc.calibration.resolution) as cloud:
-            if i == 0:
-                write_cloud(out / "cloud_calib_0000.ply", cloud)
-            found = detect_ring(cloud, sc.marker)
-        truth_cam = cam_in_phantom.invert().apply(
-            marker_top_center_world(sc.phantom, sc.marker, 0.0))
-        center_errors.append(float(np.linalg.norm(
-            found.center.as_array() - truth_cam)))
-
+    for flange in flange_poses:
         cam_in_base = flange.compose(sc.hand_eye_true)
         board_in_cam_true = cam_in_base.invert().compose(board_in_base)
         wobble = _small_random_transform(rng, sc.calibration.board_noise_rot_deg,
@@ -499,10 +500,12 @@ def _stage_calibration(sc: Scenario, flange_poses: list[RigidTransform],
         samples.append(sample_from_board_observation(flange, board_in_cam_obs))
 
     return {
+        "poses": poses,
         "samples": samples,
         "boards_obs": boards_obs,
         "summary": {
             "sample_count": len(samples),
+            "track_fallbacks": fallbacks,
             "ring_visible_in_all_views": all(rim_in_view),
             "ring_center_error_median_mm": float(np.median(center_errors)),
             "ring_center_error_max_mm": float(np.max(center_errors)),
@@ -552,32 +555,55 @@ def _stage_gate(sc: Scenario, flange_poses, boards_obs, hand_eye_hat) -> dict:
     }
 
 
-def _detect_then_track(frames, marker: RingMarker,
+def _carried(pose: MarkerPose, before: RigidTransform,
+             after: RigidTransform) -> MarkerPose | None:
+    """``pose``, seen by a camera at ``before``, as the camera sees it after
+    moving to ``after`` (both camera poses in one common frame): carried
+    through the motion ``after^-1 before``.  The pose itself when the camera
+    did not move; None when the carried pose fails ``MarkerPose`` validation
+    (its normal no longer faces the moved camera)."""
+    if np.array_equal(before.q, after.q) and np.array_equal(before.t, after.t):
+        return pose
+    motion = after.invert().compose(before)
+    try:
+        return replace(pose, center=Point3.from_array(motion.apply(pose.center.as_array())),
+                       normal=motion.rotate(pose.normal))
+    except ValueError:
+        return None
+
+
+def _detect_then_track(frames, cameras: Sequence[RigidTransform], marker: RingMarker,
                        first_ply: Path | None = None) -> tuple[list[MarkerPose], int]:
     """The marker's pose in each of a sequence of frames, and the count of
     frames that fell back to a full render.
 
     Each item of ``frames`` is a ``Scenario.render`` call waiting for its
-    ``window``.  Frame 0 is rendered whole and searched with ``detect_ring``
-    (its cloud is written to ``first_ply`` when one is given).  Every later
-    frame gets ``track(previous, cloud, marker)`` from the pose before it:
-    ``frame(window=...)`` renders only the frame's points in ``track``'s
-    window, bit for bit the crop ``track`` takes, so the crop gives the same
-    pose.  When the crop fails (the window is empty or ``detect_in_crop``
-    finds no single ring in it), the full frame is rendered under the same
-    label and seed and searched whole, as ``track`` falls back to do.
+    ``window``, and ``cameras`` holds each frame's camera pose in one common
+    frame (the phantom or the robot base).  Frame 0 is rendered whole and
+    searched with ``detect_ring`` (its cloud is written to ``first_ply``
+    when one is given).  Before every later frame, the pose before it is
+    carried through the camera's motion (``_carried``), and the frame gets
+    ``track(carried, cloud, marker)``: ``frame(window=...)`` renders only
+    the frame's points in ``track``'s window, bit for bit the crop ``track``
+    takes, so the crop gives the same pose.  When the carried pose is not
+    valid or the crop fails (the window is empty or ``detect_in_crop`` finds
+    no single ring in it), the full frame is rendered under the same label
+    and seed and searched whole, as ``track`` falls back to do.
     """
     with frames[0]() as cloud:
         if first_ply is not None:
             write_cloud(first_ply, cloud)
         poses = [detect_ring(cloud, marker)]
     fallbacks = 0
-    for frame in frames[1:]:
-        try:
-            with frame(window=track_window(poses[-1], marker)) as crop:
-                pose = detect_in_crop(crop, marker, poses[-1])
-        except EmptyCloudError:
-            pose = None
+    for frame, before, after in zip(frames[1:], cameras, cameras[1:]):
+        previous = _carried(poses[-1], before, after)
+        pose = None
+        if previous is not None:
+            try:
+                with frame(window=track_window(previous, marker)) as crop:
+                    pose = detect_in_crop(crop, marker, previous)
+            except EmptyCloudError:
+                pass
         if pose is None:
             fallbacks += 1
             with frame() as cloud:
@@ -587,13 +613,14 @@ def _detect_then_track(frames, marker: RingMarker,
 
 
 def _stage_scene(sc: Scenario, out: Path) -> dict:
+    mounts = [sc.camera_in_phantom(sc.script_pose(j)) for j in range(sc.scene_frames)]
     poses, fallbacks = _detect_then_track(
         [partial(sc.render_scene_frame, j) for j in range(sc.scene_frames)],
-        sc.marker, out / "cloud_scene_0000.ply")
+        mounts, sc.marker, out / "cloud_scene_0000.ply")
     center_errors = []
     normal_errors = []
-    for j, pose in enumerate(poses):
-        phantom_to_cam = sc.camera_in_phantom(sc.script_pose(j)).invert()
+    for j, (pose, mount) in enumerate(zip(poses, mounts)):
+        phantom_to_cam = mount.invert()
         truth_cam = phantom_to_cam.apply(
             marker_top_center_world(sc.phantom, sc.marker, j / sc.camera.frame_rate))
         center_errors.append(float(np.linalg.norm(pose.center.as_array() - truth_cam)))
@@ -626,19 +653,21 @@ def _probe_offsets(cfg: ExecutionConfig) -> list[np.ndarray]:
 
 
 def _stage_fusion(sc: Scenario, hand_eye_hat: RigidTransform, out: Path) -> dict:
+    """Probe k moves the flange by offset k from the first script pose and
+    detects the ring, tracked from probe to probe through the commanded
+    camera motion (``flange_k`` composed with ``hand_eye_hat``)."""
     offsets = _probe_offsets(sc.execution)
-    observed = []
-    for k, offset in enumerate(offsets):
-        flange_k = RigidTransform.translation(*offset).compose(sc.robot_script[0])
-        t = (sc.scene_frames + k) / sc.camera.frame_rate
-        with sc.render(f"fusion:probe:{k}", sc.camera_in_phantom(flange_k),
-                       marker=sc.include_marker, t=t) as cloud:
-            pose_k = detect_ring(cloud, sc.marker)
-        fused, _ = marker_in_base(hand_eye_hat, flange_k, pose_k)
-        observed.append(fused.as_array() + offset)
+    flanges = [RigidTransform.translation(*offset).compose(sc.robot_script[0])
+               for offset in offsets]
+    poses, fallbacks = _detect_then_track(
+        [partial(sc.render, f"fusion:probe:{k}", sc.camera_in_phantom(flange),
+                 marker=sc.include_marker, t=(sc.scene_frames + k) / sc.camera.frame_rate)
+         for k, flange in enumerate(flanges)],
+        [flange.compose(hand_eye_hat) for flange in flanges], sc.marker)
     # Row k of each: probe k's target as the camera saw it and as the robot
     # reached it, in the base frame.
-    observed = np.array(observed)
+    observed = np.array([marker_in_base(hand_eye_hat, flange, pose)[0].as_array() + offset
+                         for flange, pose, offset in zip(flanges, poses, offsets)])
     executed = sc.marker_top_in_base(0.0) + np.array(offsets)
 
     fit = sc.execution.fit_count
@@ -648,8 +677,10 @@ def _stage_fusion(sc: Scenario, hand_eye_hat: RigidTransform, out: Path) -> dict
     pre = np.mean(np.abs(val_exe - val_obs), axis=0).tolist()
     post = np.mean(np.abs(val_exe - apply_correction(correction, val_obs)), axis=0).tolist()
     return {
+        "poses": poses,
         "summary": {
             "probe_count": len(observed),
+            "track_fallbacks": fallbacks,
             "fit_count": fit,
             "validation_count": len(val_obs),
             "correction": _to_json(correction),
@@ -673,7 +704,7 @@ def _stage_breathing(sc: Scenario, out: Path) -> dict:
         [partial(sc.render, f"breathing:frame:{j}", cam_in_phantom,
                  marker=sc.include_marker, t=j / cfg.frame_rate_hz,
                  resolution=cfg.resolution, phantom=phantom)
-         for j in range(frame_count)], sc.marker)
+         for j in range(frame_count)], [cam_in_phantom] * frame_count, sc.marker)
 
     signal = extract_signal(poses, poses[0].normal)
     resp_mod.write_signal_csv(out / "signal.csv", signal)
@@ -758,7 +789,8 @@ def run_scenario(scenario: Scenario, *,
     done: dict = {}
     stage_fns = {
         "plan": lambda: _stage_plan(sc),
-        "calibration": lambda: _stage_calibration(sc, done["plan"]["poses"], out),
+        "calibration": lambda: _stage_calibration(sc, done["plan"]["poses"],
+                                                  done["plan"]["camera_in_flange"], out),
         "solve": lambda: _stage_solve(sc, done["calibration"]["samples"]),
         "gate": lambda: _stage_gate(sc, done["plan"]["poses"],
                                     done["calibration"]["boards_obs"],

@@ -62,6 +62,22 @@ def test_out_of_range_clamps_with_warning(camera):
         assert camera.field_of_view(900.0) == (751.32, 498.63)
 
 
+def test_lookup_reads_several_columns_after_one_range_check(camera):
+    depths = np.array([240.0, 250.0, 333.3, 612.5, 700.0, 710.0])
+    names = ("fov_x_mm", "fov_y_mm", "sigma_z_mm", "pixel_size_mm")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        columns = camera.lookup(depths, names)
+    assert [w.category for w in caught] == [RangeClampWarning]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RangeClampWarning)
+        want = (*camera.field_of_view(depths), camera.sigma_z(depths),
+                camera.pixel_size(depths))
+        assert camera.lookup(400.0, names) == tuple(float(row) for row in KNOTS[3][1:])
+    for got, expected in zip(columns, want, strict=True):
+        assert np.array_equal(got, expected)
+
+
 def test_in_range_does_not_warn(camera):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

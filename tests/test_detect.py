@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -16,9 +18,11 @@ from specklenav.detect import (
     _cluster_indices,
     _column_counts,
     _orient_toward_origin,
+    _plane_from_points,
     _plane_support,
     _ransac_inliers,
     _ransac_plane,
+    _scatter_plane,
     detect_in_crop,
     detect_ring,
     fit_circle_3d,
@@ -250,6 +254,54 @@ def test_circle_fit_on_synthetic_circle():
     assert np.linalg.norm(fit.center - center) < 1e-9
     assert fit.radius_mm == pytest.approx(10.0, abs=1e-9)
     assert fit.rms_mm < 1e-9
+
+
+def reference_circle_fit(points):
+    """``fit_circle_3d`` as written with a fresh ``column_stack`` Jacobian in
+    every Gauss-Newton step."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    centroid, normal, e1, e2 = _plane_from_points(pts)
+    x, y = (pts - centroid) @ e1, (pts - centroid) @ e2
+    (cx, cy, k), *_ = np.linalg.lstsq(np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)]),
+                                      x * x + y * y, rcond=None)
+    r = math.sqrt(max(k + cx * cx + cy * cy, 1e-300))
+    for _ in range(60):
+        dx, dy = x - cx, y - cy
+        dist = np.maximum(np.hypot(dx, dy), 1e-12)
+        jac = np.column_stack([-dx / dist, -dy / dist, -np.ones_like(dist)])
+        step, *_ = np.linalg.lstsq(jac, -(dist - r), rcond=None)
+        cx, cy, r = cx + step[0], cy + step[1], r + step[2]
+        if float(np.max(np.abs(step))) < 1e-12:
+            break
+    rms = float(np.sqrt(np.mean((np.hypot(x - cx, y - cy) - r) ** 2)))
+    center = centroid + cx * e1 + cy * e2
+    return center, _orient_toward_origin(normal, center), float(r), rms
+
+
+@pytest.mark.parametrize("count", [6, 40, 641])
+def test_circle_fit_keeps_the_bits_of_a_fresh_jacobian(count):
+    rng = np.random.default_rng(count)
+    theta = rng.uniform(0.0, 2.0 * np.pi, count)
+    radius = 10.0 + rng.normal(0.0, 0.4, count)
+    pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta),
+                           rng.normal(0.0, 0.2, count)]) + [30.0, -20.0, 400.0]
+    fit = fit_circle_3d(pts)
+    center, normal, r, rms = reference_circle_fit(pts)
+    assert np.array_equal(fit.center, center)
+    assert np.array_equal(fit.normal, normal)
+    assert (fit.radius_mm, fit.rms_mm) == (r, rms)
+
+
+def test_scatter_plane_centroid_is_the_row_mean():
+    rng = np.random.default_rng(5)
+    sizes = [*range(1, 40), 255, 256, 257, 2047, 2048, 2049, 23584, 49152, 60000]
+    for n in sizes:
+        points = rng.normal(0.0, 80.0, (n, 3)) + [12.0, -40.0, 420.0]
+        picked = np.compress(rng.random(n) < 0.6, points, axis=0)
+        for inliers in (points, picked):
+            if len(inliers):
+                centroid, _ = _scatter_plane(inliers)
+                assert np.array_equal(centroid, inliers.mean(axis=0)), len(inliers)
 
 
 def test_circle_fit_error_paths():

@@ -176,6 +176,9 @@ def test_reduced_run_keeps_its_recorded_fusion(tmp_path):
     report = run_scenario(reduced_scenario(str(tmp_path), master_seed=1),
                           last_stage="fusion")
     assert report.verdict == "PASSED"
-    assert report.stages["fusion"] == RECORDED_FUSION["fusion"]
+    fusion = dict(report.stages["fusion"])
+    # The probes are tracked, and none falls back; the count is not recorded.
+    assert fusion.pop("track_fallbacks") == 0
+    assert fusion == RECORDED_FUSION["fusion"]
     digest = hashlib.sha256((tmp_path / "execution.csv").read_bytes()).hexdigest()
     assert digest == RECORDED_FUSION["execution_csv_sha256"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,8 +9,8 @@ import pytest
 
 from specklenav import cli, harness
 from specklenav.camera import CameraModel
-from specklenav.detect import detect_ring, track
-from specklenav.geometry import Aabb, RigidTransform
+from specklenav.detect import MarkerPose, detect_ring, track
+from specklenav.geometry import Aabb, Point3, RigidTransform
 from specklenav.harness import (
     BreathingConfig,
     CalibrationConfig,
@@ -31,7 +32,7 @@ from specklenav.harness import (
 from specklenav.ply import read_cloud, sidecar_path
 from specklenav.scene import RingMarker, TorsoPhantom, render_cloud
 
-from conftest import reduced_scenario
+from conftest import random_transform, reduced_scenario
 
 ALL_STAGES = ["plan", "calibration", "solve", "gate", "scene", "fusion",
               "breathing", "sweep"]
@@ -369,37 +370,136 @@ def test_default_run_stage_content(default_run):
     breathing = report.stages["breathing"]
     assert abs(breathing["period_error_s"]) <= 0.02 * breathing["period_true_s"]
     assert len(report.stages["sweep"]["rows"]) == 7
-    # The camera stands still, so every tracked frame is found in its window.
+    # Each tracked frame is found in its window: the scene and breathing
+    # cameras stand still, and the calibration views and fusion probes are
+    # carried through the commanded camera motion.
     assert scene["track_fallbacks"] == 0
     assert breathing["track_fallbacks"] == 0
+    assert report.stages["calibration"]["track_fallbacks"] == 0
+    assert fusion["track_fallbacks"] == 0
 
 
 def test_only_full_clouds_search_for_the_skin_plane(tmp_path, plane_calls):
-    # Seed 1 detects 24 full clouds: 10 calibration views, scene frame 0, 12
-    # fusion probes and breathing frame 0.  Its 130 tracked crops all take
-    # their skin plane from the pose before.
+    # Seed 1 detects 4 full clouds, the first frame of each tracking stage:
+    # calibration view 0, scene frame 0, fusion probe 0 and breathing frame 0.
+    # Its 150 tracked crops (9 views, 3 scene frames, 11 probes and 127
+    # breathing frames) all take their skin plane from the pose before.
     report = run_scenario(default_scenario(out_dir=str(tmp_path), master_seed=1))
     assert report.verdict == "PASSED"
-    assert plane_calls["ransac"] == 24
-    assert len(plane_calls["prior"]) == 130
+    assert plane_calls["ransac"] == 4
+    assert len(plane_calls["prior"]) == 150
     assert all(plane is not None for plane in plane_calls["prior"])
 
 
-def test_a_jump_past_the_crop_renders_the_full_frame(tmp_path):
+def assert_same_poses(got, want) -> None:
+    assert [p.to_json_dict() for p in got] == [p.to_json_dict() for p in want]
+
+
+# A nominal camera-in-flange 6 degrees and 20 mm off the true one.
+OFF_NOMINAL = RigidTransform.from_axis_angle((1.0, -2.0, 0.5), 6.0,
+                                             translation=(12.0, -16.0, 0.0))
+
+
+@pytest.mark.parametrize("off_nominal", [False, True])
+def test_tracked_views_and_probes_find_the_cold_poses(tmp_path, off_nominal):
+    # Every calibration view and fusion probe after the first is found in the
+    # window of the pose before, carried through the commanded motion; the
+    # pose must be, bit for bit, the one detect_ring finds on the full frame.
+    # A wrong camera-in-flange moves the carried poses but not the result.
+    sc = default_scenario(out_dir=str(tmp_path), master_seed=1)
+    plan = harness._stage_plan(sc)
+    nominal = plan["camera_in_flange"]
+    if off_nominal:
+        nominal = nominal.compose(OFF_NOMINAL)
+    calibration = harness._stage_calibration(sc, plan["poses"], nominal, tmp_path)
+    hand_eye = harness._stage_solve(sc, calibration["samples"])["hand_eye"]
+    if off_nominal:
+        hand_eye = hand_eye.compose(OFF_NOMINAL)
+    fusion = harness._stage_fusion(sc, hand_eye, tmp_path)
+    assert calibration["summary"]["track_fallbacks"] == 0
+    assert fusion["summary"]["track_fallbacks"] == 0
+
+    cold = []
+    for i, flange in enumerate(plan["poses"]):
+        with sc.render(f"calibration:render:{i}", sc.camera_in_phantom(flange), marker=True,
+                       resolution=sc.calibration.resolution) as cloud:
+            cold.append(detect_ring(cloud, sc.marker))
+    assert_same_poses(calibration["poses"], cold)
+    cold = []
+    for k, offset in enumerate(harness._probe_offsets(sc.execution)):
+        flange = RigidTransform.translation(*offset).compose(sc.robot_script[0])
+        with sc.render(f"fusion:probe:{k}", sc.camera_in_phantom(flange), marker=True,
+                       t=(sc.scene_frames + k) / sc.camera.frame_rate) as cloud:
+            cold.append(detect_ring(cloud, sc.marker))
+    assert_same_poses(fusion["poses"], cold)
+
+
+def test_a_camera_that_did_not_move_keeps_the_pose_bits():
+    # The motion between two equal camera poses is not always the exact
+    # identity (its quaternion can carry a 1e-18 component), so an unmoved
+    # camera must hand the pose on as it is: that keeps every bit of the
+    # scene and breathing frames on a one-pose script.
+    rng = np.random.default_rng(2)
+    pose = MarkerPose(center=Point3(0.37, -0.21, 398.5), normal=np.array([0.6, 0.0, -0.8]),
+                      radius_mm=10.0, rms_residual_mm=0.1, inlier_count=100, timestamp_s=0.0)
+    for _ in range(40):
+        flange, camera_in_flange = random_transform(rng), random_transform(rng)
+        before, after = (flange.compose(camera_in_flange) for _ in range(2))
+        assert harness._carried(pose, before, after) is pose
+
+
+@pytest.mark.parametrize("move", [(500.0, 0.0, 0.0), (0.0, 0.0, 500.0)],
+                         ids=["sideways", "past_the_ring"])
+def test_a_carried_pose_500_mm_off_falls_back_to_the_cold_pose(tmp_path, move):
+    # The cameras say the camera moved 500 mm, but both frames are rendered
+    # from the same pose.  Sideways, the carried window lies outside the view;
+    # along the axis, the carried ring would lie behind the camera and is no
+    # valid pose.  Either way frame 1 is searched whole.
+    sc = default_scenario(out_dir=str(tmp_path))
+    mount = sc.camera_in_phantom(sc.script_pose(0))
+    poses, fallbacks = harness._detect_then_track(
+        [partial(sc.render_scene_frame, j) for j in range(2)],
+        [mount, mount.compose(RigidTransform.translation(*move))], sc.marker)
+    assert fallbacks == 1
+    with sc.render_scene_frame(1) as cloud:
+        want = detect_ring(cloud, sc.marker)
+    assert_same_poses(poses, [poses[0], want])
+
+
+def test_a_scripted_jump_is_carried_into_the_crop(tmp_path):
     # The second scene pose moves the camera 100 mm sideways, more than the
-    # 72 mm crop radius, so frame 1's window misses the ring.
+    # 72 mm crop radius; carried through that motion, frame 1's window still
+    # holds the ring, and the pose is the one the full frame gives.
     sc = default_scenario(out_dir=str(tmp_path))
     start = sc.robot_script[0]
     jump = RigidTransform.translation(100.0, 0.0, 0.0).compose(start)
     sc = dataclasses.replace(sc, robot_script=(start, jump), scene_frames=2)
     scene = harness._stage_scene(sc, tmp_path)
-    assert scene["summary"]["track_fallbacks"] == 1
+    assert scene["summary"]["track_fallbacks"] == 0
+    with sc.render_scene_frame(1) as cloud:
+        want = detect_ring(cloud, sc.marker)
+    assert np.linalg.norm(want.center.as_array() - scene["poses"][0].center.as_array()) > 72.0
+    assert_same_poses(scene["poses"][1:], [want])
+
+
+def test_a_jump_past_the_crop_renders_the_full_frame(tmp_path):
+    # The second scene pose moves the camera 100 mm sideways, more than the
+    # 72 mm crop radius, and the tracker is not told: both cameras it gets
+    # are the first.  Frame 1's window then misses the ring.
+    sc = default_scenario(out_dir=str(tmp_path))
+    start = sc.robot_script[0]
+    jump = RigidTransform.translation(100.0, 0.0, 0.0).compose(start)
+    sc = dataclasses.replace(sc, robot_script=(start, jump), scene_frames=2)
+    mount = sc.camera_in_phantom(start)
+    poses, fallbacks = harness._detect_then_track(
+        [partial(sc.render_scene_frame, j) for j in range(2)], [mount, mount], sc.marker)
+    assert fallbacks == 1
     with sc.render_scene_frame(0) as cloud:
         first = detect_ring(cloud)
     with sc.render_scene_frame(1) as cloud:
         want = track(first, cloud)
     assert np.linalg.norm(want.center.as_array() - first.center.as_array()) > 72.0
-    assert scene["poses"][1].to_json_dict() == want.to_json_dict()
+    assert_same_poses(poses, [first, want])
 
 
 def test_reruns_are_byte_identical(reduced_double_run):
