@@ -96,7 +96,7 @@ class AmbiguousMarkerError(RuntimeError):
             f"{len(self.candidates)} clusters pass the ring gate with comparable residuals")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkerPose:
     """Detected ring: centre and outward normal in the camera frame.
 
@@ -112,12 +112,18 @@ class MarkerPose:
     timestamp_s: float
 
     def __post_init__(self):
+        for name in ("radius_mm", "rms_residual_mm", "timestamp_s"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"MarkerPose.{name} must be finite, got {v!r}")
         n = np.asarray(self.normal, dtype=float).reshape(3).copy()
-        norm = float(np.linalg.norm(n))
+        norm = math.sqrt(n.dot(n))
+        if not math.isfinite(norm):
+            raise ValueError(f"normal must be finite, got {n.tolist()}")
         if abs(norm - 1.0) > 1e-9:
             raise ValueError("normal must be unit length")
         c = self.center.as_array()
-        if float(n @ c) > 1e-9 * max(1.0, float(np.linalg.norm(c))):
+        if float(n @ c) > 1e-9 * max(1.0, math.sqrt(c.dot(c))):
             raise ValueError("normal must point toward the camera origin")
         if self.rms_residual_mm < 0:
             raise ValueError("rms residual must be non-negative")
@@ -137,7 +143,7 @@ class MarkerPose:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleFit:
     """Result of ``fit_circle_3d``: centre, unit normal, radius, rms (mm)."""
 

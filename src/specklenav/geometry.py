@@ -28,7 +28,7 @@ def _as_float_triple(v) -> tuple[float, float, float]:
     return float(a[0]), float(a[1]), float(a[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point3:
     """A 3D point in millimetres. All components must be finite."""
 
@@ -59,22 +59,23 @@ class Point3:
         return float(np.linalg.norm(self.as_array() - other.as_array()))
 
 
-def _quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Normalize and fix the sign so the scalar part is >= 0.
+def _quat_canonical(q: np.ndarray, n: float) -> np.ndarray:
+    """Divide q in place by its norm ``n`` and fix the sign so the scalar
+    part is >= 0; returns q.
 
     A quaternion and its negation encode the same rotation; keeping
     w >= 0 (first non-zero component positive when w == 0) makes the
-    representation unique for hashing and serialization.
+    representation unique for hashing and serialization.  ``n`` must be
+    ``math.sqrt(q.dot(q))``, the dot-then-sqrt of ``np.linalg.norm``.
     """
-    n = float(np.linalg.norm(q))
-    if not np.isfinite(n) or n < 1e-12:
+    if not math.isfinite(n) or n < 1e-12:
         raise ValueError("quaternion norm is zero or non-finite")
-    q = q / n
-    for comp in q:
+    q /= n
+    for comp in q.tolist():
         if comp > 0.0:
             break
         if comp < 0.0:
-            q = -q
+            np.negative(q, out=q)
             break
     return q
 
@@ -127,10 +128,10 @@ def _quat_from_matrix(m: np.ndarray) -> np.ndarray:
                       (m[0, 2] + m[2, 0]) / s,
                       (m[1, 2] + m[2, 1]) / s,
                       0.25 * s])
-    return _quat_canonical(q)
+    return _quat_canonical(q, math.sqrt(q.dot(q)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidTransform:
     """SE(3) transform: rotation quaternion (w, x, y, z) plus translation in mm.
 
@@ -143,12 +144,12 @@ class RigidTransform:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float).reshape(4).copy()
         t = np.asarray(self.t, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(t)):
+        if not all(map(math.isfinite, t.tolist())):
             raise ValueError("translation must be finite")
-        n = float(np.linalg.norm(q))
+        n = math.sqrt(q.dot(q))
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm {n} too far from 1")
-        q = _quat_canonical(q)
+        _quat_canonical(q, n)
         q.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -217,7 +218,7 @@ class RigidTransform:
         return v / n
 
     def to_json_dict(self) -> dict:
-        return {"q": [float(c) for c in self.q], "t": [float(c) for c in self.t]}
+        return {"q": self.q.tolist(), "t": self.t.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RigidTransform":
@@ -263,7 +264,8 @@ def pose_error(a: RigidTransform, b: RigidTransform) -> PoseError:
 
 @dataclass(frozen=True)
 class Aabb:
-    """Axis-aligned box, lo/hi corners in mm. Zero-size boxes are allowed."""
+    """Axis-aligned box, lo/hi corners in mm. Zero-size boxes are allowed;
+    the corners must be finite."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -271,6 +273,8 @@ class Aabb:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).reshape(3).copy()
         hi = np.asarray(self.hi, dtype=float).reshape(3).copy()
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("Aabb corners must be finite")
         if np.any(hi < lo):
             raise ValueError("Aabb hi must be >= lo componentwise")
         lo.flags.writeable = False

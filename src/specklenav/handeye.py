@@ -73,7 +73,7 @@ def sample_from_board_observation(flange_in_base: RigidTransform,
                              target_in_camera=board_in_camera.invert())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HandEyeResult:
     """Solved camera-in-flange transform plus motion-pair residuals."""
 
@@ -90,7 +90,7 @@ class HandEyeResult:
             raise ValueError("residuals must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReprojectionStats:
     """Per-corner Euclidean offsets between observed and predicted corners."""
 

@@ -325,6 +325,29 @@ def test_marker_pose_validation():
                    inlier_count=20, timestamp_s=0.0)
 
 
+NON_FINITE_POSE_FIELDS = {
+    # A NaN normal used to pass both the unit-length and the facing check,
+    # since every comparison with NaN is false.
+    "nan normal": ({"normal": np.array([0.0, math.nan, -1.0])}, "normal must be finite"),
+    "inf normal": ({"normal": np.array([0.0, 0.0, -math.inf])}, "normal must be finite"),
+    "nan radius": ({"radius_mm": math.nan}, r"MarkerPose\.radius_mm must be finite"),
+    "inf radius": ({"radius_mm": math.inf}, r"MarkerPose\.radius_mm must be finite"),
+    "nan rms": ({"rms_residual_mm": math.nan}, r"MarkerPose\.rms_residual_mm must be finite"),
+    "nan timestamp": ({"timestamp_s": math.nan}, r"MarkerPose\.timestamp_s must be finite"),
+    "-inf timestamp": ({"timestamp_s": -math.inf}, r"MarkerPose\.timestamp_s must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_POSE_FIELDS))
+def test_marker_pose_rejects_non_finite_fields(case):
+    fields, message = NON_FINITE_POSE_FIELDS[case]
+    good = dict(center=Point3(0.0, 0.0, 400.0), normal=np.array([0.0, 0.0, -1.0]),
+                radius_mm=10.0, rms_residual_mm=0.1, inlier_count=20, timestamp_s=0.0)
+    MarkerPose(**good)
+    with pytest.raises(ValueError, match=message):
+        MarkerPose(**{**good, **fields})
+
+
 def test_marker_pose_json_schema():
     pose = detect_ring(scene_cloud(11))
     doc = pose.to_json_dict()

@@ -1,8 +1,12 @@
+import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from specklenav.detect import CircleFit, MarkerPose
 from specklenav.geometry import (
     Aabb,
     Box,
@@ -10,6 +14,7 @@ from specklenav.geometry import (
     RigidTransform,
     pose_error,
 )
+from specklenav.handeye import HandEyeResult, ReprojectionStats
 
 from conftest import random_transform, rotation_angle_deg
 
@@ -193,6 +198,16 @@ def test_aabb_rejects_inverted_bounds():
         Aabb(lo=(1.0, 0.0, 0.0), hi=(0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_aabb_rejects_non_finite_corners(bad):
+    # Every comparison with NaN is false, so hi < lo alone let a NaN box pass.
+    for lo, hi in (((bad, 0.0, 0.0), (1.0, 1.0, 1.0)), ((0.0, 0.0, 0.0), (1.0, bad, 1.0))):
+        with pytest.raises(ValueError, match="^Aabb corners must be finite$"):
+            Aabb(lo=lo, hi=hi)
+    with pytest.raises(ValueError, match="^Aabb corners must be finite$"):
+        Aabb.from_center_extents((0.0, 0.0, 0.0), (90.0, abs(bad), 24.0))
+
+
 def test_degenerate_aabb_is_a_point():
     box = Aabb.from_center_extents((1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
     assert np.allclose(box.corners(), np.tile([1.0, 2.0, 3.0], (8, 1)))
@@ -226,3 +241,266 @@ def test_transforms_are_immutable():
         tr.q[0] = 0.5
     with pytest.raises(ValueError):
         tr.t[0] = 1.0
+
+
+# Reference copies of the array formulas RigidTransform was validated and
+# composed with before its constructor took the norm as dot-then-sqrt and
+# canonicalised in place.  Every transform must keep their bits.
+
+def _ref_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def _ref_matrix(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _ref_canonical(q):
+    n = float(np.linalg.norm(q))
+    if not np.isfinite(n) or n < 1e-12:
+        raise ValueError("quaternion norm is zero or non-finite")
+    q = q / n
+    for comp in q:
+        if comp > 0.0:
+            break
+        if comp < 0.0:
+            q = -q
+            break
+    return q
+
+
+def _ref_from_matrix(m):
+    m = np.asarray(m, dtype=float)
+    tr = m[0, 0] + m[1, 1] + m[2, 2]
+    if tr > 0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s,
+                      (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
+    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s,
+                      (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s])
+    elif m[1, 1] >= m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s,
+                      0.25 * s, (m[1, 2] + m[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
+                      (m[1, 2] + m[2, 1]) / s, 0.25 * s])
+    return _ref_canonical(q)
+
+
+def _ref_seal(q, t):
+    """(q, t) as the old constructor stored them, or its ValueError."""
+    q = np.asarray(q, dtype=float).reshape(4).copy()
+    t = np.asarray(t, dtype=float).reshape(3).copy()
+    if not np.all(np.isfinite(t)):
+        raise ValueError("translation must be finite")
+    n = float(np.linalg.norm(q))
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError(f"quaternion norm {n} too far from 1")
+    return _ref_canonical(q), t
+
+
+def _ref_compose(a, b):
+    return _ref_seal(_ref_multiply(a.q, b.q), _ref_matrix(a.q) @ b.t + a.t)
+
+
+def _ref_invert(a):
+    qc = a.q * np.array([1.0, -1.0, -1.0, -1.0])
+    return _ref_seal(qc, -(_ref_matrix(qc) @ a.t))
+
+
+def _ref_axis_angle(axis, angle_deg, translation):
+    axis = np.asarray(axis, dtype=float).reshape(3)
+    half = math.radians(angle_deg) / 2.0
+    q = np.concatenate([[math.cos(half)], math.sin(half) * axis / float(np.linalg.norm(axis))])
+    return _ref_seal(q, translation)
+
+
+def _same_bits(tr: RigidTransform, ref) -> bool:
+    q, t = ref
+    return (tr.q.dtype == q.dtype == tr.t.dtype == t.dtype == np.float64
+            and tr.q.tobytes() == q.tobytes() and tr.t.tobytes() == t.tobytes())
+
+
+def _random_unit_quaternion(rng):
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q)
+
+
+# w < 0; w == 0 with a negative first non-zero component (and a -0.0 ahead
+# of it); the identity; half turns and near half turns, where w is 0 or tiny.
+EDGE_QUATERNIONS = {
+    "w negative": [-0.5, 0.5, 0.5, 0.5],
+    "w zero, x negative": [0.0, -0.6, 0.8, 0.0],
+    "w zero, y first and negative": [0.0, -0.0, -1.0, 0.0],
+    "w zero, z only and negative": [0.0, 0.0, 0.0, -1.0],
+    "identity": [1.0, 0.0, 0.0, 0.0],
+    "minus identity": [-1.0, -0.0, 0.0, -0.0],
+    "half turn": [0.0, 0.48, -0.6, 0.64],
+    "near half turn": [-1e-9, 0.48, -0.6, 0.64],
+    "norm 1 + 9e-7": [1.0 + 9e-7, 0.0, 0.0, 0.0],
+}
+
+
+def _bit_cases():
+    rng = np.random.default_rng(2024)
+    transforms = [random_transform(rng) for _ in range(60)]
+    for _ in range(60):
+        transforms.append(RigidTransform(q=_random_unit_quaternion(rng) * rng.choice([-1.0, 1.0]),
+                                         t=rng.uniform(-500.0, 500.0, 3)))
+    for q in EDGE_QUATERNIONS.values():
+        transforms.append(RigidTransform(q=np.array(q), t=rng.uniform(-500.0, 500.0, 3)))
+    transforms.append(RigidTransform.from_axis_angle((0.3, -0.4, 0.5), 180.0, (1.0, 2.0, 3.0)))
+    transforms.append(RigidTransform.from_axis_angle((0.0, 0.0, -1.0), 179.9999999))
+    return rng, transforms
+
+
+def test_transforms_keep_the_bits_of_the_array_formulas():
+    rng, transforms = _bit_cases()
+    for k, a in enumerate(transforms):
+        # Normalising again can move a last bit; both sides must move it alike.
+        assert _same_bits(RigidTransform(q=a.q, t=a.t), _ref_seal(a.q, a.t)), k
+        assert a.rotation_matrix.tobytes() == _ref_matrix(a.q).tobytes(), k
+        inv = a.invert()
+        assert _same_bits(inv, _ref_invert(a)), k
+        for b in (transforms[(7 * k + 3) % len(transforms)], inv, a):
+            ab = a.compose(b)
+            assert _same_bits(ab, _ref_compose(a, b)), k
+            # A chain feeds each product's rounding into the next one.
+            assert _same_bits(ab.compose(a), _ref_compose(ab, a)), k
+        for pts in (rng.normal(0.0, 300.0, 3), rng.normal(0.0, 300.0, (5, 3))):
+            want = np.atleast_2d(pts) @ _ref_matrix(a.q).T + a.t
+            assert a.apply(pts).tobytes() == (want[0] if pts.ndim == 1 else want).tobytes(), k
+        m = a.rotation_matrix
+        for rot in (m, m + rng.normal(0.0, 1e-9, (3, 3))):
+            assert _same_bits(RigidTransform.from_matrix(rot, a.t),
+                              _ref_seal(_ref_from_matrix(rot), a.t)), k
+        doc = a.to_json_dict()
+        assert json.dumps(doc) == json.dumps({"q": [float(c) for c in a.q],
+                                              "t": [float(c) for c in a.t]}), k
+        assert all(type(c) is float for c in doc["q"] + doc["t"]), k
+
+
+def test_constructor_and_axis_angle_keep_the_bits_of_the_array_formulas():
+    rng = np.random.default_rng(77)
+    for name, q in EDGE_QUATERNIONS.items():
+        for given in (q, np.array(q), np.array([q])):  # list, (4,) and (1, 4)
+            assert _same_bits(RigidTransform(q=given, t=[1, 2, 3]), _ref_seal(q, [1, 2, 3])), name
+    for _ in range(200):
+        axis, angle, t = rng.normal(size=3), rng.uniform(-360.0, 360.0), rng.normal(0.0, 300.0, 3)
+        assert _same_bits(RigidTransform.from_axis_angle(axis, angle, t),
+                          _ref_axis_angle(axis, angle, t))
+    for angle in (180.0, -180.0, 360.0, 179.9999999, 0.0):
+        assert _same_bits(RigidTransform.from_axis_angle((0.0, -1.0, 0.0), angle),
+                          _ref_axis_angle((0.0, -1.0, 0.0), angle, (0.0, 0.0, 0.0))), angle
+
+
+def test_the_constructor_copies_its_input():
+    q, t = np.array([0.0, -0.6, 0.8, 0.0]), np.array([1.0, 2.0, 3.0])
+    tr = RigidTransform(q=q, t=t)
+    q[1], t[0] = 5.0, 9.0
+    assert tr.q.tolist() == [0.0, 0.6, -0.8, -0.0] and tr.t.tolist() == [1.0, 2.0, 3.0]
+    assert q.flags.writeable and t.flags.writeable
+
+
+NON_FINITE = {
+    "nan w": ([math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    "nan x": ([1.0, math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    "inf w": ([math.inf, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    "inf and -inf": ([math.inf, -math.inf, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    "inf and nan": ([math.inf, 0.0, math.nan, 0.0], [0.0, 0.0, 0.0]),
+    "nan t": ([1.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0]),
+    "inf t": ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -math.inf]),
+    "nan q and t": ([math.nan, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]),
+    "zero q": ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_bad_input_raises_the_messages_of_the_array_formulas(case):
+    q, t = NON_FINITE[case]
+    with pytest.raises(ValueError) as ref:
+        _ref_seal(q, t)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+        RigidTransform(q=q, t=t)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+        RigidTransform.from_json_dict({"q": q, "t": t})
+
+
+def test_a_non_finite_matrix_raises_the_message_of_the_array_formulas():
+    for bad in (math.nan, math.inf):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError) as ref:
+            _ref_seal(_ref_from_matrix(m), np.zeros(3))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            RigidTransform.from_matrix(m)
+
+
+def _slotted_values():
+    tr = RigidTransform.from_axis_angle((0.0, 1.0, 0.0), 30.0, (1.0, 2.0, 3.0))
+    return [
+        Point3(1.0, 2.0, 3.0),
+        tr,
+        MarkerPose(center=Point3(0.0, 0.0, 400.0), normal=np.array([0.0, 0.0, -1.0]),
+                   radius_mm=10.0, rms_residual_mm=0.1, inlier_count=20, timestamp_s=0.0),
+        ReprojectionStats(mean_px=0.2, std_px=0.1, max_px=0.4),
+        HandEyeResult(camera_in_flange=tr, rotation_residual_deg=0.0,
+                      translation_residual_mm=0.0, sample_count=3),
+        CircleFit(center=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]), radius_mm=10.0,
+                  rms_mm=0.1),
+    ]
+
+
+def test_value_types_made_in_bulk_have_slots_only():
+    assert RigidTransform.__slots__ == ("q", "t")  # room for no cached matrix
+    for value in _slotted_values():
+        name = type(value).__name__
+        assert not hasattr(value, "__dict__"), name
+        field = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+        # A slot-less name cannot be stored at all.  (The frozen __setattr__
+        # of a slotted class raises TypeError for it on Python 3.10 and 3.11.)
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(value, "extra", 1)
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 1)
+
+
+def test_slotted_values_replace_and_compare_as_before():
+    point, tr, pose, stats, result, _ = _slotted_values()
+    # dataclasses.replace runs the validation again, as harness._carried needs.
+    moved = dataclasses.replace(tr, t=[4, 5, 6])
+    assert _same_bits(moved, _ref_seal(tr.q, [4.0, 5.0, 6.0]))
+    with pytest.raises(ValueError, match="translation must be finite"):
+        dataclasses.replace(tr, t=[0.0, math.nan, 0.0])
+    turned = dataclasses.replace(pose, center=Point3(0.0, 10.0, 400.0),
+                                 normal=np.array([0.0, -0.6, -0.8]))
+    assert turned.normal.tolist() == [0.0, -0.6, -0.8] and turned.radius_mm == 10.0
+    with pytest.raises(ValueError, match="toward the camera origin"):
+        dataclasses.replace(pose, normal=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        dataclasses.replace(result, sample_count=2)
+    # Float fields compare by value; array fields compare as numpy arrays
+    # do, which have no truth value unless the very same object is compared.
+    assert point == Point3(1, 2, 3) and point != Point3(1, 2, 4)
+    assert stats == ReprojectionStats(0.2, 0.1, 0.4)
+    assert tr == tr and result == dataclasses.replace(result)
+    with pytest.raises(ValueError, match="truth value"):
+        _ = tr == RigidTransform(q=tr.q, t=tr.t)

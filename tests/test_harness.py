@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -244,6 +245,19 @@ def test_json_hooks_take_only_numbers(case, tmp_path):
     with pytest.raises(ConfigError, match=rf"^{where}: .*must be a list of \d numbers"):
         Scenario.from_json_dict(doc)
     assert exits_with_config_error(tmp_path, doc)
+
+
+@pytest.mark.parametrize("extents", [[math.nan, 90.0, 24.0], [90.0, math.inf, 24.0]])
+def test_a_non_finite_observation_box_is_a_config_error(extents, tmp_path):
+    # Python's json parser reads NaN and Infinity.  A NaN extent used to load
+    # and then fail planning with "box extent nan x 90.0 mm exceeds the field
+    # of view" (exit 4).
+    doc = {"master_seed": 1,
+           "observation_box": {"center": [-440.0, -330.0, -50.0], "extents": extents}}
+    with pytest.raises(ConfigError, match="^observation_box: Aabb corners must be finite$"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+    assert not (tmp_path / "out").exists()
 
 
 # Values that used to load and then crash their stage with an unrelated
