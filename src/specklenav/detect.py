@@ -3,12 +3,13 @@
 The marker is a hollow ring standing a couple of millimetres proud of
 the skin.  Detection proceeds in four steps:
 
-1. a seeded preemptive RANSAC finds the skin plane: every hypothesis
-   is counted on an evenly strided subset of at most 2048 points, the
-   8 best are counted again on the whole cloud (each count an exact
-   BLAS product), and the winner's inliers get a PCA refit from their
-   3x3 scatter.  A tracked crop (``detect_in_crop``) seeds it with the
-   previous pose instead: a PCA fit to the points within 3 mm of the
+1. a seeded preemptive RANSAC finds the skin plane: the hypotheses run
+   Nister's preemption schedule on eight interleaved blocks of an evenly
+   strided 2048-point subset, the better half surviving each block, the
+   last 8 are counted again on the whole cloud (a cloud of at most 2048
+   points is counted whole), and the winner's inliers get a PCA refit
+   from their 3x3 scatter.  A tracked crop (``detect_in_crop``) seeds it
+   with the previous pose instead: a PCA fit to the points within 3 mm of the
    fullest 2 mm bin of heights along its normal, refit twice to the points
    within 1 mm; RANSAC takes over when a fit holds under 50 points or
    under half of the crop,
@@ -34,14 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point3
-from .scene import PointCloud, RingMarker
+from .scene import PointCloud, RingMarker, _row_norm
 
 _GN_ITERS = 60
 # Preemptive RANSAC (Nister 2005): hypotheses are drawn in chunks of
-# _CHUNK, each is counted on a strided subset of at most _SUBSET_POINTS
-# points, and the _VERIFY_TOP best are counted on the whole cloud.
+# _CHUNK and run a preemption schedule on _BLOCKS blocks of a strided subset
+# of _SUBSET_POINTS points; the _VERIFY_TOP survivors are counted on the
+# whole cloud, by products of at most _PRODUCT_ENTRIES entries.
 _CHUNK = 64
 _SUBSET_POINTS = 2048
+_PRODUCT_ENTRIES = _CHUNK * _SUBSET_POINTS
+_BLOCKS = 8
 _VERIFY_TOP = 8
 _RANSAC_ITERATIONS = 300
 _RANSAC_SEED = 0
@@ -230,59 +234,52 @@ def fit_circle_3d(points) -> CircleFit:
     return CircleFit(center=center3, normal=normal, radius_mm=float(r), rms_mm=rms)
 
 
-def _plane_support(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+def _plane_support(rows: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
                    threshold: float) -> np.ndarray:
-    """(n, k) inlier mask of k planes ``normal . x = offset``.
+    """(k, n) inlier mask of k planes ``normal . x = offset`` over (3, n) rows.
 
-    Subset scoring and full verification both use this ``(n, 3) @ (3, k)``
-    product and count the mask with ``_column_counts``.  With OpenBLAS
-    each entry then has the same bits for any k >= 2, which keeps a cloud
-    that is its own subset on the reference's bits.  k = 1 would take a
-    matrix-vector path that can differ in the last bit, so a single plane
-    is scored as two copies of itself.
+    Every count comes from here, as ``(k, 3) @ (3, m)`` products on even
+    slices of the points, each of at most ``_PRODUCT_ENTRIES`` entries.
+    With OpenBLAS each entry then keeps the bits of the reference's products
+    on at most 2048 points; one product of more than about 333,000 entries
+    can round the last points of a cloud of 4 to 7 mod 8 points otherwise.
+    One plane would take a matrix-vector path, so it is scored as two copies.
     """
     if len(normals) == 1:
-        return _plane_support(points, np.repeat(normals, 2, axis=0),
-                              np.repeat(offsets, 2), threshold)[:, :1]
-    dists = points @ normals.T
-    dists -= offsets
-    np.abs(dists, out=dists)
-    return dists <= threshold
+        return _plane_support(rows, np.repeat(normals, 2, axis=0),
+                              np.repeat(offsets, 2), threshold)[:1]
+    masks = []
+    for piece in np.array_split(rows, -(-len(normals) * rows.shape[1] // _PRODUCT_ENTRIES),
+                                axis=1):
+        dists = normals @ piece
+        dists -= offsets[:, None]
+        np.abs(dists, out=dists)
+        masks.append(dists <= threshold)
+    return np.concatenate(masks, axis=1)
 
 
-def _column_counts(mask: np.ndarray) -> np.ndarray:
-    """True entries per column of an (n, k) mask, as float64.
-
-    One BLAS product of a ones-vector with the mask cast to float64, which
-    is several times quicker than ``np.count_nonzero(mask, axis=0)``.
-    Every partial sum is an integer below 2**53, so each count is exact
-    whatever order the product adds in.
-    """
-    return np.ones(len(mask)) @ mask.astype(np.float64)
-
-
-def _ransac_inliers(points: np.ndarray, threshold: float, iterations: int,
-                    seed: int) -> np.ndarray:
+def _ransac_inliers(points: np.ndarray, rows: np.ndarray, threshold: float,
+                    iterations: int, seed: int) -> np.ndarray:
     """Inlier mask of the best consensus plane, by preemptive RANSAC.
 
     Hypotheses come from the counter-based Philox generator in chunks of
-    64, so runs are reproducible on any platform for a given seed.  Each
-    is counted on an evenly strided subset of ``_SUBSET_POINTS`` points
-    that depends on the cloud size alone and draws nothing from the
-    generator.  The ``_VERIFY_TOP`` best by subset support (ties in
-    hypothesis order) are counted again on the whole cloud; the highest
-    full support wins, the earliest hypothesis on a tie.  A cloud of at
-    most ``_SUBSET_POINTS`` points is its own subset, so the winner is
-    the first maximum over every hypothesis.
+    64, so runs are reproducible on any platform for a given seed.  On a
+    cloud of more than ``_SUBSET_POINTS`` points they run Nister's
+    preemption schedule on an evenly strided subset of that many points,
+    which depends on the cloud size alone, dealt into ``_BLOCKS``
+    interleaved blocks that each span the whole image.  All are counted on
+    the first block, each further block adds to the survivors' counts, and
+    after each the better half survives (ties in draw order), never fewer
+    than ``_VERIFY_TOP``.  The survivors are counted on the whole cloud;
+    the highest count wins, the earliest on a tie.  A smaller cloud is
+    counted whole, so the winner is the first maximum over every
+    hypothesis.  ``rows`` holds ``points`` as (3, n) coordinate rows.
     """
     n = len(points)
     if n < 3:
         raise TooFewPointsError("plane fit needs at least 3 points")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    subset = points
-    if n > _SUBSET_POINTS:
-        subset = points[(np.arange(_SUBSET_POINTS) * n) // _SUBSET_POINTS]
-    normals, offsets, support = [], [], []
+    normals, offsets = [], []
     done = 0
     while done < iterations:
         m = min(_CHUNK, iterations - done)
@@ -300,72 +297,81 @@ def _ransac_inliers(points: np.ndarray, threshold: float, iterations: int,
         if not np.any(ok):
             continue
         unit = cross[ok] / norms[ok, None]
-        offset = np.einsum("ij,ij->i", p0[ok], unit)
-        support.append(_column_counts(_plane_support(subset, unit, offset, threshold)))
         normals.append(unit)
-        offsets.append(offset)
+        offsets.append(np.einsum("ij,ij->i", p0[ok], unit))
     if not normals:
         raise DegenerateGeometryError("RANSAC found no plane support")
-    # The stable sort keeps tied hypotheses in draw order; sorting the
-    # picks back into draw order makes argmax return the earliest of the
-    # hypotheses that tie on the full cloud.
-    top = np.sort(np.argsort(-np.concatenate(support), kind="stable")[:_VERIFY_TOP])
-    within = _plane_support(points, np.concatenate(normals)[top],
-                            np.concatenate(offsets)[top], threshold)
-    counts = _column_counts(within)
+    normals, offsets = np.concatenate(normals), np.concatenate(offsets)
+    if n > _SUBSET_POINTS:
+        picks = (np.arange(_SUBSET_POINTS) * n) // _SUBSET_POINTS
+        counts = np.zeros(len(normals), dtype=np.intp)
+        for j in range(_BLOCKS):
+            if len(counts) <= _VERIFY_TOP:
+                break
+            # Block j holds subset points j, j + _BLOCKS, j + 2 * _BLOCKS, ...
+            block = rows[:, picks[j::_BLOCKS]]
+            counts += np.count_nonzero(_plane_support(block, normals, offsets, threshold),
+                                       axis=1)
+            # The stable sort keeps tied hypotheses in draw order, and the
+            # survivors are put back in draw order.
+            survivors = max(len(counts) // 2, _VERIFY_TOP)
+            keep = np.sort(np.argsort(-counts, kind="stable")[:survivors])
+            normals, offsets, counts = normals[keep], offsets[keep], counts[keep]
+    within = _plane_support(rows, normals, offsets, threshold)
+    # Row by row: along an axis, count_nonzero first casts the whole mask.
+    counts = [np.count_nonzero(row) for row in within]
     best = int(np.argmax(counts))
     if counts[best] < 3:
         raise DegenerateGeometryError("RANSAC found no plane support")
-    return within[:, best]
+    return within[best]
 
 
-def _ransac_plane(points: np.ndarray, threshold: float, iterations: int,
-                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _ransac_plane(points: np.ndarray, rows: np.ndarray, threshold: float,
+                  iterations: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``_scatter_plane`` refit of the ``_ransac_inliers`` plane."""
-    # np.compress picks the same rows as boolean indexing, several times
-    # faster on (n, 3) points.
-    return _scatter_plane(np.compress(_ransac_inliers(points, threshold, iterations, seed),
-                                      points, axis=0))
+    return _scatter_plane(rows.compress(
+        _ransac_inliers(points, rows, threshold, iterations, seed), axis=1))
 
 
 def _scatter_plane(inliers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PCA plane of ``inliers``: their centroid, and the smallest-eigenvalue
-    axis of their 3x3 scatter oriented toward the camera origin.  The
-    centroid is ``inliers.mean(axis=0)`` bit for bit: both add the rows in
-    order, and the einsum sum skips the mean's slower reduction."""
-    centroid = np.einsum("ij->j", inliers) / len(inliers)
-    centered = inliers - centroid
-    _, axes = np.linalg.eigh(centered.T @ centered)
+    """PCA plane of the (3, m) rows ``inliers``: their centroid, and the
+    smallest-eigenvalue axis of their 3x3 scatter oriented toward the camera
+    origin.  The centroid is the (m, 3) ``mean(axis=0)`` bit for bit: both
+    add the points in order, which the running sum does and a row sum's
+    pairwise reduction does not."""
+    centered = np.cumsum(inliers, axis=1)
+    centroid = centered[:, -1] / inliers.shape[1]
+    np.subtract(inliers, centroid[:, None], out=centered)
+    _, axes = np.linalg.eigh(centered @ centered.T)
     return centroid, _orient_toward_origin(axes[:, 0], centroid)
 
 
-def _prior_plane(points: np.ndarray,
+def _prior_plane(points: np.ndarray, rows: np.ndarray,
                  normal: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The skin plane of a tracked crop from the previous pose's ``normal``,
     as the module docstring says, or None when a fitted set is too small.
     The refits are the local optimisation of LO-RANSAC (Chum, Matas &
-    Kittler 2003), seeded by the prior instead of a sample."""
+    Kittler 2003), seeded by the prior instead of a sample.  ``rows`` holds
+    ``points`` as (3, n) coordinate rows."""
     heights = points @ normal
     low = heights.min()
     fullest = np.argmax(np.bincount(((heights - low) / _SKIN_BIN_MM).astype(np.int64)))
     near = np.abs(heights - (low + (fullest + 0.5) * _SKIN_BIN_MM)) <= _SKIN_BAND_MM
     for _ in range(1 + _PRIOR_REFITS):
-        inliers = np.compress(near, points, axis=0)
-        if len(inliers) < max(_PRIOR_MIN_INLIERS, len(points) / 2):
+        inliers = rows.compress(near, axis=1)
+        if inliers.shape[1] < max(_PRIOR_MIN_INLIERS, len(points) / 2):
             return None
         centroid, normal = _scatter_plane(inliers)
-        near = np.abs((points - centroid) @ normal) <= _PLANE_INLIER_MM
+        near = np.abs(_heights(rows, centroid, normal)) <= _PLANE_INLIER_MM
     return centroid, normal
 
 
-def _skin_plane(points: np.ndarray,
-                prior_normal: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``_prior_plane`` when a prior normal is given and its fit holds, else
-    ``_ransac_plane``."""
-    if len(points) < _MIN_INLIERS:
-        raise NoMarkerFoundError(f"cloud has only {len(points)} points")
-    plane = None if prior_normal is None else _prior_plane(points, prior_normal)
-    return plane or _ransac_plane(points, _PLANE_INLIER_MM, _RANSAC_ITERATIONS, _RANSAC_SEED)
+def _heights(rows: np.ndarray, centroid: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """``(points - centroid) @ normal`` bit for bit, from the (3, n) rows: a
+    product on the rows would add in another order."""
+    centered = np.empty((rows.shape[1], 3))
+    np.subtract(rows, centroid[:, None], out=centered.T)
+    return centered @ normal
 
 
 def _cell_keys(points: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
@@ -465,14 +471,21 @@ def detect_ring(cloud: PointCloud, marker: RingMarker = RingMarker()) -> MarkerP
     residuals within 10 percent of each other (both candidate poses are
     attached to the error).
     """
-    return _ring_above_plane(cloud, marker, *_skin_plane(cloud.points))
+    return _detect(cloud, marker, None)
 
 
-def _ring_above_plane(cloud: PointCloud, marker: RingMarker, centroid: np.ndarray,
-                      normal: np.ndarray) -> MarkerPose:
-    """Steps 2-4 of the module docstring, above the given skin plane."""
+def _detect(cloud: PointCloud, marker: RingMarker,
+            prior_normal: np.ndarray | None) -> MarkerPose:
+    """Steps 1-4 of the module docstring.  The skin plane is ``_prior_plane``
+    when ``prior_normal`` is given and its fit holds, else ``_ransac_plane``."""
     pts = cloud.points
-    heights = (pts - centroid) @ normal
+    if len(pts) < _MIN_INLIERS:
+        raise NoMarkerFoundError(f"cloud has only {len(pts)} points")
+    rows = np.ascontiguousarray(pts.T)
+    plane = None if prior_normal is None else _prior_plane(pts, rows, prior_normal)
+    centroid, normal = plane or _ransac_plane(pts, rows, _PLANE_INLIER_MM,
+                                              _RANSAC_ITERATIONS, _RANSAC_SEED)
+    heights = _heights(rows, centroid, normal)
     band = (heights >= _BAND_LOW_MM) & (heights <= _BAND_HIGH_MM)
     candidates_pts = np.compress(band, pts, axis=0)
     if len(candidates_pts) < _MIN_INLIERS:
@@ -520,7 +533,7 @@ def detect_in_crop(crop: PointCloud, marker: RingMarker,
     plane seeded by ``previous``; None when the crop fails: it holds no ring
     (too few points included), several rings or degenerate geometry."""
     try:
-        return _ring_above_plane(crop, marker, *_skin_plane(crop.points, previous.normal))
+        return _detect(crop, marker, previous.normal)
     except (NoMarkerFoundError, AmbiguousMarkerError, DegenerateGeometryError):
         return None
 
@@ -533,7 +546,7 @@ def track(previous: MarkerPose, cloud: PointCloud,
     on the crop, the whole cloud gets one ``detect_ring``.
     """
     center, radius = track_window(previous, marker)
-    mask = np.linalg.norm(cloud.points - center, axis=1) <= radius
+    mask = _row_norm(np.ascontiguousarray(cloud.points.T) - center[:, None]) <= radius
     crop = PointCloud(points=np.compress(mask, cloud.points, axis=0),
                       timestamp_s=cloud.timestamp_s, seed=cloud.seed)
     pose = detect_in_crop(crop, marker, previous)

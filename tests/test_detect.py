@@ -16,7 +16,7 @@ from specklenav.detect import (
     TooFewPointsError,
     _SUBSET_POINTS,
     _cluster_indices,
-    _column_counts,
+    _heights,
     _orient_toward_origin,
     _plane_from_points,
     _plane_support,
@@ -51,6 +51,11 @@ def scene_cloud(seed: int, distance: float = 400.0, resolution=(256, 192),
     cam = CameraModel(mount_pose=mount, resolution=resolution)
     phantom = TorsoPhantom() if surface is None else TorsoPhantom(surface=surface)
     return render_cloud(phantom, marker, cam, seed=seed, noise_scale=noise_scale)
+
+
+def rows_of(points: np.ndarray) -> np.ndarray:
+    """(n, 3) points as the (3, n) coordinate rows that detection scores."""
+    return np.ascontiguousarray(points.T)
 
 
 def normal_angle_deg(n: np.ndarray, ref: np.ndarray) -> float:
@@ -239,6 +244,36 @@ def test_a_crop_holding_no_ring_is_none(plane_calls, previous):
     assert plane_calls["prior"][0] is not None
 
 
+def test_track_crops_the_sphere_that_the_norm_gives(monkeypatch):
+    """``track`` keeps the points whose ``np.linalg.norm`` distance from the
+    previous centre is at most the window radius, bit for bit."""
+    previous = MarkerPose(center=Point3(3.0, -5.0, 400.0), normal=DOWN_NORMAL,
+                          radius_mm=10.0, rms_residual_mm=0.1, inlier_count=100,
+                          timestamp_s=0.0)
+    center, radius = track_window(previous)
+    assert radius == 72.0
+    # Exactly on the sphere: whole-millimetre offsets of norm 72.
+    on = np.array([(72, 0, 0), (0, -72, 0), (0, 0, 72), (48, 48, 24),
+                   (-64, 32, -8), (8, -32, 64), (-24, -48, -48)], dtype=float)
+    # Within a few ulps of it, where another summation order or a squared
+    # comparison keeps other points.
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((20000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    near = u * radius * (1.0 + rng.integers(-4, 5, (len(u), 1)) * 2.0 ** -52)
+    far = rng.uniform(-100.0, 100.0, (5000, 3))
+    cloud = PointCloud(points=center + np.concatenate([on, near, far]),
+                       timestamp_s=0.0, seed=0)
+    crops = []
+    monkeypatch.setattr(specklenav.detect, "detect_in_crop",
+                        lambda crop, marker, prior: crops.append(crop) or prior)
+    assert track(previous, cloud) is previous
+    keep = np.linalg.norm(cloud.points - center, axis=1) <= radius
+    assert keep[:len(on)].all()
+    assert 0 < np.count_nonzero(keep[len(on):len(on) + len(near)]) < len(near)
+    assert np.array_equal(crops[0].points, cloud.points[keep])
+
+
 def test_expected_mid_diameter():
     assert RingMarker().mid_diameter_mm == 20.0
 
@@ -300,8 +335,20 @@ def test_scatter_plane_centroid_is_the_row_mean():
         picked = np.compress(rng.random(n) < 0.6, points, axis=0)
         for inliers in (points, picked):
             if len(inliers):
-                centroid, _ = _scatter_plane(inliers)
+                centroid, _ = _scatter_plane(rows_of(inliers))
                 assert np.array_equal(centroid, inliers.mean(axis=0)), len(inliers)
+
+
+def test_heights_are_the_product_of_the_centred_points():
+    """The band's heights keep the bits of ``(points - centroid) @ normal``."""
+    rng = np.random.default_rng(9)
+    clouds = [scene_cloud(1).points, scene_cloud(2, noise_scale=2.0, tilt_deg=20.0).points,
+              rng.normal(0.0, 80.0, (5000, 3)) + [12.0, -40.0, 420.0]]
+    for points in clouds:
+        rows = rows_of(points)
+        centroid, normal = _ransac_plane(points, rows, 1.0, 300, 0)
+        for c, n in ((centroid, normal), (points[7], rng.standard_normal(3))):
+            assert np.array_equal(_heights(rows, c, n), (points - c) @ n)
 
 
 def test_circle_fit_error_paths():
@@ -489,8 +536,9 @@ def assert_same_winner(points, iterations, seed):
     """The RANSAC winner's inliers and centroid are the reference's bits, and
     the scatter refit's normal is its SVD normal to 1e-9 degrees."""
     mask, centroid, normal = reference_ransac_plane(points, 1.0, iterations, seed)
-    assert np.array_equal(_ransac_inliers(points, 1.0, iterations, seed), mask)
-    got_centroid, got_normal = _ransac_plane(points, 1.0, iterations, seed)
+    rows = rows_of(points)
+    assert np.array_equal(_ransac_inliers(points, rows, 1.0, iterations, seed), mask)
+    got_centroid, got_normal = _ransac_plane(points, rows, 1.0, iterations, seed)
     assert np.array_equal(got_centroid, centroid)
     assert line_gap_deg(got_normal, normal) <= 1e-9
     assert float(got_normal @ normal) > 0
@@ -549,16 +597,17 @@ def test_ransac_plane_stays_close_to_the_reference_on_large_clouds(surface, tilt
     """Past the subset size another near-best hypothesis may win."""
     for seed in (0, 1, 2):
         points = scene_cloud(seed, surface=surface, tilt_deg=tilt_deg).points
+        rows = rows_of(points)
         assert len(points) > _SUBSET_POINTS
         for rng_seed in (0, 11):
             _, c_ref, n_ref = reference_ransac_plane(points, 1.0, 300, rng_seed)
-            c, n = _ransac_plane(points, 1.0, 300, rng_seed)
+            c, n = _ransac_plane(points, rows, 1.0, 300, rng_seed)
             assert line_gap_deg(n, n_ref) <= 1e-3
             assert abs(float(c @ n) - float(c_ref @ n_ref)) <= 1e-2
             m, m_ref = refit_support(points, c, n), refit_support(points, c_ref, n_ref)
             assert abs(m - m_ref) <= 1e-3 * m_ref
             # The 3x3 scatter refit keeps the SVD normal of the same inliers.
-            inliers = points[_ransac_inliers(points, 1.0, 300, rng_seed)]
+            inliers = points[_ransac_inliers(points, rows, 1.0, 300, rng_seed)]
             assert np.array_equal(c, inliers.mean(axis=0))
             _, _, vt = np.linalg.svd(inliers - c, full_matrices=False)
             assert line_gap_deg(n, vt[2]) <= 1e-9
@@ -584,43 +633,91 @@ def test_ransac_plane_verifies_on_the_full_cloud():
         tri = np.concatenate([rng.integers(0, n, size=(64, 3)) for _ in range(5)])[:300]
         for members in (low, high):
             assert np.isin(tri, members).all(axis=1).any()
-        assert abs(_ransac_plane(points, 1.0, 300, seed)[0][2] - 460.0) < 0.1
+        assert abs(_ransac_plane(points, rows_of(points), 1.0, 300, seed)[0][2] - 460.0) < 0.1
         assert_same_winner(points, 300, seed)
 
 
-def test_single_plane_support_matches_a_column_of_a_wider_product():
-    # A chunk with a single non-degenerate draw scores one plane.  Its mask
-    # must be the same column that a product over more planes gives, even
-    # for a point whose distance is exactly the threshold.
+@pytest.mark.parametrize("n", [2047, 8191])
+def test_plane_support_keeps_the_reference_bits_at_any_size(n):
+    """300 planes through each of the last points, by the rounding of
+    products of two planes at a time, all count that point at threshold 0.
+    In one product of 300 planes by 2047 or 8191 points, some of those
+    distances round to one ulp instead."""
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-200.0, 200.0, size=(n, 3)) + [0.0, 0.0, 400.0]
+    normals = rng.standard_normal((300, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    heights = np.concatenate([points @ normals[i:i + 2].T for i in range(0, 300, 2)], axis=1)
+    rows = rows_of(points)
+    for j in range(n - 8, n):
+        mask = _plane_support(rows, normals, heights[j], 0.0)
+        assert np.array_equal(mask, (np.abs(heights - heights[j]) <= 0.0).T), j
+        assert mask[:, j].all()
+
+
+def plane_in_the_last_rows(n: int = 49152) -> np.ndarray:
+    """A 40 mm slab of clutter, then a plane at z = 460 in the last quarter
+    of the points, as the last pixel rows of an image would hold it."""
+    rng = np.random.default_rng(8)
+    points = np.column_stack([rng.uniform(-100.0, 100.0, (n, 2)),
+                              rng.uniform(380.0, 420.0, n)])
+    points[3 * n // 4:, 2] = 460.0
+    return points
+
+
+def test_ransac_finds_a_plane_in_the_last_pixel_rows():
+    """Each block of the schedule spans the whole cloud, so a plane that only
+    the last rows see is counted on the first block and survives."""
+    points = plane_in_the_last_rows()
+    n = len(points)
+    for seed in (0, 1, 2):
+        # Each seed draws at least one triple from the plane.
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        tri = np.concatenate([rng.integers(0, n, size=(64, 3)) for _ in range(5)])[:300]
+        assert (tri >= 3 * n // 4).all(axis=1).any()
+        centroid, normal = _ransac_plane(points, rows_of(points), 1.0, 300, seed)
+        assert abs(centroid[2] - 460.0) < 1e-9
+        assert normal_angle_deg(normal, DOWN_NORMAL) < 1e-9
+
+
+def test_preemption_scores_a_quarter_of_the_subset_work(monkeypatch):
+    """300 hypotheses on 8 blocks of 256 points, halving after each block:
+    256 * (300 + 150 + 75 + 37 + 18 + 9) subset pairs, where counting every
+    hypothesis on the whole subset takes 300 * 2048 = 614,400."""
+    points = plane_in_the_last_rows()
+    n = len(points)
+    calls = []
+    support = specklenav.detect._plane_support
+
+    def counted(rows, normals, offsets, threshold):
+        calls.append((len(normals), rows.shape[1]))
+        return support(rows, normals, offsets, threshold)
+
+    monkeypatch.setattr(specklenav.detect, "_plane_support", counted)
+    _ransac_inliers(points, rows_of(points), 1.0, 300, 0)
+    assert calls[0] == (300, _SUBSET_POINTS // 8)
+    assert sum(k * m for k, m in calls if m < n) <= 150_784
+    assert sum(k * m for k, m in calls if m == n) <= 8 * n
+
+
+def test_single_plane_support_matches_a_row_of_a_wider_product():
+    # A cloud with a single non-degenerate draw, or a single survivor, scores
+    # one plane.  Its mask must be the same row that a product over more
+    # planes gives, even for a point whose distance is exactly the threshold.
     rng = np.random.default_rng(7)
     for _ in range(50):
         points = rng.uniform(-200.0, 200.0, size=(300, 3)) + [0.0, 0.0, 400.0]
+        rows = rows_of(points)
         normals = rng.standard_normal((8, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         offsets = np.einsum("ij,ij->i", normals, points[rng.integers(0, 300, size=8)])
         k = int(rng.integers(2, 9))
         dists = np.abs(points @ normals[:k].T - offsets[:k])
-        for threshold in dists[::10, 0]:
-            wide = _plane_support(points, normals[:k], offsets[:k], threshold)
-            single = _plane_support(points, normals[:1], offsets[:1], threshold)
-            assert single.shape == (300, 1)
-            assert np.array_equal(single[:, 0], wide[:, 0])
-
-
-def test_column_counts_equal_count_nonzero():
-    rng = np.random.default_rng(3)
-    for rows, cols in ((_SUBSET_POINTS, 64), (_SUBSET_POINTS, 1), (49152, 8), (7, 3)):
-        for fill in (0.0, 0.3, 0.999, 1.0):
-            mask = rng.random((rows, cols)) < fill
-            if cols > 1:
-                mask[:, -1] = False  # an all-false column
-            counts = _column_counts(mask)
-            assert counts.dtype == np.float64
-            assert np.array_equal(counts, np.count_nonzero(mask, axis=0))
-    # A single plane's mask is a strided one-column view (the k = 1 path).
-    points = rng.uniform(-200.0, 200.0, size=(_SUBSET_POINTS, 3))
-    for offset in (0.0, 1e4):  # 1e4: no point within the threshold
-        single = _plane_support(points, np.array([[0.0, 0.0, 1.0]]),
-                                np.array([offset]), 50.0)
-        assert single.shape == (_SUBSET_POINTS, 1)
-        assert np.array_equal(_column_counts(single), np.count_nonzero(single, axis=0))
+        for i in range(0, 300, 10):
+            # Point i sits exactly at the threshold, so it counts as support.
+            threshold = dists[i, 0]
+            wide = _plane_support(rows, normals[:k], offsets[:k], threshold)
+            single = _plane_support(rows, normals[:1], offsets[:1], threshold)
+            assert single.shape == (1, 300)
+            assert np.array_equal(single[0], wide[0])
+            assert single[0, i]
