@@ -33,8 +33,8 @@ class FovRow:
 
     def __post_init__(self):
         for name in ("distance_mm", "fov_x_mm", "fov_y_mm", "sigma_z_mm", "pixel_size_mm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"FovRow.{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"FovRow.{name} must be positive and finite")
 
     def to_json_dict(self) -> list[float]:
         """The row's scenario form, ``[d, fx, fy, sigma_z, px]``."""

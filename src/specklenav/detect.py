@@ -14,9 +14,9 @@ the skin.  Detection proceeds in four steps:
    within 1 mm; RANSAC takes over when a fit holds under 50 points or
    under half of the crop,
 2. a band-pass on plane residuals keeps points riding above it,
-3. surviving points are clustered by single Euclidean linkage, found by
-   hashing them into a grid of link-sized cells and joining the pairs in
-   neighbouring cells by hook-and-compress,
+3. surviving points are clustered by single Euclidean linkage: sorted
+   along x, each point is tested against the points at most one link
+   further along, and the linked pairs are joined by hook-and-compress,
 4. each cluster gets a 3D circle fit and the ring diameter gate picks
    the winner with the lowest geometric residual.
 
@@ -38,13 +38,12 @@ from .geometry import Point3
 from .scene import PointCloud, RingMarker, _row_norm
 
 _GN_ITERS = 60
-# Preemptive RANSAC (Nister 2005): hypotheses are drawn in chunks of
-# _CHUNK and run a preemption schedule on _BLOCKS blocks of a strided subset
-# of _SUBSET_POINTS points; the _VERIFY_TOP survivors are counted on the
-# whole cloud, by products of at most _PRODUCT_ENTRIES entries.
-_CHUNK = 64
+# Preemptive RANSAC (Nister 2005): the hypotheses run a preemption schedule
+# on _BLOCKS blocks of a strided subset of _SUBSET_POINTS points; the
+# _VERIFY_TOP survivors are counted on the whole cloud, by products of at
+# most _PRODUCT_ENTRIES entries.
 _SUBSET_POINTS = 2048
-_PRODUCT_ENTRIES = _CHUNK * _SUBSET_POINTS
+_PRODUCT_ENTRIES = 64 * _SUBSET_POINTS
 _BLOCKS = 8
 _VERIFY_TOP = 8
 _RANSAC_ITERATIONS = 300
@@ -65,18 +64,12 @@ _BAND_HIGH_MM = 4.0
 _CLUSTER_LINK_MM = 8.0
 _MIN_INLIERS = 15
 _DIAMETER_TOLERANCE_MM = 2.0
-# Linkage grid: the cell edge is the link widened by a part per million, so
-# that rounding in the cell index never puts a linked pair two cells apart.
-# Candidate pairs are screened in chunks of at most _PAIR_CHUNK, which bounds
-# the memory a dense band can take.
-_CELL_SLACK = 1.0 + 1e-6
+# Linkage sweep: the x window is the link widened by a part per million, so
+# that rounding in ``x + link`` never drops a linked pair.  Candidate pairs
+# are screened in blocks of whole points, at most _PAIR_CHUNK pairs unless
+# one point has more, which bounds the memory a dense band can take.
+_LINK_SLACK = 1.0 + 1e-6
 _PAIR_CHUNK = 1 << 20
-# The cell itself, then the 13 neighbour cells that come after it in
-# x-major order; every other neighbour sees the cell as one of its own 13.
-_FORWARD_CELLS = np.array([(0, 0, 0)] + [(dx, dy, dz)
-                                         for dx in (0, 1) for dy in (-1, 0, 1)
-                                         for dz in (-1, 0, 1)
-                                         if (dx, dy, dz) > (0, 0, 0)])
 
 
 class TooFewPointsError(ValueError):
@@ -262,8 +255,8 @@ def _ransac_inliers(points: np.ndarray, rows: np.ndarray, threshold: float,
                     iterations: int, seed: int) -> np.ndarray:
     """Inlier mask of the best consensus plane, by preemptive RANSAC.
 
-    Hypotheses come from the counter-based Philox generator in chunks of
-    64, so runs are reproducible on any platform for a given seed.  On a
+    Hypotheses come from one draw of the counter-based Philox generator, so
+    runs are reproducible on any platform for a given seed.  On a
     cloud of more than ``_SUBSET_POINTS`` points they run Nister's
     preemption schedule on an evenly strided subset of that many points,
     which depends on the cloud size alone, dealt into ``_BLOCKS``
@@ -278,30 +271,20 @@ def _ransac_inliers(points: np.ndarray, rows: np.ndarray, threshold: float,
     n = len(points)
     if n < 3:
         raise TooFewPointsError("plane fit needs at least 3 points")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    normals, offsets = [], []
-    done = 0
-    while done < iterations:
-        m = min(_CHUNK, iterations - done)
-        done += m
-        tri = rng.integers(0, n, size=(m, 3))
-        p0 = points[tri[:, 0]]
-        a = points[tri[:, 1]] - p0
-        b = points[tri[:, 2]] - p0
-        # a x b by components: the same products and differences as np.cross.
-        cross = np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                                 a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                                 a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
-        norms = np.linalg.norm(cross, axis=1)
-        ok = norms > 1e-12
-        if not np.any(ok):
-            continue
-        unit = cross[ok] / norms[ok, None]
-        normals.append(unit)
-        offsets.append(np.einsum("ij,ij->i", p0[ok], unit))
-    if not normals:
+    tri = np.random.Generator(np.random.Philox(key=seed)).integers(0, n, size=(iterations, 3))
+    p0 = points[tri[:, 0]]
+    a = points[tri[:, 1]] - p0
+    b = points[tri[:, 2]] - p0
+    # a x b by components: the same products and differences as np.cross.
+    cross = np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                             a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                             a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
+    norms = np.linalg.norm(cross, axis=1)
+    ok = norms > 1e-12
+    if not np.any(ok):
         raise DegenerateGeometryError("RANSAC found no plane support")
-    normals, offsets = np.concatenate(normals), np.concatenate(offsets)
+    normals = cross[ok] / norms[ok, None]
+    offsets = np.einsum("ij,ij->i", p0[ok], normals)
     if n > _SUBSET_POINTS:
         picks = (np.arange(_SUBSET_POINTS) * n) // _SUBSET_POINTS
         counts = np.zeros(len(normals), dtype=np.intp)
@@ -374,26 +357,6 @@ def _heights(rows: np.ndarray, centroid: np.ndarray, normal: np.ndarray) -> np.n
     return centered @ normal
 
 
-def _cell_keys(points: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integer key of each point's grid cell, and the key steps to _FORWARD_CELLS.
-
-    Cells are counted from the points' lower corner, so a linked pair lands
-    in neighbouring cells while the points span fewer than about 1e9 cells.
-    Along each axis every gap wider than one cell is shrunk to two, which
-    keeps adjacency and keeps the keys small however far apart points lie.
-    """
-    cells = np.floor((points - points.min(axis=0)) / edge)
-    order = np.argsort(cells, axis=0)
-    gaps = np.minimum(np.diff(np.take_along_axis(cells, order, axis=0), axis=0), 2.0)
-    # Counted from 1, with an empty cell on each side, so no step wraps.
-    ranks = np.cumsum(np.vstack([np.ones((1, 3)), gaps]), axis=0).astype(np.int64)
-    ranked = np.empty(points.shape, dtype=np.int64)
-    np.put_along_axis(ranked, order, ranks, axis=0)
-    span = ranks[-1] + 2
-    stride = np.array([span[1] * span[2], span[2], 1])
-    return ranked @ stride, _FORWARD_CELLS @ stride
-
-
 def _hook_and_compress(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Join the components of edges ``a[k]``-``b[k]`` (Shiloach & Vishkin 1982).
 
@@ -427,37 +390,29 @@ def _cluster_indices(points: np.ndarray, link_mm: float) -> list[np.ndarray]:
     n = len(points)
     if n == 0:
         return []
-    keys, steps = _cell_keys(points, link_mm * _CELL_SLACK)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    order = np.argsort(points[:, 0], kind="stable")
     x, y, z = points[order].T.copy()
-    # Run r = (point i, cell c) is the span of sorted points in cell c of
-    # point i, where in its own cell only the points after it count.
-    wanted = sorted_keys[:, None] + steps
-    first = np.searchsorted(sorted_keys, wanted, side="left")
-    first[:, 0] = np.arange(1, n + 1)
-    counts = (np.searchsorted(sorted_keys, wanted, side="right") - first).ravel()
-    ends = np.cumsum(counts)
-    # Candidate k belongs to the run r whose end first passes k; it pairs
-    # sorted points r // 14 and k + shift[r].
-    shift = first.ravel() - (ends - counts)
-    total = int(ends[-1])
+    # Sorted point i pairs with sorted points i + 1 .. ends[i] - 1, its run;
+    # candidate k of the sweep is sorted point k - shift[i] of point i's run.
+    first = np.arange(1, n + 1)
+    ends = np.searchsorted(x, x + link_mm * _LINK_SLACK, side="right")
+    counts = ends - first
+    runs = np.concatenate([[0], np.cumsum(counts)])
+    shift = runs[:-1] - first
     link_sq = link_mm * link_mm
     labels = np.arange(n)
-    for start in range(0, total, _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, total)
-        # Runs r0..r1 hold candidates start..stop-1; the end runs are cut.
-        r0, r1 = np.searchsorted(ends, [start, stop - 1], side="right")
-        take = counts[r0:r1 + 1].copy()
-        take[0] = ends[r0] - start
-        take[-1] -= ends[r1] - stop
-        run = np.repeat(np.arange(r0, r1 + 1), take)
-        i = run // len(steps)
-        j = shift[run] + np.arange(start, stop)
+    start = 0
+    while start < n:
+        # Whole points whose runs sum to at most _PAIR_CHUNK, or one point.
+        stop = max(int(np.searchsorted(runs, runs[start] + _PAIR_CHUNK, side="right")) - 1,
+                   start + 1)
+        i = np.repeat(np.arange(start, stop), counts[start:stop])
+        j = np.arange(runs[start], runs[stop]) - shift[i]
         dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
         # The same sum, in the same order, as a k-d tree's squared distance.
         near = dx * dx + dy * dy + dz * dz <= link_sq
         labels = _hook_and_compress(labels, order[i[near]], order[j[near]])
+        start = stop
     members = np.argsort(labels, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(labels[members])) + 1).tolist(), n]
     return [members[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
@@ -497,7 +452,7 @@ def _detect(cloud: PointCloud, marker: RingMarker,
             continue
         try:
             fit = fit_circle_3d(candidates_pts[cluster])
-        except (TooFewPointsError, DegenerateGeometryError):
+        except DegenerateGeometryError:
             continue
         if abs(2.0 * fit.radius_mm - marker.mid_diameter_mm) <= _DIAMETER_TOLERANCE_MM:
             fits.append((fit, len(cluster)))

@@ -149,7 +149,7 @@ class Scenario:
     def __post_init__(self):
         if self.scene_frames < 1:
             raise ConfigError("scene_frames must be >= 1")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ConfigError("noise_scale must be non-negative")
         if self.execution.probe_count < 2:
             raise ConfigError("execution.probe_count must be >= 2")
@@ -282,8 +282,9 @@ _RETIRED_KEYS = {CameraModel: {"optical_blur_px"}}
 def _from_json(hint, value, where: str):
     """Inverse of ``_to_json`` for a field annotated ``hint``, which ``where``
     names in errors.  ``from_json_dict`` where the type has one; a scalar
-    must already have its field's JSON type.  ``null`` reads as None for
-    a field whose type admits None, and is an error for any other."""
+    must already have its field's JSON type, a float a finite one.  ``null``
+    reads as None for a field whose type admits None, and an error for any
+    other."""
     if get_origin(hint) in (Union, UnionType):  # a union's first type is its JSON form
         if value is None and type(None) in get_args(hint):
             return None
@@ -313,6 +314,8 @@ def _from_json(hint, value, where: str):
     if (not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool)
             or (hint is int and isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{where} must be {name}, not {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, not {value!r}")
     return hint(value)
 
 

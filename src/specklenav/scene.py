@@ -581,7 +581,7 @@ def render_cloud(phantom: TorsoPhantom,
     Raises EmptyCloudError when nothing survives, in a window render also
     when the window holds no point.
     """
-    if noise_scale < 0:
+    if not noise_scale >= 0:
         raise ValueError("noise_scale must be non-negative")
     markers = (() if marker is None else (marker,) if isinstance(marker, RingMarker)
                else tuple(marker))

@@ -201,6 +201,32 @@ def test_scalars_must_have_their_json_type(field, tmp_path):
     assert exits_with_config_error(tmp_path, doc)
 
 
+# Python's json parser reads NaN and Infinity.  Each of these used to load:
+# a NaN noise scale rendered without noise and passed, a NaN hold tolerance
+# passed, and the others failed a stage (exit 4).
+NON_FINITE = {"noise_scale": ({"noise_scale": math.nan}, "noise_scale must be a finite number"),
+              "breathing.amplitude_tol_mm": ({"breathing": {"amplitude_tol_mm": math.nan}},
+                                             "breathing.amplitude_tol_mm must be a finite"),
+              "execution.lift_span_mm": ({"execution": {"lift_span_mm": math.inf}},
+                                         "execution.lift_span_mm must be a finite"),
+              "calibration.tilt_range_deg": ({"calibration": {"tilt_range_deg": math.nan}},
+                                             "calibration.tilt_range_deg must be a finite"),
+              "camera.lateral_sigma_factor": ({"camera": {"lateral_sigma_factor": math.nan}},
+                                              "camera.lateral_sigma_factor must be a finite"),
+              "fov_table cell": ({"camera": {"fov_table": [[250.0, 198.44, math.nan, 0.033, 0.106],
+                                                           [700.0, 751.32, 498.63, 0.359, 0.41]]}},
+                                 r"camera.fov_table\[0\]: FovRow.fov_y_mm must be positive and finite")}
+
+
+@pytest.mark.parametrize("field", list(NON_FINITE))
+def test_non_finite_numbers_are_config_errors(field, tmp_path):
+    section, message = NON_FINITE[field]
+    doc = {"master_seed": 1, **section}
+    with pytest.raises(ConfigError, match=rf"^{message}"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+
+
 # Surface descriptors that loaded before their keys were checked: a string
 # value, an unknown key, a misspelt key that silently left a flat slope, a
 # key the kind does not have and a boolean.

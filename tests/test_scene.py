@@ -192,8 +192,9 @@ def test_noise_magnitude_tracks_the_table():
 
 def test_negative_noise_scale_rejected():
     cam = down_camera(400.0, resolution=(32, 24))
-    with pytest.raises(ValueError):
-        render_cloud(TorsoPhantom(), None, cam, noise_scale=-1.0)
+    for noise_scale in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            render_cloud(TorsoPhantom(), None, cam, noise_scale=noise_scale)
 
 
 def test_marker_top_face_sits_proud_of_the_skin():
