@@ -3,32 +3,27 @@
 The marker is a hollow ring standing a couple of millimetres proud of
 the skin.  Detection proceeds in four steps:
 
-1. a seeded preemptive RANSAC finds the skin plane: the hypotheses run
-   Nister's preemption schedule on eight interleaved blocks of an evenly
-   strided 2048-point subset, the better half surviving each block, the
-   last 8 are counted again on the whole cloud (a cloud of at most 2048
-   points is counted whole), and the winner's inliers get a PCA refit
-   from their 3x3 scatter.  A tracked crop (``detect_in_crop``) seeds it
-   with the previous pose instead: a PCA fit to the points within 3 mm of the
-   fullest 2 mm bin of heights along its normal, refit twice to the points
-   within 1 mm; RANSAC takes over when a fit holds under 50 points or
-   under half of the crop,
+1. a seeded preemptive RANSAC (``_ransac_inliers``) finds the skin plane,
+   or for a tracked crop (``detect_in_crop``) a fit seeded by the previous
+   pose (``_prior_plane``),
 2. a band-pass on plane residuals keeps points riding above it,
-3. surviving points are clustered by single Euclidean linkage: sorted
-   along x, each point is tested against the points at most one link
-   further along, and the linked pairs are joined by hook-and-compress,
-4. each cluster gets a 3D circle fit and the ring diameter gate picks
-   the winner with the lowest geometric residual.
+3. the band points vote for the ring's centre on a 1 mm grid in the skin
+   plane through a zero-sum kernel of the marker's radii (a circle Hough
+   transform's matched filter, Duda & Hart 1972); a peak scores its response
+   over the local skin density, about 1 for a whole ring: under 0.5 is no
+   ring, and a second peak over an outer diameter away at 0.9 of the best
+   makes the detection ambiguous,
+4. the band points within 2 mm of the annulus around the peak get a 3D
+   circle fit, which must pass the ring diameter gate.
 
-The fitted circle tracks the middle of the annulus, so the diameter
-gate compares against the mean of the outer and inner diameters of the
-``RingMarker`` passed in (the scenario's marker in a run).  Only five
-degrees of freedom of the marker are observable (centre plus plane
-normal); the in-plane angle is not reported.  The normal is always
-oriented toward the camera origin.
+The fitted circle tracks the middle of the annulus, so the diameter gate
+compares against the mean diameter of the ``RingMarker`` passed in.  Only
+the centre and the plane normal are observable; the normal is oriented
+toward the camera origin.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,21 +50,21 @@ _SKIN_BIN_MM = 2.0
 _SKIN_BAND_MM = 3.0
 _PRIOR_REFITS = 2
 _PRIOR_MIN_INLIERS = 50
-# The proud band above the skin plane, the cluster linkage distance (mm),
-# the smallest cluster that counts (at least the circle fit's 6 points),
-# and how far a cluster's fitted diameter may sit from the marker's mid
-# diameter (mm).
+# The proud band above the skin plane, the fewest points a band or a fit
+# may hold (at least the circle fit's 6 points), and how far a fitted
+# diameter may sit from the marker's mid diameter (mm).
 _BAND_LOW_MM = 1.0
 _BAND_HIGH_MM = 4.0
-_CLUSTER_LINK_MM = 8.0
 _MIN_INLIERS = 15
 _DIAMETER_TOLERANCE_MM = 2.0
-# Linkage sweep: the x window is the link widened by a part per million, so
-# that rounding in ``x + link`` never drops a linked pair.  Candidate pairs
-# are screened in blocks of whole points, at most _PAIR_CHUNK pairs unless
-# one point has more, which bounds the memory a dense band can take.
-_LINK_SLACK = 1.0 + 1e-6
-_PAIR_CHUNK = 1 << 20
+# The ring search: the kernel's halo, which also widens the skin-density
+# disc; the score floor and a rival's share of the best; how far outside the
+# annulus fitted points may lie (mm); the most cells (128 MB) a vote may span.
+_HALO_MM = 4.0
+_SCORE_FLOOR = 0.5
+_RIVAL_SHARE = 0.9
+_FIT_MARGIN_MM = 2.0
+_MAX_GRID_CELLS = 1 << 24
 
 
 class TooFewPointsError(ValueError):
@@ -81,16 +76,17 @@ class DegenerateGeometryError(ValueError):
 
 
 class NoMarkerFoundError(RuntimeError):
-    """No cluster passed the plane band, size and diameter gates."""
+    """No annulus peak scores _SCORE_FLOOR, or its circle fails the gates."""
 
 
 class AmbiguousMarkerError(RuntimeError):
-    """Two or more clusters fit the ring equally well."""
+    """Two annulus peaks more than an outer diameter apart both score at
+    least _SCORE_FLOOR and _RIVAL_SHARE of the best, and both fit;
+    ``candidates`` holds both fitted poses, the best first."""
 
     def __init__(self, candidates):
         self.candidates = tuple(candidates)
-        super().__init__(
-            f"{len(self.candidates)} clusters pass the ring gate with comparable residuals")
+        super().__init__(f"two annulus peaks score within {1 - _RIVAL_SHARE:.0%} of each other")
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,25 +160,14 @@ def _plane_from_points(points: np.ndarray):
 def _orient_toward_origin(normal: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Flip the normal so it points from the anchor toward the camera origin."""
     d = float(normal @ anchor)
-    if d > 0:
-        return -normal
-    if d == 0 and normal[2] > 0:
-        return -normal
-    return normal
+    return -normal if d > 0 or (d == 0 and normal[2] > 0) else normal
 
 
 def fit_circle_3d(points) -> CircleFit:
-    """Fit a circle to 3D points: plane projection, Kasa seed, geometric refine.
-
-    The supporting plane comes from the centroid and the smallest
-    principal axis.  Points are projected into that plane, an algebraic
-    Kasa fit seeds centre and radius, and Gauss-Newton iterations
-    minimize the sum of squared radial residuals.  ``rms_mm`` is the
-    in-plane geometric residual of the final circle.
-
+    """Fit a circle to 3D points: projection into their principal plane, a
+    Kasa seed, Gauss-Newton on the radial residuals, whose rms is ``rms_mm``.
     Raises TooFewPointsError below 6 points and DegenerateGeometryError
-    for collinear input.
-    """
+    for collinear input."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 6:
         raise TooFewPointsError(f"circle fit needs at least 6 points, got {len(pts)}")
@@ -229,15 +214,11 @@ def fit_circle_3d(points) -> CircleFit:
 
 def _plane_support(rows: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
                    threshold: float) -> np.ndarray:
-    """(k, n) inlier mask of k planes ``normal . x = offset`` over (3, n) rows.
-
-    Every count comes from here, as ``(k, 3) @ (3, m)`` products on even
-    slices of the points, each of at most ``_PRODUCT_ENTRIES`` entries.
-    With OpenBLAS each entry then keeps the bits of the reference's products
-    on at most 2048 points; one product of more than about 333,000 entries
-    can round the last points of a cloud of 4 to 7 mod 8 points otherwise.
-    One plane would take a matrix-vector path, so it is scored as two copies.
-    """
+    """(k, n) inlier mask of k planes ``normal . x = offset`` over (3, n) rows,
+    from ``(k, 3) @ (3, m)`` products of at most ``_PRODUCT_ENTRIES`` entries:
+    with OpenBLAS those keep the bits of products on at most 2048 points,
+    where a larger one can round the last points.  One plane would take a
+    matrix-vector path, so it is scored as two copies."""
     if len(normals) == 1:
         return _plane_support(rows, np.repeat(normals, 2, axis=0),
                               np.repeat(offsets, 2), threshold)[:1]
@@ -253,21 +234,13 @@ def _plane_support(rows: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
 
 def _ransac_inliers(points: np.ndarray, rows: np.ndarray, threshold: float,
                     iterations: int, seed: int) -> np.ndarray:
-    """Inlier mask of the best consensus plane, by preemptive RANSAC.
-
-    Hypotheses come from one draw of the counter-based Philox generator, so
-    runs are reproducible on any platform for a given seed.  On a
-    cloud of more than ``_SUBSET_POINTS`` points they run Nister's
-    preemption schedule on an evenly strided subset of that many points,
-    which depends on the cloud size alone, dealt into ``_BLOCKS``
-    interleaved blocks that each span the whole image.  All are counted on
-    the first block, each further block adds to the survivors' counts, and
-    after each the better half survives (ties in draw order), never fewer
-    than ``_VERIFY_TOP``.  The survivors are counted on the whole cloud;
-    the highest count wins, the earliest on a tie.  A smaller cloud is
-    counted whole, so the winner is the first maximum over every
-    hypothesis.  ``rows`` holds ``points`` as (3, n) coordinate rows.
-    """
+    """Inlier mask of the best consensus plane, by preemptive RANSAC on
+    hypotheses from one seeded Philox draw.  Past ``_SUBSET_POINTS`` points
+    they run Nister's schedule on an evenly strided subset of that many,
+    dealt into ``_BLOCKS`` interleaved blocks: after each block the better
+    half survives (ties in draw order), never fewer than ``_VERIFY_TOP``,
+    and the survivors are counted on the whole cloud.  The highest count
+    wins, the earliest on a tie.  ``rows`` holds ``points`` as (3, n) rows."""
     n = len(points)
     if n < 3:
         raise TooFewPointsError("plane fit needs at least 3 points")
@@ -357,75 +330,103 @@ def _heights(rows: np.ndarray, centroid: np.ndarray, normal: np.ndarray) -> np.n
     return centered @ normal
 
 
-def _hook_and_compress(labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Join the components of edges ``a[k]``-``b[k]`` (Shiloach & Vishkin 1982).
-
-    ``labels`` maps each point to its component's root, the component's
-    smallest index; every root hooks onto the smallest root it shares an
-    edge with, and pointer jumping flattens the trees again, until no edge
-    joins two roots.
-    """
-    while True:
-        ra, rb = labels[a], labels[b]
-        split = ra != rb
-        if not split.any():
-            return labels
-        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
-        np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
+@functools.lru_cache(maxsize=8)
+def _annulus_kernel(r_in: float, r_out: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(2, k) whole-millimetre cell offsets, their weights and their reach:
+    +1/a on the a cells of the annulus ``r_in..r_out``, -1/b on the b cells
+    of the hole (r < r_in - 1) and of the halo (r_out + 1 .. r_out + _HALO_MM)."""
+    reach = math.floor(r_out + _HALO_MM)
+    r = np.hypot(*np.mgrid[-reach:reach + 1, -reach:reach + 1])
+    ring = (r >= r_in) & (r <= r_out)
+    rest = (r < r_in - 1.0) | ((r >= r_out + 1.0) & (r <= r_out + _HALO_MM))
+    a, b = np.count_nonzero(ring), np.count_nonzero(rest)
+    offsets = np.concatenate([np.argwhere(ring), np.argwhere(rest)]).T - reach
+    weights = np.concatenate([np.full(a, 1.0 / a), np.full(b, -1.0 / b)])
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights, reach
 
 
-def _cluster_indices(points: np.ndarray, link_mm: float) -> list[np.ndarray]:
-    """Single-linkage Euclidean clusters.
+def _skin_density(rows: np.ndarray, heights: np.ndarray, center: np.ndarray,
+                  radius: float) -> float:
+    """Points per mm^2 within _BAND_HIGH_MM of the skin plane and within
+    ``radius`` in the plane of ``center``, a point on it.  Only points within
+    ``radius + _BAND_HIGH_MM`` of it in x and in y can count."""
+    reach = radius + _BAND_HIGH_MM
+    near = np.flatnonzero(np.abs(rows[0] - center[0]) <= reach)
+    near = near[np.abs(rows[1, near] - center[1]) <= reach]
+    offsets = rows[:, near] - center[:, None]
+    h = heights[near]
+    inside = ((np.abs(h) <= _BAND_HIGH_MM)
+              & (np.einsum("ij,ij->j", offsets, offsets) - h * h <= radius * radius))
+    return np.count_nonzero(inside) / (math.pi * radius * radius)
 
-    A pair links when its squared distance is at most ``link_mm**2``.
-    Clusters come in order of their smallest point index, and each lists
-    its members in ascending order.
-    """
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n == 0:
-        return []
-    order = np.argsort(points[:, 0], kind="stable")
-    x, y, z = points[order].T.copy()
-    # Sorted point i pairs with sorted points i + 1 .. ends[i] - 1, its run;
-    # candidate k of the sweep is sorted point k - shift[i] of point i's run.
-    first = np.arange(1, n + 1)
-    ends = np.searchsorted(x, x + link_mm * _LINK_SLACK, side="right")
-    counts = ends - first
-    runs = np.concatenate([[0], np.cumsum(counts)])
-    shift = runs[:-1] - first
-    link_sq = link_mm * link_mm
-    labels = np.arange(n)
-    start = 0
-    while start < n:
-        # Whole points whose runs sum to at most _PAIR_CHUNK, or one point.
-        stop = max(int(np.searchsorted(runs, runs[start] + _PAIR_CHUNK, side="right")) - 1,
-                   start + 1)
-        i = np.repeat(np.arange(start, stop), counts[start:stop])
-        j = np.arange(runs[start], runs[stop]) - shift[i]
-        dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
-        # The same sum, in the same order, as a k-d tree's squared distance.
-        near = dx * dx + dy * dy + dz * dz <= link_sq
-        labels = _hook_and_compress(labels, order[i[near]], order[j[near]])
-        start = stop
-    members = np.argsort(labels, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(labels[members])) + 1).tolist(), n]
-    return [members[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+def _ring_search(band: np.ndarray, rows: np.ndarray, heights: np.ndarray,
+                 centroid: np.ndarray, normal: np.ndarray,
+                 marker: RingMarker) -> list[tuple[float, np.ndarray]]:
+    """Step 3 of the module docstring: (score, skin point) of the highest
+    response, then of the highest more than an outer diameter from it, if
+    any.  The votes are one weighted ``np.bincount`` over the band points'
+    flat cell keys plus the kernel's flat offsets, on the grid the kernel
+    reaches from them.  ``rows`` and ``heights`` cover the whole cloud."""
+    # Any in-plane axes will do: e1 is normal to the axis least along the normal.
+    e1 = np.cross(normal, np.eye(3)[np.argmin(np.abs(normal))])
+    e1 /= math.sqrt(e1 @ e1)
+    basis = np.column_stack([e1, np.cross(normal, e1)])
+    cells = np.floor((band - centroid) @ basis + 0.5).astype(np.intp)
+    r_out = marker.outer_diameter_mm / 2.0
+    offsets, weights, reach = _annulus_kernel(marker.inner_diameter_mm / 2.0, r_out)
+    low = cells.min(axis=0) - reach
+    rows_, cols = cells.max(axis=0) + reach + 1 - low
+    if rows_ * cols > _MAX_GRID_CELLS:
+        raise NoMarkerFoundError(f"the proud band spans {rows_} x {cols} mm, too wide to search")
+    keys = (cells[:, 0] - low[0]) * cols + (cells[:, 1] - low[1])
+    grid = np.bincount((keys[:, None] + (offsets[0] * cols + offsets[1])).ravel(),
+                       weights=np.broadcast_to(weights, (len(keys), len(weights))).ravel(),
+                       minlength=rows_ * cols).reshape(rows_, cols)
+    peaks = []
+    for _ in range(2):
+        flat = int(np.argmax(grid))
+        response = float(grid.flat[flat])
+        if response <= 0.0:
+            break
+        i, j = divmod(flat, cols)
+        point = centroid + basis @ (low + (i, j))
+        peaks.append((response / _skin_density(rows, heights, point, r_out + _HALO_MM), point))
+        # Blank the cells within an outer diameter of the peak.
+        span = math.floor(2.0 * r_out)
+        i0, j0 = max(i - span, 0), max(j - span, 0)
+        window = grid[i0:i + span + 1, j0:j + span + 1]
+        di, dj = np.ogrid[i0 - i:i0 - i + window.shape[0], j0 - j:j0 - j + window.shape[1]]
+        window[di * di + dj * dj <= 4.0 * r_out * r_out] = -1.0
+    return peaks
+
+
+def _fit_at(band: np.ndarray, top: np.ndarray, marker: RingMarker,
+            timestamp_s: float) -> MarkerPose | None:
+    """Step 4 of the module docstring around the ring-top centre ``top``;
+    None when the fit set is too small or degenerate, or its circle fails
+    the diameter gate."""
+    dist = _row_norm((band - top).T)
+    near = ((dist >= marker.inner_diameter_mm / 2.0 - _FIT_MARGIN_MM)
+            & (dist <= marker.outer_diameter_mm / 2.0 + _FIT_MARGIN_MM))
+    count = int(np.count_nonzero(near))
+    if count < _MIN_INLIERS:
+        return None
+    try:
+        fit = fit_circle_3d(band[near])
+    except DegenerateGeometryError:
+        return None
+    if abs(2.0 * fit.radius_mm - marker.mid_diameter_mm) > _DIAMETER_TOLERANCE_MM:
+        return None
+    return MarkerPose(center=Point3.from_array(fit.center), normal=fit.normal,
+                      radius_mm=fit.radius_mm, rms_residual_mm=fit.rms_mm,
+                      inlier_count=count, timestamp_s=timestamp_s)
 
 
 def detect_ring(cloud: PointCloud, marker: RingMarker = RingMarker()) -> MarkerPose:
-    """Find ``marker`` in a cloud. See the module docstring for the steps.
-
-    Raises NoMarkerFoundError when nothing passes the gates and
-    AmbiguousMarkerError when several clusters pass with geometric
-    residuals within 10 percent of each other (both candidate poses are
-    attached to the error).
-    """
+    """Find ``marker`` in a cloud, by the steps of the module docstring.
+    Raises NoMarkerFoundError and AmbiguousMarkerError as they describe."""
     return _detect(cloud, marker, None)
 
 
@@ -441,37 +442,21 @@ def _detect(cloud: PointCloud, marker: RingMarker,
     centroid, normal = plane or _ransac_plane(pts, rows, _PLANE_INLIER_MM,
                                               _RANSAC_ITERATIONS, _RANSAC_SEED)
     heights = _heights(rows, centroid, normal)
-    band = (heights >= _BAND_LOW_MM) & (heights <= _BAND_HIGH_MM)
-    candidates_pts = np.compress(band, pts, axis=0)
-    if len(candidates_pts) < _MIN_INLIERS:
+    band = np.compress((heights >= _BAND_LOW_MM) & (heights <= _BAND_HIGH_MM), pts, axis=0)
+    if len(band) < _MIN_INLIERS:
         raise NoMarkerFoundError("no points in the proud band above the skin plane")
 
-    fits = []
-    for cluster in _cluster_indices(candidates_pts, _CLUSTER_LINK_MM):
-        if len(cluster) < _MIN_INLIERS:
-            continue
-        try:
-            fit = fit_circle_3d(candidates_pts[cluster])
-        except DegenerateGeometryError:
-            continue
-        if abs(2.0 * fit.radius_mm - marker.mid_diameter_mm) <= _DIAMETER_TOLERANCE_MM:
-            fits.append((fit, len(cluster)))
-    if not fits:
-        raise NoMarkerFoundError("no cluster passed the ring diameter gate")
-
-    fits.sort(key=lambda fc: fc[0].rms_mm)
-    poses = [MarkerPose(center=Point3.from_array(fit.center),
-                        normal=fit.normal,
-                        radius_mm=fit.radius_mm,
-                        rms_residual_mm=fit.rms_mm,
-                        inlier_count=count,
-                        timestamp_s=cloud.timestamp_s)
-             for fit, count in fits]
-    if len(poses) >= 2:
-        best, runner = poses[0], poses[1]
-        scale = max(best.rms_residual_mm, runner.rms_residual_mm, 1e-12)
-        if (runner.rms_residual_mm - best.rms_residual_mm) <= 0.10 * scale:
-            raise AmbiguousMarkerError(poses)
+    peaks = _ring_search(band, rows, heights, centroid, normal, marker)
+    best = peaks[0][0] if peaks else 0.0
+    if best < _SCORE_FLOOR:
+        raise NoMarkerFoundError(f"the best annulus peak scores {best:.3f}, under {_SCORE_FLOOR}")
+    poses = [_fit_at(band, point + marker.thickness_mm * normal, marker, cloud.timestamp_s)
+             for score, point in peaks
+             if score >= max(_SCORE_FLOOR, _RIVAL_SHARE * best)]
+    if poses[0] is None:
+        raise NoMarkerFoundError("the annulus peak's circle fails the ring diameter gate")
+    if len(poses) == 2 and poses[1] is not None:
+        raise AmbiguousMarkerError(poses)
     return poses[0]
 
 

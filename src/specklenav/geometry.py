@@ -20,7 +20,22 @@ def numbers_from_json(values, count: int, what: str) -> list[float]:
     if (not isinstance(values, list) or len(values) != count
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values)):
         raise ValueError(f"{what} must be a list of {count} numbers, not {values!r}")
-    return [float(v) for v in values]
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a float") from None
+
+
+def finite_float(value, what: str, error=ValueError) -> float:
+    """An int or float ``value`` as a finite float; NaN, an infinity or an
+    int too large for a float (read as inf) raises ``error``, naming ``what``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{what} must be a finite number, not {number!r}")
+    return number
 
 
 def _as_float_triple(v) -> tuple[float, float, float]:

@@ -35,7 +35,7 @@ from . import respiration as resp_mod
 from .camera import CameraModel
 from .detect import MarkerPose, detect_in_crop, detect_ring, track_window
 from .fusion import apply_correction, fit_tcp_correction, marker_in_base, write_records
-from .geometry import Aabb, Point3, RigidTransform, line_angle_deg, pose_error
+from .geometry import Aabb, Point3, RigidTransform, finite_float, line_angle_deg, pose_error
 from .handeye import (
     GATE_THRESHOLD_PX,
     plan_poses,
@@ -314,9 +314,7 @@ def _from_json(hint, value, where: str):
     if (not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool)
             or (hint is int and isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{where} must be {name}, not {value!r}")
-    if hint is float and not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, not {value!r}")
-    return hint(value)
+    return finite_float(value, where, ConfigError) if hint is float else hint(value)
 
 
 def _dataclass_from_json(cls, doc: dict, where: str):

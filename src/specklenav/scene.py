@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .camera import CameraModel
-from .geometry import Box, RigidTransform
+from .geometry import Box, RigidTransform, finite_float
 
 _BISECT_ITERS = 48
 _SUBSTEPS_PER_SEGMENT = 8
@@ -43,8 +43,9 @@ def _surface_params(surface: dict) -> tuple[str, dict[str, float]]:
     """Kind and parameters of a surface descriptor, defaults filled in.
 
     A key the kind does not have, a missing required key and a value that
-    is not an int or float (a bool or a string) are ValueErrors; a surface
-    that is not a dict is a TypeError.
+    is not a finite int or float (a bool, a string, NaN, an infinity or an
+    integer too large for a float) are ValueErrors; a surface that is not a
+    dict is a TypeError.
     """
     if not isinstance(surface, dict):
         raise TypeError(f"a surface is a descriptor dict, not {type(surface).__name__}")
@@ -60,7 +61,7 @@ def _surface_params(surface: dict) -> tuple[str, dict[str, float]]:
             raise ValueError(f"{kind} surface has no key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{kind} surface key {key!r} must be a number, not {value!r}")
-        params[key] = float(value)
+        params[key] = finite_float(value, f"{kind} surface key {key!r}")
     for key, default in keys.items():
         if key not in params:
             if default is None:

@@ -215,7 +215,20 @@ NON_FINITE = {"noise_scale": ({"noise_scale": math.nan}, "noise_scale must be a 
                                               "camera.lateral_sigma_factor must be a finite"),
               "fov_table cell": ({"camera": {"fov_table": [[250.0, 198.44, math.nan, 0.033, 0.106],
                                                            [700.0, 751.32, 498.63, 0.359, 0.41]]}},
-                                 r"camera.fov_table\[0\]: FovRow.fov_y_mm must be positive and finite")}
+                                 r"camera.fov_table\[0\]: FovRow.fov_y_mm must be positive and finite"),
+              # Integers too large for a float, and a NaN surface parameter.
+              "noise_scale 10^400": ({"noise_scale": 10 ** 400}, "noise_scale must be a finite number"),
+              "observation_box.center 10^400": (
+                  {"observation_box": {"center": [0, 0, 10 ** 400], "extents": [1, 1, 1]}},
+                  "observation_box: center holds an integer too large for a float"),
+              "ripple amplitude_mm 10^400": (
+                  {"phantom": {"surface": {"kind": "ripple", "amplitude_mm": 10 ** 400,
+                                           "wavelength_x_mm": 80, "wavelength_y_mm": 60}}},
+                  "bad scenario document: ripple surface key 'amplitude_mm' must be a finite number"),
+              "ripple amplitude_mm NaN": (
+                  {"phantom": {"surface": {"kind": "ripple", "amplitude_mm": math.nan,
+                                           "wavelength_x_mm": 80, "wavelength_y_mm": 60}}},
+                  "bad scenario document: ripple surface key 'amplitude_mm' must be a finite number")}
 
 
 @pytest.mark.parametrize("field", list(NON_FINITE))
@@ -760,6 +773,18 @@ def test_cli_calibrate_from_config(tmp_path, capsys):
     assert "verdict: PASSED" in out
     assert "reprojection mean" in out
     assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [5, 7, 9])
+def test_calibration_views_find_the_true_ring_at_noise_scale_2(seed, tmp_path, capsys):
+    # The README's bound on the calibration views' ring centre error at
+    # twice the table noise.
+    sc = dataclasses.replace(default_scenario(str(tmp_path / "out")), noise_scale=2.0)
+    rc = cli.main(["calibrate", "--config", write_config(tmp_path, sc), "--seed", str(seed)])
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (rc, report["verdict"]) == (cli.EXIT_OK, "PASSED")
+    assert report["stages"]["calibration"]["ring_center_error_max_mm"] <= 1.5
 
 
 def test_cli_gate_failure_exits_2(tmp_path, capsys):
