@@ -22,6 +22,7 @@ from .geometry import Point3
 from .harness import (
     TABLE_IDS,
     ConfigError,
+    RunReport,
     Scenario,
     breathing_summary,
     default_scenario,
@@ -75,23 +76,33 @@ def _exit_for(verdict: str) -> int:
     return EXIT_STAGE
 
 
-def _write_json(out_dir: str, name: str, doc: dict) -> Path:
+def _write_json(out_dir: str, name: str, doc: dict) -> None:
+    """Write ``doc`` to ``out_dir/name`` and print the same text."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    (out / name).write_text(text + "\n")
+    print(text)
+
+
+def _run(args, last_stage: str | None) -> RunReport:
+    """Run the pipeline through ``last_stage`` and print its verdict and
+    report path, and for a failed stage one stderr line that names the
+    stage, the frame label and seed that replay it, and the error."""
+    scenario = _scenario_from_args(args)
+    report = run_scenario(scenario, last_stage=last_stage)
+    print(f"verdict: {report.verdict}")
+    print(f"report: {Path(scenario.out_dir) / 'report.json'}")
+    error = report.error
+    if error:
+        at = f" at {error['frame']} seed {error['seed']}" if "frame" in error else ""
+        print(f"failed stage: {error['stage']}{at}: {error['type']}: {error['message']}",
+              file=sys.stderr)
+    return report
 
 
 def cmd_run(args) -> int:
-    scenario = _scenario_from_args(args)
-    report = run_scenario(scenario)
-    print(f"verdict: {report.verdict}")
-    print(f"report: {Path(scenario.out_dir) / 'report.json'}")
-    if report.error:
-        print(f"failed stage: {report.error['stage']}: {report.error['message']}",
-              file=sys.stderr)
-    return _exit_for(report.verdict)
+    return _exit_for(_run(args, None).verdict)
 
 
 def cmd_simulate(args) -> int:
@@ -102,9 +113,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    scenario = _scenario_from_args(args)
-    report = run_scenario(scenario, last_stage="gate")
-    print(f"verdict: {report.verdict}")
+    report = _run(args, "gate")
     solve = report.stages.get("solve")
     if solve:
         print(json.dumps(solve["camera_in_flange"], sort_keys=True))
@@ -126,16 +135,12 @@ def cmd_detect(args) -> int:
     else:
         with scenario.render_scene_frame(0) as cloud:
             pose = detect_ring(cloud, scenario.marker)
-    doc = pose.to_json_dict()
-    _write_json(scenario.out_dir, "detection.json", doc)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_json(scenario.out_dir, "detection.json", pose.to_json_dict())
     return EXIT_OK
 
 
 def cmd_fuse(args) -> int:
-    scenario = _scenario_from_args(args)
-    report = run_scenario(scenario, last_stage="fusion")
-    print(f"verdict: {report.verdict}")
+    report = _run(args, "fusion")
     fusion = report.stages.get("fusion")
     if fusion:
         print(f"post-correction per-axis mean abs error (mm): "
@@ -145,9 +150,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_breathe(args) -> int:
     scenario = _scenario_from_args(args)
-    summary = breathing_summary(scenario)
-    _write_json(scenario.out_dir, "breathing.json", summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _write_json(scenario.out_dir, "breathing.json", breathing_summary(scenario))
     return EXIT_OK
 
 
@@ -176,7 +179,6 @@ def cmd_fov(args) -> int:
                                   "note": band.note},
     }
     _write_json(scenario.out_dir, "fov.json", doc)
-    print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -10,10 +10,9 @@ the equipment in the way.  The view at a given standoff is
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from .camera import CameraModel, RangeClampWarning
+from .camera import CameraModel
 from .geometry import Box, Point3, RigidTransform
 
 
@@ -53,9 +52,8 @@ def observation_rectangle_fit(camera: CameraModel, rect_x_mm: float,
         raise ValueError("rectangle dimensions must be positive")
 
     def feasible(d: float) -> bool:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RangeClampWarning)
-            fx, fy = camera.field_of_view(d)
+        # Every d lies in [near, far], so the lookup never clamps.
+        fx, fy = camera.field_of_view(d)
         return fx >= rect_x_mm and fy >= rect_y_mm
 
     lo = camera.near_mm

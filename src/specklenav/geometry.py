@@ -70,9 +70,6 @@ class Point3:
         yield self.y
         yield self.z
 
-    def distance_to(self, other: "Point3") -> float:
-        return float(np.linalg.norm(self.as_array() - other.as_array()))
-
 
 def _quat_canonical(q: np.ndarray, n: float) -> np.ndarray:
     """Divide q in place by its norm ``n`` and fix the sign so the scalar

@@ -349,13 +349,9 @@ def plan_poses(observation_box: Aabb, count: int, tilt_range_deg: float,
             if prev_inv is not None:
                 # Motion from the previous pose, prev^-1 * pose; its angle
                 # and axis do not depend on the quaternion's norm.
-                motion_q = _quat_multiply(prev_inv.q, grid.q.T)
-                v_norm = np.linalg.norm(motion_q[1:], axis=0)
-                angle = np.degrees(2.0 * np.arctan2(v_norm, np.abs(motion_q[0])))
-                passes &= angle >= 2.0 * scale
+                angle, axis = _log_map(_quat_multiply(prev_inv.q, grid.q.T))
+                passes &= np.degrees(angle) >= 2.0 * scale
                 if used_axes:
-                    axis = np.divide(motion_q[1:], v_norm, out=np.zeros_like(motion_q[1:]),
-                                     where=v_norm > 0.0)
                     cos = np.minimum(np.abs(np.array(used_axes) @ axis), 1.0)
                     score = np.degrees(np.arccos(cos)).min(axis=0)
             if passes.any():

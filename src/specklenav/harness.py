@@ -167,6 +167,8 @@ class Scenario:
             raise ConfigError("breathing.period_s must be positive")
         if not 0 < self.sweep.patch_fraction <= 1:
             raise ConfigError("sweep.patch_fraction must lie in (0, 1]")
+        if self.camera.mount_pose.to_json_dict() != RigidTransform.identity().to_json_dict():
+            raise ConfigError("camera.mount_pose must be the identity; the stages place the camera")
         for name in ("calibration", "breathing", "sweep"):
             nx, ny = getattr(self, name).resolution
             if nx < 2 or ny < 2:
@@ -341,15 +343,19 @@ def default_scenario(out_dir: str = "runs/default",
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path, what: str):
+    """The JSON document at ``path``; ``what`` names the file in errors."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
-    return Scenario.from_json_dict(doc)
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    return Scenario.from_json_dict(_read_json(path, "scenario file"))
 
 
 # ---------------------------------------------------------------------------
@@ -861,13 +867,7 @@ def breathing_summary(scenario: Scenario) -> dict:
 
 def load_report(path) -> RunReport:
     """Read a report.json back (plus timing.csv when present beside it)."""
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read report: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "report")
     if not isinstance(doc, dict):
         raise ConfigError("report must be a JSON object")
     try:
@@ -883,7 +883,7 @@ def load_report(path) -> RunReport:
     for key in ("config", "stages"):
         if not isinstance(getattr(report, key), dict):
             raise ConfigError(f"report {key} must be a JSON object")
-    timing_path = p.parent / "timing.csv"
+    timing_path = Path(path).parent / "timing.csv"
     if timing_path.exists():
         with open(timing_path, newline="") as fh:
             reader = csv.reader(fh)

@@ -9,7 +9,6 @@ interrupt it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -212,16 +211,9 @@ def _first_repeat_region(rho: np.ndarray, complete: bool):
     return (first, len(rho)) if complete else None
 
 
-# detect_breath_hold and motion_alarm handle at most this many window starts,
-# and this many window samples, at a time, so their temporaries stay small
-# however long the session is.
+# _window_blocks hands out at most this many window samples at a time, so
+# the exact test's temporaries stay small however long the session is.
 _BLOCK = 1 << 12
-
-
-def _index_blocks(n: int):
-    """Consecutive blocks of sample indices covering range(n)."""
-    for c in range(0, n, _BLOCK):
-        yield np.arange(c, min(c + _BLOCK, n))
 
 
 def _window_blocks(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -289,48 +281,43 @@ def detect_breath_hold(signal: BreathSignal, amplitude_tol_mm: float,
     times, values = signal.arrays()
     n = len(times)
 
-    firsts = [np.zeros(0, dtype=np.intp)]
-    lasts = [np.zeros(0, dtype=np.intp)]
-    for first in _index_blocks(n):
-        t0 = times[first]
-        # searchsorted compares against t[i] + d, which rounds differently
-        # from t[j] - t[i]; step each end until it meets the window rule.
-        last = np.searchsorted(times, t0 + min_duration_s)
-        while True:
-            back = (last - 1 > first) & (times[last - 1] - t0 >= min_duration_s)
-            ahead = (last < n) & (times[np.minimum(last, n - 1)] - t0 < min_duration_s)
-            if not (back.any() or ahead.any()):
-                break
-            last += ahead.astype(int) - back.astype(int)
-        formed = last < n
-        first = first[formed]
-        last = last[formed]
-        # The window is values[first:last + 1]; reduceat takes no end index
-        # of n, so it reads values[first:last] and values[last] joins after.
-        low, high = _window_extremes(values, first, last)
-        low = np.minimum(low, values[last])
-        high = np.maximum(high, values[last])
-        r = high - low
-        # The margin, with u = 2**-53 and M = max(|min|, |max|): a float sum
-        # of L samples errs by at most (L - 1) * u * L * M in any order
-        # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-        # eq. 4.4), so the window mean lies within e = (L + 1) * u * M of
-        # [min, max], and each rounded deviation is at most (r + e)(1 + u).
-        # For L <= 10**6, e <= 1.2e-10 * M; with the rounding of r, of
-        # the deviations and of r + margin, each a few u * M, it stays well
-        # under 1e-9 * M.  The "not flat" side holds for any mean, so it
-        # needs only those roundings.  The 1 covers values near zero.
-        margin = 1e-9 * (1.0 + np.maximum(np.abs(low), np.abs(high)))
-        flat = r + margin <= amplitude_tol_mm
-        exact = np.nonzero((~flat & (0.5 * r - margin <= amplitude_tol_mm))
-                           | (last - first >= _MARGIN_MAX_LEN))[0]
-        for block, rows in _window_blocks(values, first[exact], (last - first + 1)[exact]):
-            spread = np.max(np.abs(rows - rows.mean(axis=1, keepdims=True)), axis=1)
-            flat[exact[block]] = spread <= amplitude_tol_mm
-        firsts.append(first[flat])
-        lasts.append(last[flat])
-    first = np.concatenate(firsts)
-    last = np.concatenate(lasts)
+    # searchsorted compares against t[i] + d, which rounds differently from
+    # t[j] - t[i]; step each end until it meets the window rule.
+    first = np.arange(n)
+    last = np.searchsorted(times, times + min_duration_s)
+    while True:
+        back = (last - 1 > first) & (times[last - 1] - times >= min_duration_s)
+        ahead = (last < n) & (times[np.minimum(last, n - 1)] - times < min_duration_s)
+        if not (back.any() or ahead.any()):
+            break
+        last += ahead.astype(int) - back.astype(int)
+    formed = last < n
+    first = first[formed]
+    last = last[formed]
+    # The window is values[first:last + 1]; reduceat takes no end index of
+    # n, so it reads values[first:last] and values[last] joins after.
+    low, high = _window_extremes(values, first, last)
+    low = np.minimum(low, values[last])
+    high = np.maximum(high, values[last])
+    r = high - low
+    # The margin, with u = 2**-53 and M = max(|min|, |max|): a float sum of
+    # L samples errs by at most (L - 1) * u * L * M in any order (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 4.4), so
+    # the window mean lies within e = (L + 1) * u * M of [min, max], and
+    # each rounded deviation is at most (r + e)(1 + u).  For L <= 10**6,
+    # e <= 1.2e-10 * M; with the rounding of r, of the deviations and of
+    # r + margin, each a few u * M, it stays well under 1e-9 * M.  The "not
+    # flat" side holds for any mean, so it needs only those roundings.  The
+    # 1 covers values near zero.
+    margin = 1e-9 * (1.0 + np.maximum(np.abs(low), np.abs(high)))
+    flat = r + margin <= amplitude_tol_mm
+    exact = np.nonzero((~flat & (0.5 * r - margin <= amplitude_tol_mm))
+                       | (last - first >= _MARGIN_MAX_LEN))[0]
+    for block, rows in _window_blocks(values, first[exact], (last - first + 1)[exact]):
+        spread = np.max(np.abs(rows - rows.mean(axis=1, keepdims=True)), axis=1)
+        flat[exact[block]] = spread <= amplitude_tol_mm
+    first = first[flat]
+    last = last[flat]
 
     # A flat window joins the current gate when it starts at or before the
     # gate's end; window ends never decrease, so the gate ends where its
@@ -365,21 +352,20 @@ def motion_alarm(signal: BreathSignal, threshold_mm: float,
     if baseline_window_s <= 0.0:
         raise ValueError("baseline_window_s must be positive")
     times, values = signal.arrays()
-    exceed = np.zeros(len(times), dtype=bool)
-    for i in _index_blocks(len(times)):
-        # The window of sample i is values[lo:i], lo the first sample with
-        # t[lo] >= t[i] - baseline_window_s.  An empty one (lo == i) gives
-        # values[i] as its min and max, the sample's own baseline.
-        lo = np.searchsorted(times, times[i] - baseline_window_s)
-        low, high = _window_extremes(values, lo, i)
-        above_low = values[i] - low
-        above_high = values[i] - high
-        exceed[i] = (above_high > threshold_mm) | (above_low < -threshold_mm)
-        exact = np.nonzero(~exceed[i] & ((above_low > threshold_mm)
-                                         | (above_high < -threshold_mm)))[0]
-        for block, rows in _window_blocks(values, lo[exact], (i - lo)[exact]):
-            at = i[exact[block]]
-            exceed[at] = np.abs(values[at] - np.median(rows, axis=1)) > threshold_mm
+    # The window of sample i is values[lo:i], lo the first sample with
+    # t[lo] >= t[i] - baseline_window_s.  An empty one (lo == i) gives
+    # values[i] as its min and max, the sample's own baseline.
+    i = np.arange(len(times))
+    lo = np.searchsorted(times, times - baseline_window_s)
+    low, high = _window_extremes(values, lo, i)
+    above_low = values - low
+    above_high = values - high
+    exceed = (above_high > threshold_mm) | (above_low < -threshold_mm)
+    exact = np.nonzero(~exceed & ((above_low > threshold_mm)
+                                  | (above_high < -threshold_mm)))[0]
+    for block, rows in _window_blocks(values, lo[exact], (i - lo)[exact]):
+        at = exact[block]
+        exceed[at] = np.abs(values[at] - np.median(rows, axis=1)) > threshold_mm
     # Sample 0 is armed; every later sample is armed exactly when the one
     # before it was within the threshold.
     fires = exceed.copy()
@@ -388,9 +374,7 @@ def motion_alarm(signal: BreathSignal, threshold_mm: float,
 
 
 def write_signal_csv(path, signal: BreathSignal) -> None:
-    times, values = signal.arrays()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "displacement_mm"])
-        for t, d in zip(times, values):
-            writer.writerow([f"{t:.6f}", f"{d:.6f}"])
+    """Write the signal as CSV rows t_s,displacement_mm at six decimal
+    places, with the CRLF line ends of Python's csv writer."""
+    np.savetxt(path, np.column_stack(signal.arrays()), fmt="%.6f", delimiter=",",
+               newline="\r\n", header="t_s,displacement_mm", comments="")

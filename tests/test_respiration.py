@@ -302,6 +302,18 @@ def test_motion_alarm_matches_the_loop_on_jittered_signals(seed):
         assert got == loop_motion_alarm(signal, threshold, window)
 
 
+def test_long_sessions_match_the_loops():
+    # 9,000 samples, over twice _BLOCK (4,096); at the low tolerance and
+    # threshold the exact test runs over several of _window_blocks' blocks.
+    signal = jittered_signal(3, n=9000)
+    for tol, duration in ((0.5, 2.5), (0.3, 0.05)):
+        gates = detect_breath_hold(signal, tol, duration)
+        assert gates and gates == loop_breath_hold(signal, tol, duration)
+    for threshold, window in ((4.0, 2.0), (1.0, 0.7)):
+        events = motion_alarm(signal, threshold, baseline_window_s=window)
+        assert events and events == loop_motion_alarm(signal, threshold, window)
+
+
 @pytest.mark.parametrize("step", [0.1, 0.25, 1.0 / 30.0, 0.07])
 def test_window_bounds_match_the_loop_on_exact_durations(step):
     # Durations that are whole multiples of the step put window ends exactly
