@@ -27,6 +27,7 @@ from .harness import (
     breathing_summary,
     default_scenario,
     emit_table,
+    error_record,
     load_report,
     load_scenario,
     run_scenario,
@@ -85,6 +86,13 @@ def _write_json(out_dir: str, name: str, doc: dict) -> None:
     print(text)
 
 
+def _print_failure(error: dict) -> None:
+    """Print a report's error record as the one stderr line of a failure."""
+    at = f" at {error['frame']} seed {error['seed']}" if "frame" in error else ""
+    print(f"failed stage: {error['stage']}{at}: {error['type']}: {error['message']}",
+          file=sys.stderr)
+
+
 def _run(args, last_stage: str | None) -> RunReport:
     """Run the pipeline through ``last_stage`` and print its verdict and
     report path, and for a failed stage one stderr line that names the
@@ -93,11 +101,8 @@ def _run(args, last_stage: str | None) -> RunReport:
     report = run_scenario(scenario, last_stage=last_stage)
     print(f"verdict: {report.verdict}")
     print(f"report: {Path(scenario.out_dir) / 'report.json'}")
-    error = report.error
-    if error:
-        at = f" at {error['frame']} seed {error['seed']}" if "frame" in error else ""
-        print(f"failed stage: {error['stage']}{at}: {error['type']}: {error['message']}",
-              file=sys.stderr)
+    if report.error:
+        _print_failure(report.error)
     return report
 
 
@@ -198,6 +203,18 @@ def cmd_emit_table(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = (
+    ("run", cmd_run, "full pipeline; writes report.json and artifacts"),
+    ("simulate", cmd_simulate, "render the scripted scene frames to PLY files"),
+    ("calibrate", cmd_calibrate, "plan poses, solve hand-eye, check the reprojection gate"),
+    ("detect", cmd_detect, "detect the ring marker in a cloud (rendered or from file)"),
+    ("fuse", cmd_fuse, "pipeline through marker fusion and TCP correction"),
+    ("breathe", cmd_breathe, "render the breathing sequence and analyze the signal"),
+    ("fov", cmd_fov, "coverage and visibility feasibility report"),
+    ("emit-table", cmd_emit_table, "render one report section as CSV on stdout"),
+)
+
+
 def _build_parser() -> _ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
@@ -212,44 +229,13 @@ def _build_parser() -> _ArgumentParser:
         description="Synthetic depth-navigation pipeline: simulate, calibrate, "
                     "detect, fuse, breathe, check coverage, or run everything.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", parents=[common],
-                       help="full pipeline; writes report.json and artifacts")
-    p.set_defaults(handler=cmd_run)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="render the scripted scene frames to PLY files")
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="plan poses, solve hand-eye, check the reprojection gate")
-    p.set_defaults(handler=cmd_calibrate)
-
-    p = sub.add_parser("detect", parents=[common],
-                       help="detect the ring marker in a cloud (rendered or from file)")
-    p.add_argument("--cloud", metavar="PLY",
-                   help="read this cloud instead of rendering scene frame 0")
-    p.set_defaults(handler=cmd_detect)
-
-    p = sub.add_parser("fuse", parents=[common],
-                       help="pipeline through marker fusion and TCP correction")
-    p.set_defaults(handler=cmd_fuse)
-
-    p = sub.add_parser("breathe", parents=[common],
-                       help="render the breathing sequence and analyze the signal")
-    p.set_defaults(handler=cmd_breathe)
-
-    p = sub.add_parser("fov", parents=[common],
-                       help="coverage and visibility feasibility report")
-    p.set_defaults(handler=cmd_fov)
-
-    p = sub.add_parser("emit-table", parents=[common],
-                       help="render one report section as CSV on stdout")
-    p.add_argument("table", choices=TABLE_IDS)
-    p.add_argument("--report", metavar="FILE",
-                   help="report.json to read (default: <out dir>/report.json)")
-    p.set_defaults(handler=cmd_emit_table)
-
+    for name, handler, text in _COMMANDS:
+        sub.add_parser(name, parents=[common], help=text).set_defaults(handler=handler)
+    sub.choices["detect"].add_argument(
+        "--cloud", metavar="PLY", help="read this cloud instead of rendering scene frame 0")
+    sub.choices["emit-table"].add_argument("table", choices=TABLE_IDS)
+    sub.choices["emit-table"].add_argument(
+        "--report", metavar="FILE", help="report.json to read (default: <out dir>/report.json)")
     return parser
 
 
@@ -262,7 +248,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ValueError, OSError) as exc:
-        print(f"stage error: {exc}", file=sys.stderr)
+        _print_failure(error_record(args.command, exc))
         return EXIT_STAGE
 
 

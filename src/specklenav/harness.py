@@ -775,6 +775,16 @@ STAGE_ORDER = ("plan", "calibration", "solve", "gate", "scene", "fusion",
                "breathing", "sweep")
 
 
+def error_record(stage: str, exc: Exception) -> dict:
+    """The report's error for ``exc`` raised in ``stage``: the stage, the
+    error type and message, and the frame label and seed that replay the
+    frame when its render or detection raised."""
+    error = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
+    if hasattr(exc, "replay_frame"):
+        error["frame"], error["seed"] = exc.replay_frame
+    return error
+
+
 def run_scenario(scenario: Scenario, *,
                  last_stage: str | None = None) -> RunReport:
     """Execute the stages in order and assemble the report.
@@ -817,11 +827,7 @@ def run_scenario(scenario: Scenario, *,
         try:
             done[name] = stage_fns[name]()
         except Exception as exc:
-            verdict = f"FAILED-STAGE:{name}"
-            error = {"stage": name, "type": type(exc).__name__, "message": str(exc)}
-            replay = getattr(exc, "replay_frame", None)
-            if replay is not None:
-                error["frame"], error["seed"] = replay
+            verdict, error = f"FAILED-STAGE:{name}", error_record(name, exc)
             break
         finally:
             timings.append((name, time.perf_counter() - start))

@@ -175,7 +175,6 @@ def test_random_transform_is_seeded_and_bounded():
 
 def test_point3_basics():
     p = Point3(1.0, 2.0, 3.0)
-    assert list(p) == [1.0, 2.0, 3.0]
     assert np.array_equal(p.as_array(), [1.0, 2.0, 3.0])
     assert Point3.from_array(np.array([1.0, 2.0, 3.0])) == p
     with pytest.raises(ValueError):

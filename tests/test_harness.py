@@ -813,6 +813,28 @@ def test_a_failed_stage_is_named_on_stderr(tmp_path, capsys):
         assert f"report: {report_path}\n" in out
         assert err == (f"failed stage: {error['stage']} at {frame} seed {error['seed']}: "
                        f"{error['type']}: {error['message']}\n")
+    # Outside the pipeline the command's name is the stage.  detect and
+    # breathe end at their first frame of the marker-free bundled scenario,
+    # simulate at a scene frame whose flange is lifted out of range; a cloud
+    # read from a file was rendered by no frame, so nothing replays it.
+    bundled = dataclasses.replace(default_scenario(str(tmp_path / "bundled")),
+                                  include_marker=False)
+    lifted = dataclasses.replace(bundled, robot_script=[
+        RigidTransform.translation(0.0, 0.0, 2000.0).compose(bundled.robot_script[0])])
+    for name, sc in (("bundled", bundled), ("lifted", lifted)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(sc.to_json_dict()))
+    cloud = str(Path(flat.out_dir) / "cloud_scene_0000.ply")
+    no_ring = "NoMarkerFoundError: no points in the proud band above the skin plane"
+    for argv, frame, failure in (
+            (["detect", "--config", str(tmp_path / "bundled.json")], "scene:frame:0", no_ring),
+            (["breathe", "--config", str(tmp_path / "bundled.json")], "breathing:frame:0",
+             no_ring),
+            (["simulate", "--config", str(tmp_path / "lifted.json")], "scene:frame:0",
+             "EmptyCloudError: no ray intersected the scene inside the frustum"),
+            (["detect", "--cloud", cloud, "--out", str(tmp_path / "cloud")], None, no_ring)):
+        assert cli.main(argv + ["--seed", "1"]) == cli.EXIT_STAGE
+        at = f" at {frame} seed {stage_seed(1, frame)}" if frame else ""
+        assert capsys.readouterr().err == f"failed stage: {argv[0]}{at}: {failure}\n"
 
 
 def test_a_camera_mount_pose_is_a_config_error(tmp_path):
