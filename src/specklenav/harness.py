@@ -155,16 +155,34 @@ class Scenario:
             raise ConfigError("execution.probe_count must be >= 2")
         if not (1 <= self.execution.fit_count < self.execution.probe_count):
             raise ConfigError("execution.fit_count must leave validation probes")
-        # The breathing stage renders round(duration_s * frame_rate_hz) frames.
+        # The breathing stage renders round(duration_s * frame_rate_hz)
+        # frames, and estimate_period needs 4 samples.
         breathing = self.breathing
         if not breathing.frame_rate_hz > 0:
             raise ConfigError("breathing.frame_rate_hz must be positive")
         if not breathing.duration_s > 0:
             raise ConfigError("breathing.duration_s must be positive")
-        if not breathing.duration_s * breathing.frame_rate_hz > 0.5:
-            raise ConfigError("breathing.duration_s must span at least one frame")
+        frames = breathing.duration_s * breathing.frame_rate_hz
+        if not (math.isfinite(frames) and int(round(frames)) >= 4):
+            raise ConfigError("breathing.duration_s must span a finite count of at least 4 frames")
         if not breathing.period_s > 0:
             raise ConfigError("breathing.period_s must be positive")
+        if not breathing.amplitude_mm >= 0:
+            raise ConfigError("breathing.amplitude_mm must be non-negative")
+        for name in ("amplitude_tol_mm", "min_hold_s", "alarm_threshold_mm"):
+            if not getattr(breathing, name) > 0:
+                raise ConfigError(f"breathing.{name} must be positive")
+        # plan_poses, the board noise draws and the gate's board corners.
+        calibration = self.calibration
+        if calibration.count < 3:
+            raise ConfigError("calibration.count must be >= 3")
+        if not 0 < calibration.tilt_range_deg <= 60:
+            raise ConfigError("calibration.tilt_range_deg must lie in (0, 60]")
+        for name in ("board_noise_rot_deg", "board_noise_mm"):
+            if not getattr(calibration, name) >= 0:
+                raise ConfigError(f"calibration.{name} must be non-negative")
+        if not all(v > 0 for v in calibration.board_half_extents_mm):
+            raise ConfigError("calibration.board_half_extents_mm must be positive")
         if not 0 < self.sweep.patch_fraction <= 1:
             raise ConfigError("sweep.patch_fraction must lie in (0, 1]")
         if self.camera.mount_pose.to_json_dict() != RigidTransform.identity().to_json_dict():
@@ -907,6 +925,9 @@ def load_report(path) -> RunReport:
 # Tables
 
 TABLE_IDS = ("accuracy-vs-distance", "execution-error", "timing")
+# The accuracy-vs-distance header, and the sweep row keys in column order.
+_SWEEP_COLUMNS = ("distance_mm", "fov_x_mm", "fov_y_mm", "pixel_size_mm", "sigma_z_table_mm",
+                  "sigma_z_measured_mm", "measured_at_mm", "point_count")
 
 
 def emit_table(report: RunReport, table_id: str) -> str:
@@ -932,16 +953,10 @@ def _write_table(writer, report: RunReport, table_id: str) -> None:
         sweep = report.stages.get("sweep")
         if not sweep or "rows" not in sweep:
             raise MissingSectionError("report has no sweep section")
-        writer.writerow(["distance_mm", "fov_x_mm", "fov_y_mm", "pixel_size_mm",
-                         "sigma_z_table_mm", "sigma_z_measured_mm",
-                         "measured_at_mm", "point_count"])
+        writer.writerow(_SWEEP_COLUMNS)
         for row in sweep["rows"]:
-            writer.writerow([
-                row["distance_mm"], row["fov_x_mm"], row["fov_y_mm"],
-                row["pixel_size_mm"], row["sigma_z_table_mm"],
-                f"{row['sigma_z_measured_mm']:.6f}", row["measured_at_mm"],
-                row["point_count"],
-            ])
+            writer.writerow([f"{row[c]:.6f}" if c == "sigma_z_measured_mm" else row[c]
+                             for c in _SWEEP_COLUMNS])
     elif table_id == "execution-error":
         fusion = report.stages.get("fusion")
         if not fusion or "records" not in fusion:

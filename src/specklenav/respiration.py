@@ -116,10 +116,6 @@ def extract_signal(poses: Sequence[MarkerPose],
     return BreathSignal(np.column_stack((rows[:, 3], disp)))
 
 
-# estimate_period fills this many lags between checks for the repeat region.
-_LAG_CHUNK = 64
-
-
 def estimate_period(signal: BreathSignal) -> float:
     """Dominant repeat time of the signal, in seconds.
 
@@ -133,10 +129,10 @@ def estimate_period(signal: BreathSignal) -> float:
     refines the answer below the sample spacing.  Assumes roughly uniform
     sampling.
 
-    Lags are filled in order, in chunks, only until that first repeat
-    region has closed, each with the same dot product a full correlation
-    computes for it.  So the answer has the same bits as from all n lags,
-    in O(n·P) time for a repeat P samples long instead of O(n²).
+    One walk fills the lags in order, each with the same dot product a
+    full correlation computes for it, and stops at the lag that closes
+    that first repeat region.  So the answer has the same bits as from
+    all n lags, in O(n·P) time for a repeat P samples long, not O(n²).
     """
     times, values = signal.arrays()
     if len(times) < 4:
@@ -152,19 +148,28 @@ def estimate_period(signal: BreathSignal) -> float:
     min_overlap = max(4, n // 8)
     usable = n - min_overlap + 1          # lags k with n - k >= min_overlap
     rho = np.full(n, -np.inf)
-    filled = 0
-    region = None
-    while region is None:
-        lags = np.arange(filled, min(filled + _LAG_CHUNK, usable))
-        raw = np.array([np.dot(x[k:], x[:n - k]) for k in lags])
-        head_energy = csum[n - lags]          # first n-k samples
-        tail_energy = csum[n] - csum[lags]    # last n-k samples
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho[lags] = np.where((head_energy > 0.0) & (tail_energy > 0.0),
-                                 raw / np.sqrt(head_energy * tail_energy), -np.inf)
-        filled += len(lags)
-        region = _first_repeat_region(rho[:filled], complete=filled == usable)
-    first, last = region
+    # The central lobe ends at start, the first negative lag; the region
+    # runs from the next positive lag, first, to the next negative, last.
+    start = first = None
+    last = usable
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lag in range(usable):
+            raw = np.dot(x[lag:], x[:n - lag])
+            head_energy = csum[n - lag]           # first n-k samples
+            tail_energy = csum[n] - csum[lag]     # last n-k samples
+            if head_energy > 0.0 and tail_energy > 0.0:
+                rho[lag] = raw / np.sqrt(head_energy * tail_energy)
+            if start is None:
+                start = lag if rho[lag] < 0.0 else None
+            elif first is None:
+                first = lag if rho[lag] > 0.0 else None
+            elif rho[lag] < 0.0:
+                last = lag
+                break
+    if start is None:
+        raise NoPeriodicityError("autocorrelation never leaves the main lobe")
+    if first is None:
+        raise NoPeriodicityError("no repeat structure past the main lobe")
 
     # The repeat estimate is the best lag within that first region; later
     # regions sit at period multiples and must not win ties.
@@ -182,33 +187,6 @@ def estimate_period(signal: BreathSignal) -> float:
     else:
         shift = 0.0
     return (k + shift) * dt
-
-
-def _first_repeat_region(rho: np.ndarray, complete: bool):
-    """(first, last) lags of the first positive region past the main lobe.
-
-    ``rho`` holds the usable lags from 0, all of them when ``complete``.
-    Of a partial prefix the answer is None until the region has closed;
-    of the complete set a missing lobe or region raises, and a region that
-    never closes runs to the last usable lag.
-    """
-    # Step past the central lobe: first lag with negative correlation.
-    below = np.nonzero(rho < 0.0)[0]
-    if len(below) == 0:
-        if complete:
-            raise NoPeriodicityError("autocorrelation never leaves the main lobe")
-        return None
-    start = int(below[0])
-    positive = np.nonzero(rho[start:] > 0.0)[0]
-    if len(positive) == 0:
-        if complete:
-            raise NoPeriodicityError("no repeat structure past the main lobe")
-        return None
-    first = start + int(positive[0])
-    closing = np.nonzero(rho[first:] < 0.0)[0]
-    if len(closing):
-        return first, first + int(closing[0])
-    return (first, len(rho)) if complete else None
 
 
 # _window_blocks hands out at most this many window samples at a time, so

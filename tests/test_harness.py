@@ -314,7 +314,26 @@ OUT_OF_RANGE = {"breathing.frame_rate_hz": {"breathing": {"frame_rate_hz": 0}},
                 "breathing.resolution": {"breathing": {"resolution": [1, 1]}},
                 "breathing.resolution-one-row": {"breathing": {"resolution": [160, 1]}},
                 "sweep.resolution": {"sweep": {"resolution": [0, 0]}},
-                "sweep.resolution-one-column": {"sweep": {"resolution": [1, 180]}}}
+                "sweep.resolution-one-column": {"sweep": {"resolution": [1, 180]}},
+                # Values that plan_poses, the board noise draws or the breathing
+                # stage reject, and a board whose four corners coincide.
+                "breathing.amplitude_mm": {"breathing": {"amplitude_mm": -1.0}},
+                "breathing.amplitude_tol_mm": {"breathing": {"amplitude_tol_mm": 0}},
+                "breathing.min_hold_s": {"breathing": {"min_hold_s": -2.0}},
+                "breathing.alarm_threshold_mm": {"breathing": {"alarm_threshold_mm": 0}},
+                "calibration.count": {"calibration": {"count": 2}},
+                "calibration.tilt_range_deg": {"calibration": {"tilt_range_deg": 0}},
+                "calibration.tilt_range_deg-over-60": {"calibration": {"tilt_range_deg": 61.0}},
+                "calibration.board_noise_rot_deg": {"calibration": {"board_noise_rot_deg": -0.01}},
+                "calibration.board_noise_mm": {"calibration": {"board_noise_mm": -0.03}},
+                "calibration.board_half_extents_mm": {
+                    "calibration": {"board_half_extents_mm": [0.0, 0.0]}},
+                # Fewer frames than the 4 samples estimate_period needs.
+                "breathing.duration_s-one-frame-at-6-hz": {"breathing": {"duration_s": 0.1,
+                                                                         "frame_rate_hz": 6.0}},
+                "breathing.duration_s-three-frames-at-8-hz": {"breathing": {"duration_s": 0.375}},
+                # A frame count that overflows a float, not an OverflowError.
+                "breathing.duration_s-1e308-at-8-hz": {"breathing": {"duration_s": 1e308}}}
 
 
 @pytest.mark.parametrize("case", list(OUT_OF_RANGE))

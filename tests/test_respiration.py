@@ -428,7 +428,8 @@ def test_period_matches_the_full_correlation_on_jittered_signals(seed):
 
 @pytest.mark.parametrize("period_samples", [7.0, 31.5, 63.0, 64.0, 97.3, 150.0, 400.0])
 def test_period_matches_the_full_correlation_across_lag_chunks(period_samples):
-    # Repeats from well inside the first chunk of lags to several chunks in.
+    # Repeats from a few lags to several hundred; the 63- and 64-sample
+    # periods straddle the lag the chunked fill once stopped at.
     for seed in range(3):
         signal = breathing(int(6 * period_samples), period_samples, seed)
         got = period_outcome(estimate_period, signal)
@@ -463,6 +464,28 @@ def test_period_when_the_repeat_region_runs_to_the_last_usable_lag():
     got = period_outcome(estimate_period, signal)
     assert isinstance(got, str)
     assert got == period_outcome(reference_estimate_period, signal)
+
+
+def test_period_computes_no_lag_past_the_one_closing_the_repeat_region(monkeypatch):
+    signal = breathing(600, 40.0)
+    _, values = signal.arrays()
+    x = values - values.mean()
+    n = len(x)
+    rho = [np.dot(x[k:], x[:n - k]) for k in range(n - max(4, n // 8) + 1)]
+    start = next(k for k, r in enumerate(rho) if r < 0.0)
+    first = next(k for k in range(start, len(rho)) if rho[k] > 0.0)
+    closing = next(k for k in range(first, len(rho)) if rho[k] < 0.0)
+    calls = []
+    dot = np.dot
+
+    def counting(a, b):
+        calls.append(len(a))
+        return dot(a, b)
+
+    monkeypatch.setattr(respiration.np, "dot", counting)
+    estimate_period(signal)
+    assert closing == 51
+    assert calls == [n - k for k in range(closing + 1)]
 
 
 @pytest.mark.parametrize("case, error, message", [
