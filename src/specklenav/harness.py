@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import UnionType
-from typing import Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -75,44 +75,62 @@ def stage_seed(master_seed: int, label: str) -> int:
 # Scenario configuration
 
 
+# A config field's range, declared as ``Annotated`` metadata beside its type:
+# the words ending "<field> must ...", and the test its value (each element of a tuple) passes.
+_POSITIVE = ("be positive", lambda v: v > 0)
+_NON_NEGATIVE = ("be non-negative", lambda v: v >= 0)
+_NON_ZERO = ("be non-zero", lambda v: v != 0)
+_AT_LEAST_2X2 = ("be at least 2x2", lambda v: v >= 2)
+
+
+def _at_least(n: int):
+    return f"be >= {n}", lambda v: v >= n
+
+
+def _within(lo: float, hi: float):
+    return f"lie in ({lo}, {hi}]", lambda v: lo < v <= hi
+
+
+# The ranges guard plan_poses, the board noise draws and the gate's board corners.
 @dataclass(frozen=True)
 class CalibrationConfig:
-    count: int = 10
-    tilt_range_deg: float = 22.0
+    count: Annotated[int, _at_least(3)] = 10
+    tilt_range_deg: Annotated[float, _within(0, 60)] = 22.0
     # Board-pose observation noise, the level a sub-pixel corner fit on a
     # close-range board delivers.  Rotation noise dominates the solve error
     # through the camera-to-board lever arm, so it is kept tight.
-    board_noise_rot_deg: float = 0.01
-    board_noise_mm: float = 0.03
-    board_half_extents_mm: tuple[float, float] = (40.0, 30.0)
-    resolution: tuple[int, int] = (256, 192)
+    board_noise_rot_deg: Annotated[float, _NON_NEGATIVE] = 0.01
+    board_noise_mm: Annotated[float, _NON_NEGATIVE] = 0.03
+    board_half_extents_mm: Annotated[tuple[float, float], _POSITIVE] = (40.0, 30.0)
+    resolution: Annotated[tuple[int, int], _AT_LEAST_2X2] = (256, 192)
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    probe_count: int = 12
+    probe_count: Annotated[int, _at_least(2)] = 12
     fit_count: int = 8
-    lateral_span_mm: float = 60.0
-    lift_span_mm: float = 30.0
+    # A negative span mirrors the probes; a span of 0 leaves the fusion fit no spread.
+    lateral_span_mm: Annotated[float, _NON_ZERO] = 60.0
+    lift_span_mm: Annotated[float, _NON_ZERO] = 30.0
 
 
 @dataclass(frozen=True)
 class BreathingConfig:
-    duration_s: float = 16.0
-    frame_rate_hz: float = 8.0
-    amplitude_mm: float = 3.0
-    period_s: float = 4.0
-    resolution: tuple[int, int] = (160, 120)
-    amplitude_tol_mm: float = 0.8
-    min_hold_s: float = 2.0
-    alarm_threshold_mm: float = 2.0
+    duration_s: Annotated[float, _POSITIVE] = 16.0
+    frame_rate_hz: Annotated[float, _POSITIVE] = 8.0
+    amplitude_mm: Annotated[float, _POSITIVE] = 3.0
+    period_s: Annotated[float, _POSITIVE] = 4.0
+    resolution: Annotated[tuple[int, int], _AT_LEAST_2X2] = (160, 120)
+    amplitude_tol_mm: Annotated[float, _POSITIVE] = 0.8
+    min_hold_s: Annotated[float, _POSITIVE] = 2.0
+    alarm_threshold_mm: Annotated[float, _POSITIVE] = 2.0
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     enabled: bool = True
-    resolution: tuple[int, int] = (240, 180)
-    patch_fraction: float = 0.25
+    resolution: Annotated[tuple[int, int], _AT_LEAST_2X2] = (240, 180)
+    patch_fraction: Annotated[float, _within(0, 1)] = 0.25
 
 
 @dataclass(frozen=True)
@@ -128,9 +146,9 @@ class Scenario:
 
     master_seed: int
     out_dir: str = "runs/default"
-    noise_scale: float = 1.0
+    noise_scale: Annotated[float, _NON_NEGATIVE] = 1.0
     include_marker: bool = True
-    scene_frames: int = 4
+    scene_frames: Annotated[int, _at_least(1)] = 4
     camera: CameraModel = field(default_factory=CameraModel)
     phantom: TorsoPhantom = field(default_factory=TorsoPhantom)
     marker: RingMarker = field(default_factory=RingMarker)
@@ -147,50 +165,23 @@ class Scenario:
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
     def __post_init__(self):
-        if self.scene_frames < 1:
-            raise ConfigError("scene_frames must be >= 1")
-        if not self.noise_scale >= 0:
-            raise ConfigError("noise_scale must be non-negative")
-        if self.execution.probe_count < 2:
-            raise ConfigError("execution.probe_count must be >= 2")
+        # Name the first field, in declaration order, outside its declared range.
+        for prefix in ("", "calibration.", "execution.", "breathing.", "sweep."):
+            config = getattr(self, prefix[:-1]) if prefix else self
+            for name, hint in get_type_hints(type(config), include_extras=True).items():
+                value = getattr(config, name)
+                for words, holds in getattr(hint, "__metadata__", ()):
+                    if not all(map(holds, value if isinstance(value, tuple) else (value,))):
+                        raise ConfigError(f"{prefix}{name} must {words}")
         if not (1 <= self.execution.fit_count < self.execution.probe_count):
             raise ConfigError("execution.fit_count must leave validation probes")
         # The breathing stage renders round(duration_s * frame_rate_hz)
         # frames, and estimate_period needs 4 samples.
-        breathing = self.breathing
-        if not breathing.frame_rate_hz > 0:
-            raise ConfigError("breathing.frame_rate_hz must be positive")
-        if not breathing.duration_s > 0:
-            raise ConfigError("breathing.duration_s must be positive")
-        frames = breathing.duration_s * breathing.frame_rate_hz
+        frames = self.breathing.duration_s * self.breathing.frame_rate_hz
         if not (math.isfinite(frames) and int(round(frames)) >= 4):
             raise ConfigError("breathing.duration_s must span a finite count of at least 4 frames")
-        if not breathing.period_s > 0:
-            raise ConfigError("breathing.period_s must be positive")
-        if not breathing.amplitude_mm >= 0:
-            raise ConfigError("breathing.amplitude_mm must be non-negative")
-        for name in ("amplitude_tol_mm", "min_hold_s", "alarm_threshold_mm"):
-            if not getattr(breathing, name) > 0:
-                raise ConfigError(f"breathing.{name} must be positive")
-        # plan_poses, the board noise draws and the gate's board corners.
-        calibration = self.calibration
-        if calibration.count < 3:
-            raise ConfigError("calibration.count must be >= 3")
-        if not 0 < calibration.tilt_range_deg <= 60:
-            raise ConfigError("calibration.tilt_range_deg must lie in (0, 60]")
-        for name in ("board_noise_rot_deg", "board_noise_mm"):
-            if not getattr(calibration, name) >= 0:
-                raise ConfigError(f"calibration.{name} must be non-negative")
-        if not all(v > 0 for v in calibration.board_half_extents_mm):
-            raise ConfigError("calibration.board_half_extents_mm must be positive")
-        if not 0 < self.sweep.patch_fraction <= 1:
-            raise ConfigError("sweep.patch_fraction must lie in (0, 1]")
         if self.camera.mount_pose.to_json_dict() != RigidTransform.identity().to_json_dict():
             raise ConfigError("camera.mount_pose must be the identity; the stages place the camera")
-        for name in ("calibration", "breathing", "sweep"):
-            nx, ny = getattr(self, name).resolution
-            if nx < 2 or ny < 2:
-                raise ConfigError(f"{name}.resolution must be at least 2x2")
         script = tuple(self.robot_script) or (self._default_scene_flange(),)
         object.__setattr__(self, "robot_script", script)
         if self.observation_box is None:

@@ -333,7 +333,16 @@ OUT_OF_RANGE = {"breathing.frame_rate_hz": {"breathing": {"frame_rate_hz": 0}},
                                                                          "frame_rate_hz": 6.0}},
                 "breathing.duration_s-three-frames-at-8-hz": {"breathing": {"duration_s": 0.375}},
                 # A frame count that overflows a float, not an OverflowError.
-                "breathing.duration_s-1e308-at-8-hz": {"breathing": {"duration_s": 1e308}}}
+                "breathing.duration_s-1e308-at-8-hz": {"breathing": {"duration_s": 1e308}},
+                # Values that loaded and then always failed a stage: a span of
+                # 0 leaves the fusion fit no spread, and a chest that does not
+                # move has no breathing period.
+                "execution.lateral_span_mm": {"execution": {"lateral_span_mm": 0}},
+                "execution.lift_span_mm": {"execution": {"lift_span_mm": 0}},
+                "breathing.amplitude_mm-zero": {"breathing": {"amplitude_mm": 0}},
+                # Two violations: the first field in declaration order is named.
+                "breathing.duration_s-and-frame-rate-zero": {"breathing": {"frame_rate_hz": 0,
+                                                                           "duration_s": 0}}}
 
 
 @pytest.mark.parametrize("case", list(OUT_OF_RANGE))
@@ -344,6 +353,42 @@ def test_out_of_range_section_values_are_config_errors(case, tmp_path):
         Scenario.from_json_dict(doc)
     assert exits_with_config_error(tmp_path, doc)
     assert not (tmp_path / "out").exists()  # rejected before any stage ran
+
+
+# The whole message of a range rule, where other tests check only that it
+# raises a ConfigError or names its field.
+RANGE_MESSAGES = {"scene_frames": ({"scene_frames": 0}, "scene_frames must be >= 1"),
+                  "noise_scale": ({"noise_scale": -0.5}, "noise_scale must be non-negative"),
+                  "execution.probe_count": ({"execution": {"probe_count": 1}},
+                                            "execution.probe_count must be >= 2"),
+                  "execution.fit_count": ({"execution": {"fit_count": 12}},
+                                          "execution.fit_count must leave validation probes"),
+                  "execution.fit_count-zero": ({"execution": {"fit_count": 0}},
+                                               "execution.fit_count must leave validation probes"),
+                  "execution.lateral_span_mm": ({"execution": {"lateral_span_mm": 0}},
+                                                "execution.lateral_span_mm must be non-zero"),
+                  "execution.lift_span_mm": ({"execution": {"lift_span_mm": 0.0}},
+                                             "execution.lift_span_mm must be non-zero"),
+                  "breathing.amplitude_mm": ({"breathing": {"amplitude_mm": 0}},
+                                             "breathing.amplitude_mm must be positive")}
+
+
+@pytest.mark.parametrize("case", list(RANGE_MESSAGES))
+def test_range_rules_name_their_field_and_bound(case, tmp_path):
+    section, message = RANGE_MESSAGES[case]
+    doc = {"master_seed": 1, **section}
+    with pytest.raises(ConfigError) as raised:
+        Scenario.from_json_dict(doc)
+    assert str(raised.value) == message
+    assert exits_with_config_error(tmp_path, doc)
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_probe_spans_still_load():
+    # A negative span mirrors the probes; only a span of 0 is out of range.
+    doc = {"master_seed": 1, "execution": {"lateral_span_mm": -60.0, "lift_span_mm": -30.0}}
+    execution = Scenario.from_json_dict(doc).execution
+    assert (execution.lateral_span_mm, execution.lift_span_mm) == (-60.0, -30.0)
 
 
 def test_camera_still_ignores_the_dropped_blur_key():
